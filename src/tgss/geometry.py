@@ -167,8 +167,10 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialPro
     stripe is then visited in order: if the running point is already
     inside, it contributes a zero coefficient; otherwise its violated
     boundary hyperplane joins the active set and the running point is
-    re-projected onto the intersection of all active boundaries.  A
-    singular Gram system drops the offending older stripe.
+    re-projected onto the intersection of all active boundaries.  A new
+    stripe whose boundary makes the Gram system singular is itself
+    skipped: the active set stays as it was, the stripe keeps a zero
+    coefficient, joins `skipped` and is counted in `n_dropped`.
 
     Returns the final point together with the aggregate coefficients t_i
     (one per input stripe) such that point = z - sum_i t_i * u_i.

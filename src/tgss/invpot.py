@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .numkernel import Vec, DIRECT_LIMIT, CG_TOL, norm
+from .numkernel import Vec, factorize_sparse_spd
 from .operator import ForwardOperator
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
@@ -99,28 +98,6 @@ def true_coefficient(mesh: Mesh) -> Vec:
     return 1.0 + np.cos(np.pi * x1) * np.cos(np.pi * x2) * chi
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix of piecewise linear elements (Neumann, row sums zero)."""
-    n = mesh.n_nodes
-    if mesh.dim == 1:
-        h = mesh.h
-        main = np.full(n, 2.0 / h)
-        main[0] = main[-1] = 1.0 / h
-        off = np.full(n - 1, -1.0 / h)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-    p = mesh.nodes[mesh.elements]          # (ne, 3, 2)
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]   # y_j - y_k per local basis
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]   # x_k - x_j
-    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    K_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def quadrature_weights(mesh: Mesh) -> Vec:
     """Per-node quadrature weight, the integral of each hat function.
 
@@ -137,6 +114,92 @@ def quadrature_weights(mesh: Mesh) -> Vec:
     return omega
 
 
+def local_stiffness(mesh: Mesh) -> np.ndarray:
+    """Element stiffness matrices, shape (num_elems, dim + 1, dim + 1)."""
+    if mesh.dim == 1:
+        K_loc = np.array([[1.0, -1.0], [-1.0, 1.0]]) / mesh.h
+        return np.broadcast_to(K_loc, (mesh.elements.shape[0], 2, 2))
+    p = mesh.nodes[mesh.elements]          # (ne, 3, 2)
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]   # y_j - y_k per local basis
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]   # x_k - x_j
+    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area[:, None, None]
+    )
+
+
+def local_mass_tensor(mesh: Mesh) -> np.ndarray:
+    """W[i, j, a], the quadrature of phi_a phi_i phi_j over one element.
+
+    The element mass matrix weighted by the interpolant of w is
+    sum_a W[:, :, a] w_a.  1-D integrates the cubic exactly: h/4 when
+    i = j = a, else h/12.  2-D uses the three-point edge-midpoint rule:
+    each midpoint weighs area/3 and the basis functions of the edge's end
+    nodes are 1/2 there, so each edge holding all of i, j, a adds area/24.
+    """
+    k = mesh.dim + 1
+    if mesh.dim == 1:
+        scale, per_distinct = mesh.h / 12.0, {1: 3.0, 2: 1.0}
+    else:
+        scale, per_distinct = mesh.h ** 2 / 48.0, {1: 2.0, 2: 1.0, 3: 0.0}
+    return scale * np.array([
+        [[per_distinct[len({i, j, a})] for a in range(k)] for j in range(k)]
+        for i in range(k)
+    ])
+
+
+class P1Pattern:
+    """Sparsity pattern of piecewise linear matrices on one mesh.
+
+    Built once per mesh: the CSR structure of every matrix the operator
+    needs (stiffness, weighted mass, system matrix) and a scatter from
+    element-local entries to positions in its data array.  Each matrix
+    is then a new data array on this pattern.
+    """
+
+    def __init__(self, mesh: Mesh):
+        n, k = mesh.n_nodes, mesh.dim + 1
+        rows = np.repeat(mesh.elements, k, axis=1).ravel()
+        cols = np.tile(mesh.elements, (1, k)).ravel()
+        keys, position = np.unique(rows * n + cols, return_inverse=True)
+        self.mesh = mesh
+        self.n = n
+        self.indices = (keys % n).astype(np.intc)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
+        # Position of each element-local entry in the data array; int32
+        # halves the largest array the pattern keeps.
+        self._position = position.ravel().astype(np.intc)
+        self._diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+        self._mass = local_mass_tensor(mesh).reshape(k * k, k).T
+        self._ghost = mesh.h ** mesh.dim - quadrature_weights(mesh)
+
+    def scatter(self, local: np.ndarray) -> Vec:
+        """Data array of the sum of element-local matrices (num_elems, k, k)."""
+        return np.bincount(self._position, weights=np.ravel(local),
+                           minlength=self.indices.size)
+
+    def mass_data(self, w: Vec) -> Vec:
+        """Data array of weighted_mass(mesh, w)."""
+        data = self.scatter(w[self.mesh.elements] @ self._mass)
+        data[self._diagonal] += self._ghost * w
+        return data
+
+    def stiffness(self) -> sp.csr_matrix:
+        return self.csr(self.scatter(local_stiffness(self.mesh)))
+
+    def load(self, f_nodal: Vec) -> Vec:
+        """Row sums of the f-weighted mass, the consistent load of f."""
+        return self.csr(self.mass_data(f_nodal)) @ np.ones(self.n)
+
+    def csr(self, data: Vec) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """Stiffness matrix of piecewise linear elements (Neumann, row sums zero)."""
+    return P1Pattern(mesh).stiffness()
+
+
 def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
     """Boundary-corrected mass matrix weighted by the interpolant of w.
 
@@ -151,45 +214,17 @@ def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
     of reconstructed coefficients.  The perturbation is O(h^2) relative
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
-    """
-    w = np.asarray(w, dtype=float)
-    n = mesh.n_nodes
-    ghost = sp.diags((mesh.h ** mesh.dim - quadrature_weights(mesh)) * w)
-    if mesh.dim == 1:
-        h = mesh.h
-        wa = w[mesh.elements[:, 0]]
-        wb = w[mesh.elements[:, 1]]
-        m_aa = h * (wa / 4.0 + wb / 12.0)
-        m_ab = h * (wa + wb) / 12.0
-        m_bb = h * (wa / 12.0 + wb / 4.0)
-        loc = np.stack(
-            [np.stack([m_aa, m_ab], axis=1), np.stack([m_ab, m_bb], axis=1)], axis=1
-        )
-        rows = np.repeat(mesh.elements, 2, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, 2)).ravel()
-        base = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        return (base + ghost).tocsr()
 
-    area = 0.5 * mesh.h ** 2
-    wq = area / 3.0
-    w_elem = w[mesh.elements]              # (ne, 3)
-    # Edge midpoints (a, b): basis values are 1/2 at a and b, 0 opposite.
-    loc = np.zeros((mesh.elements.shape[0], 3, 3))
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        w_mid = 0.5 * (w_elem[:, a] + w_elem[:, b])
-        contrib = wq * w_mid * 0.25
-        for i in (a, b):
-            for j in (a, b):
-                loc[:, i, j] += contrib
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    base = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return (base + ghost).tocsr()
+    Builds the mesh's P1Pattern on every call; repeated assembly on one
+    mesh should keep a P1Pattern and call its mass_data.
+    """
+    pattern = P1Pattern(mesh)
+    return pattern.csr(pattern.mass_data(np.asarray(w, dtype=float)))
 
 
 def load_vector(mesh: Mesh, f_nodal: Vec) -> Vec:
     """Consistent load of the interpolated source, same quadrature as the mass."""
-    return weighted_mass(mesh, f_nodal) @ np.ones(mesh.n_nodes)
+    return P1Pattern(mesh).load(np.asarray(f_nodal, dtype=float))
 
 
 @dataclass
@@ -213,9 +248,10 @@ def check_admissible(c: Vec):
 def assemble(mesh: Mesh, c: Vec, f_nodal: Vec) -> AssembledSystem:
     """Assemble A(c) = K + M(c) and the load of f; rejects inadmissible c."""
     check_admissible(c)
-    K = stiffness_matrix(mesh)
-    M_c = weighted_mass(mesh, c)
-    return AssembledSystem(K, M_c, K + M_c, load_vector(mesh, f_nodal))
+    pattern = P1Pattern(mesh)
+    K = pattern.stiffness()
+    M_c = pattern.csr(pattern.mass_data(np.asarray(c, dtype=float)))
+    return AssembledSystem(K, M_c, K + M_c, pattern.load(np.asarray(f_nodal, dtype=float)))
 
 
 class InversePotentialOperator(ForwardOperator):
@@ -223,7 +259,9 @@ class InversePotentialOperator(ForwardOperator):
 
     derivative_apply and adjoint_apply share the factorization of A(c)
     and the solution-weighted mass matrix, so they are exactly mutually
-    adjoint in the Euclidean nodal inner product.
+    adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern
+    is built once; each new coefficient costs two data arrays on it and
+    one factorization.
     """
 
     def __init__(self, mesh: Mesh, f=1.0, eta: float = 0.1, c_F: float = 0.1):
@@ -240,8 +278,9 @@ class InversePotentialOperator(ForwardOperator):
         self.n = self.m = mesh.n_nodes
         self.eta = eta
         self.c_F = c_F
-        self.K = stiffness_matrix(mesh)
-        self.load = load_vector(mesh, self.f_nodal)
+        self._pattern = P1Pattern(mesh)
+        self.K = self._pattern.stiffness()
+        self.load = self._pattern.load(self.f_nodal)
         self._cache_key = None
         self._cache = None
 
@@ -252,19 +291,16 @@ class InversePotentialOperator(ForwardOperator):
         if key == self._cache_key:
             return self._cache
         check_admissible(c)
-        A = (self.K + weighted_mass(self.mesh, c)).tocsc()
-        if self.n <= DIRECT_LIMIT:
-            solve = spla.splu(A).solve
-        else:
-            def solve(rhs, A=A):
-                u, info = spla.cg(A, rhs, rtol=CG_TOL, atol=0.0, maxiter=10 * self.n)
-                if info != 0:
-                    raise RuntimeError(f"CG failed (info={info})")
-                return u
+        # Drop the previous factorization first, so that at most one is
+        # alive: reading its pivots made SuperLU keep copies of L and U.
+        self._cache_key = self._cache = None
+        A = self._pattern.csr(self.K.data + self._pattern.mass_data(c))
+        # A is symmetric, so its transpose is A itself in CSC form, uncopied.
+        solve = factorize_sparse_spd(A.T)
         u = solve(self.load)
         if not np.all(np.isfinite(u)):
             raise AdmissibilityError("state solve produced non-finite values")
-        M_u = weighted_mass(self.mesh, u)
+        M_u = self._pattern.csr(self._pattern.mass_data(u))
         self._cache_key = key
         self._cache = (solve, u, M_u)
         return self._cache

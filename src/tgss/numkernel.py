@@ -2,12 +2,15 @@
 
 Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
-solved by Cholesky factorization; the large sparse SPD systems coming
-from the finite element discretization go through a sparse direct
-factorization, with a conjugate-gradient fallback for very fine meshes.
+solved by Cholesky factorization.  Every sparse SPD system of the finite
+element discretization goes through one function, factorize_sparse_spd:
+SuperLU in symmetric mode, which also proves the matrix positive
+definite, up to DIRECT_LIMIT unknowns, and conjugate gradients above.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
@@ -82,28 +85,61 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     return scipy.linalg.cho_solve(cho, b, check_finite=False)
 
 
-def solve_sparse_spd(A, f: Vec) -> Vec:
-    """Solve the sparse SPD system A u = f.
+def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
+    """Factorize the sparse SPD matrix A once; return its solve function.
 
-    Uses a direct sparse LU for systems up to DIRECT_LIMIT unknowns and
-    conjugate gradients with tolerance CG_TOL above that.  The residual is
-    checked after the solve; a large residual signals an indefinite or
-    broken matrix and raises SparseSolveError.
+    Up to DIRECT_LIMIT unknowns this is SuperLU in symmetric mode: one
+    minimum-degree ordering of A^T + A for rows and columns alike, and
+    diagonal pivots only (diag_pivot_thresh=0), so A = L U with the
+    pivots on the diagonal of U those of a symmetric L D L^T.  A symmetric
+    matrix is positive definite exactly when all these pivots are
+    positive; a non-positive pivot, a pivot taken off the diagonal (a
+    zero diagonal entry forces one) or a singular factor raises
+    SparseSolveError.  Above DIRECT_LIMIT the solve function runs
+    conjugate gradients to tolerance CG_TOL and raises SparseSolveError
+    when they do not converge.
+
+    Symmetry of A is assumed, not checked.
+    """
+    A = sp.csc_matrix(A)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionError(f"matrix {A.shape} is not square")
+    if n > DIRECT_LIMIT:
+        def solve(f: Vec) -> Vec:
+            u, info = spla.cg(A, f, rtol=CG_TOL, atol=0.0, maxiter=10 * n)
+            if info != 0:
+                raise SparseSolveError(f"conjugate gradients did not converge (info={info})")
+            return u
+        return solve
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SparseSolveError(f"sparse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SparseSolveError("zero diagonal pivot; matrix is not positive definite")
+    pivot = lu.U.diagonal().min()
+    if not pivot > 0.0:
+        raise SparseSolveError(
+            f"pivot {pivot:.3e} is not positive; matrix is not positive definite"
+        )
+    return lu.solve
+
+
+def solve_sparse_spd(A, f: Vec) -> Vec:
+    """Solve the sparse SPD system A u = f with factorize_sparse_spd.
+
+    The residual is checked after the solve as well; a large residual
+    signals a broken matrix, or an inaccurate iterative solve, and raises
+    SparseSolveError.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
     if A.shape != (n, n):
         raise DimensionError(f"matrix {A.shape} does not match rhs of length {n}")
     A = sp.csc_matrix(A)
-    if n <= DIRECT_LIMIT:
-        try:
-            u = spla.splu(A).solve(f)
-        except RuntimeError as exc:
-            raise SparseSolveError(f"sparse factorization failed: {exc}") from exc
-    else:
-        u, info = spla.cg(A, f, rtol=CG_TOL, atol=0.0, maxiter=10 * n)
-        if info != 0:
-            raise SparseSolveError(f"conjugate gradients did not converge (info={info})")
+    u = factorize_sparse_spd(A)(f)
     res = norm(A @ u - f)
     if not np.isfinite(res) or res > 1e-10 * max(norm(f), 1e-300):
         raise SparseSolveError(f"solve residual {res:.3e} exceeds bound; matrix likely indefinite")

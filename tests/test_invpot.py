@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from tgss import invpot
 from tgss.invpot import (
     AdmissibilityError,
     InversePotentialOperator,
@@ -18,7 +20,71 @@ from tgss.invpot import (
     true_coefficient,
     weighted_mass,
 )
-from tgss.numkernel import check_symmetric, dot, norm
+from tgss.numkernel import (
+    SparseSolveError,
+    check_symmetric,
+    dot,
+    factorize_sparse_spd,
+    norm,
+)
+
+
+# Reference assembly: element matrices summed through a COO matrix and
+# converted to CSR, written out independently of P1Pattern.
+
+def reference_stiffness(mesh):
+    n = mesh.n_nodes
+    if mesh.dim == 1:
+        h = mesh.h
+        main = np.full(n, 2.0 / h)
+        main[0] = main[-1] = 1.0 / h
+        off = np.full(n - 1, -1.0 / h)
+        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    p = mesh.nodes[mesh.elements]
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
+    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    K_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area[:, None, None]
+    )
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def reference_mass(mesh, w):
+    n = mesh.n_nodes
+    ghost = sp.diags((mesh.h ** mesh.dim - quadrature_weights(mesh)) * w)
+    if mesh.dim == 1:
+        h = mesh.h
+        wa = w[mesh.elements[:, 0]]
+        wb = w[mesh.elements[:, 1]]
+        m_aa = h * (wa / 4.0 + wb / 12.0)
+        m_ab = h * (wa + wb) / 12.0
+        m_bb = h * (wa / 12.0 + wb / 4.0)
+        loc = np.stack(
+            [np.stack([m_aa, m_ab], axis=1), np.stack([m_ab, m_bb], axis=1)], axis=1
+        )
+        k = 2
+    else:
+        wq = 0.5 * mesh.h ** 2 / 3.0
+        w_elem = w[mesh.elements]
+        loc = np.zeros((mesh.elements.shape[0], 3, 3))
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            contrib = wq * 0.5 * (w_elem[:, a] + w_elem[:, b]) * 0.25
+            for i in (a, b):
+                for j in (a, b):
+                    loc[:, i, j] += contrib
+        k = 3
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    base = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return (base + ghost).tocsr()
+
+
+def assert_matrix_close(actual, expected, rtol=1e-14):
+    actual, expected = actual.toarray(), expected.toarray()
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
 
 class TestMesh:
@@ -117,6 +183,33 @@ class TestAssembly:
             sys_ = assemble(mesh, ones, ones)
             u = solve_sparse_spd(sys_.A, sys_.load)
             np.testing.assert_allclose(u, 1.0, atol=1e-8)
+
+    def test_fixed_pattern_matches_reference_assembly(self):
+        rng = np.random.Generator(np.random.PCG64(35))
+        for mesh in (make_mesh(1, 16), make_mesh(2, 6)):
+            n = mesh.n_nodes
+            K_ref = reference_stiffness(mesh)
+            assert_matrix_close(stiffness_matrix(mesh), K_ref)
+            for _ in range(5):
+                w = rng.standard_normal(n)            # negative entries too
+                assert_matrix_close(weighted_mass(mesh, w), reference_mass(mesh, w))
+                c = rng.uniform(-0.4, 2.0, n)
+                f = rng.uniform(0.5, 1.5, n)
+                sys_ = assemble(mesh, c, f)
+                assert_matrix_close(sys_.A, K_ref + reference_mass(mesh, c))
+                np.testing.assert_allclose(
+                    sys_.load, reference_mass(mesh, f) @ np.ones(n), rtol=1e-14
+                )
+
+    def test_mass_row_sums_full_cell_weight(self):
+        # The diagonal correction tops every node up to the full cell
+        # weight: for constant w every row of M(w) sums to w h^dim,
+        # boundary rows included.
+        for mesh in (make_mesh(1, 8), make_mesh(2, 4)):
+            M = weighted_mass(mesh, np.full(mesh.n_nodes, 2.5))
+            np.testing.assert_allclose(
+                M @ np.ones(mesh.n_nodes), 2.5 * mesh.h ** mesh.dim, rtol=1e-14
+            )
 
     def test_load_vector_matches_mass_action(self):
         mesh = make_mesh(1, 8)
@@ -232,6 +325,44 @@ class TestOperatorContract:
         c = 1.0 + true_coefficient(mesh)
         np.testing.assert_allclose(op_scalar.apply(c), op_callable.apply(c))
         np.testing.assert_allclose(op_scalar.apply(c), op_vector.apply(c))
+
+    def test_one_factorization_per_coefficient(self, monkeypatch):
+        calls = []
+
+        def counting(A):
+            calls.append(A.shape)
+            return factorize_sparse_spd(A)
+
+        monkeypatch.setattr(invpot, "factorize_sparse_spd", counting)
+        rng = np.random.Generator(np.random.PCG64(36))
+        for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
+            op = InversePotentialOperator(mesh)
+            n = mesh.n_nodes
+            c = rng.uniform(0.5, 1.5, n)
+            q, w = rng.standard_normal((2, n))
+            calls.clear()
+            op.apply(c)
+            op.derivative_apply(c, q)
+            op.adjoint_apply(c, w)
+            op.apply(c.copy())
+            assert len(calls) == 1
+            op.adjoint_apply(c + 0.1, w)
+            op.apply(c + 0.1)
+            assert len(calls) == 2
+
+    def test_indefinite_system_raises(self):
+        # c == floor passes the admissibility check, but A(c) is then
+        # indefinite (minimum eigenvalue -0.0625 in 1-D, -0.031 in 2-D).
+        for mesh in (make_mesh(1, 16), make_mesh(2, 8)):
+            c = np.full(mesh.n_nodes, invpot.ADMISSIBILITY_FLOOR)
+            check_admissible(c)
+            assert np.linalg.eigvalsh(assemble(mesh, c, c).A.toarray()).min() < 0.0
+            op = InversePotentialOperator(mesh)
+            with pytest.raises(SparseSolveError):
+                op.apply(c)
+            # the failed set-up is not cached
+            with pytest.raises(SparseSolveError):
+                op.adjoint_apply(c, np.ones(mesh.n_nodes))
 
     def test_csv_rows(self):
         mesh1 = make_mesh(1, 4)

@@ -6,11 +6,13 @@ import scipy.sparse as sp
 
 from tgss.numkernel import (
     DENSE_CAP,
+    DIRECT_LIMIT,
     DimensionError,
     SingularSystemError,
     SparseSolveError,
     check_symmetric,
     dot,
+    factorize_sparse_spd,
     gaussian_vector,
     norm,
     solve_spd_dense,
@@ -152,6 +154,38 @@ class TestSolveSparseSpd:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             solve_sparse_spd(sp.eye(3, format="csr"), np.ones(2))
+
+
+class TestFactorizeSparseSpd:
+    def test_reused_solve(self):
+        A = sp.diags([-1.0, 3.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csc")
+        solve = factorize_sparse_spd(A)
+        for f in np.eye(6):
+            np.testing.assert_allclose(A @ solve(f), f, atol=1e-14)
+
+    def test_rejects_indefinite(self):
+        # eigenvalues 0.5 - sqrt(2), 0.5, 0.5 + sqrt(2)
+        A = sp.diags([1.0, 0.5, 1.0], [-1, 0, 1], shape=(3, 3), format="csc")
+        with pytest.raises(SparseSolveError, match="not positive definite"):
+            factorize_sparse_spd(A)
+
+    def test_rejects_zero_diagonal(self):
+        # Row pivoting would give U = I with positive pivots; the swap
+        # itself shows the matrix is not positive definite.
+        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SparseSolveError, match="not positive definite"):
+            factorize_sparse_spd(A)
+
+    def test_wraps_singular_factor(self):
+        with pytest.raises(SparseSolveError, match="factorization failed"):
+            factorize_sparse_spd(sp.csc_matrix((2, 2)))
+
+    def test_conjugate_gradients_above_direct_limit(self):
+        n = DIRECT_LIMIT + 1
+        A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
+        f = np.linspace(-1.0, 1.0, n)
+        u = factorize_sparse_spd(A)(f)
+        assert norm(A @ u - f) <= 1e-10 * norm(f)
 
 
 class TestCheckSymmetric:
