@@ -61,6 +61,7 @@ class BenchRecord:
     rate_k: float | None
     rate_t: float | None
     stopped_by: str
+    error: str | None = None            # exception type and message of a failed run
     result: SolveResult | None = None   # not serialized
 
     def csv_row(self) -> str:
@@ -87,6 +88,7 @@ class BenchRecord:
             "rate_k": self.rate_k,
             "rate_t": self.rate_t,
             "stopped_by": self.stopped_by,
+            "error": self.error,
         }
 
 
@@ -159,6 +161,7 @@ def run_suite(spec: BenchSpec) -> list[BenchRecord]:
                         k_star=-1, wall_time_s=float("nan"),
                         re_final=float("nan"), rate_k=None, rate_t=None,
                         stopped_by=f"error:{type(exc).__name__}",
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 group.append(rec)
             land = next((r for r in group if r.method == "land" and r.k_star >= 0), None)

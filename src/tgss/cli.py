@@ -19,7 +19,7 @@ SOLVER_KEYS = {
     "eta": float, "tau": float, "mu": float, "c_F": float,
     "nesterov_alpha": float, "q_scale": float, "q_power": float,
     "j_max": int, "i0": int, "n_directions": int, "max_iters": int,
-    "rho": float, "delta_mode": str, "lambda_rule": str,
+    "delta_mode": str, "lambda_rule": str,
 }
 
 BENCH_KEYS = {
@@ -74,8 +74,6 @@ def build_specs(args) -> bench.BenchSpec:
         if value is not None:
             solver_overrides[key] = value
 
-    if solver_overrides.get("max_iters") is None and "max_iters" not in solver_overrides:
-        pass
     problem = args.problem or bench_overrides.get("problem", "invpot1d")
     mesh_n = args.mesh_n or bench_overrides.get(
         "mesh_n", 256 if problem == "invpot1d" else 64

@@ -291,8 +291,8 @@ class InversePotentialOperator(ForwardOperator):
         if key == self._cache_key:
             return self._cache
         check_admissible(c)
-        # Drop the previous factorization first, so that at most one is
-        # alive: reading its pivots made SuperLU keep copies of L and U.
+        # Drop the previous factorization first, so that at most one band
+        # factor is alive at a time.
         self._cache_key = self._cache = None
         A = self._pattern.csr(self.K.data + self._pattern.mass_data(c))
         # A is symmetric, so its transpose is A itself in CSC form, uncopied.

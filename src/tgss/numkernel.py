@@ -4,8 +4,11 @@ Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
 solved by Cholesky factorization.  Every sparse SPD system of the finite
 element discretization goes through one function, factorize_sparse_spd:
-SuperLU in symmetric mode, which also proves the matrix positive
-definite, up to DIRECT_LIMIT unknowns, and conjugate gradients above.
+up to DIRECT_LIMIT unknowns a banded Cholesky factorization in the
+matrix's own node order, which reads only the upper triangle, costs
+O(n u^2) time and n (u + 1) storage for half-bandwidth u, and proves the
+matrix positive definite as it goes; conjugate gradients above.  The
+lexicographic node numbering of an N x N tensor mesh gives u = N + 2.
 """
 
 from __future__ import annotations
@@ -88,16 +91,16 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
 def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
     """Factorize the sparse SPD matrix A once; return its solve function.
 
-    Up to DIRECT_LIMIT unknowns this is SuperLU in symmetric mode: one
-    minimum-degree ordering of A^T + A for rows and columns alike, and
-    diagonal pivots only (diag_pivot_thresh=0), so A = L U with the
-    pivots on the diagonal of U those of a symmetric L D L^T.  A symmetric
-    matrix is positive definite exactly when all these pivots are
-    positive; a non-positive pivot, a pivot taken off the diagonal (a
-    zero diagonal entry forces one) or a singular factor raises
-    SparseSolveError.  Above DIRECT_LIMIT the solve function runs
-    conjugate gradients to tolerance CG_TOL and raises SparseSolveError
-    when they do not converge.
+    Up to DIRECT_LIMIT unknowns this is LAPACK's banded Cholesky
+    factorization (dpbtrf, solves by dpbtrs) in A's own row order, with
+    no reordering.  Only the upper triangle of A is read: its
+    half-bandwidth u is the largest column-minus-row offset of a stored
+    entry, duplicate entries are summed, and the factorization takes
+    O(n u^2) time and n (u + 1) floats of storage.  A symmetric matrix is
+    positive definite exactly when the factorization runs to the end; a
+    non-positive leading minor raises SparseSolveError.  Above
+    DIRECT_LIMIT the solve function runs conjugate gradients to tolerance
+    CG_TOL and raises SparseSolveError when they do not converge.
 
     Symmetry of A is assumed, not checked.
     """
@@ -112,19 +115,27 @@ def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
                 raise SparseSolveError(f"conjugate gradients did not converge (info={info})")
             return u
         return solve
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
+    offset = col - A.indices
+    upper = offset >= 0
+    col, offset = col[upper], offset[upper]
+    u = int(offset.max(initial=0))
+    # LAPACK upper band storage, ab[u + i - j, j] = A[i, j], laid out in
+    # column-major order so that LAPACK factorizes it in place;
+    # bincount sums duplicate entries.
+    ab = np.bincount(col * (u + 1) + (u - offset), weights=A.data[upper],
+                     minlength=n * (u + 1)).reshape(n, u + 1).T
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SparseSolveError(f"sparse factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SparseSolveError("zero diagonal pivot; matrix is not positive definite")
-    pivot = lu.U.diagonal().min()
-    if not pivot > 0.0:
+        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False,
+                                              check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise SparseSolveError(
-            f"pivot {pivot:.3e} is not positive; matrix is not positive definite"
-        )
-    return lu.solve
+            f"band Cholesky factorization failed ({exc}); matrix is not positive definite"
+        ) from exc
+
+    def solve(f: Vec) -> Vec:
+        return scipy.linalg.cho_solve_banded((factor, False), f, check_finite=False)
+    return solve
 
 
 def solve_sparse_spd(A, f: Vec) -> Vec:

@@ -54,9 +54,7 @@ class InvariantViolationError(RuntimeError):
 class SolverConfig:
     """Scalar hyperparameters shared by all methods.
 
-    q_scale / i**q_power is the summable backtracking schedule; rho is the
-    nominal ball radius from the analysis, carried for documentation only
-    and never enforced.
+    q_scale / i**q_power is the summable backtracking schedule.
     """
 
     eta: float = 0.1
@@ -70,7 +68,6 @@ class SolverConfig:
     i0: int = 2
     n_directions: int = 2
     max_iters: int = 50000
-    rho: float = 1.0
     delta_mode: str = "effective"
     lambda_rule: str = "nesterov"
 
@@ -261,10 +258,10 @@ def _select_lambda_z(method: str, state: IterationState, op, data, cfg, delta_us
         lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, delta_used)
         state.i_dbts = i_k
         return lam, z, r, rn
-    elif rule == "coupling" or cfg.lambda_rule == "coupling":
+    elif rule == "coupling":
         dxn = norm(state.x_cur - state.x_prev)
         lam = lambda_coupling(dxn, k, delta_used, cfg)
-    elif rule == "zero" or cfg.lambda_rule == "zero":
+    elif rule == "zero":
         lam = 0.0
     else:
         raise ConfigError(f"unknown method {method!r}")

@@ -124,6 +124,21 @@ class TestRunSuite:
         assert by_method["land"].k_star == -1
         assert by_method["sesop"].stopped_by == "discrepancy"
 
+    def test_failure_message_kept_in_json(self):
+        spec = small_linear_spec(
+            methods=["land", "sesop"],
+            method_config={"land": {"eta": 0.5}},
+        )
+        records = run_suite(spec)
+        loaded = {d["method"]: d for d in json.loads(records_to_json(records))}
+        assert loaded["land"]["error"] == (
+            "ConfigError: tau=2.0 must exceed (1+eta)/(1-eta)=3"
+        )
+        assert loaded["sesop"]["error"] is None
+        back = {r.method: r for r in records_from_json(records_to_json(records))}
+        assert back["land"].error == loaded["land"]["error"]
+        assert back["land"].stopped_by == "error:ConfigError"
+
     def test_norm_scaled_noise_shrinks_effective_level(self):
         from tgss.operator import add_noise
 

@@ -156,7 +156,42 @@ class TestSolveSparseSpd:
             solve_sparse_spd(sp.eye(3, format="csr"), np.ones(2))
 
 
+def fe_system(mesh_n):
+    # 2-D A(c) = K + M(c) with c partly below zero, still positive definite.
+    from tgss.invpot import assemble, make_mesh
+
+    mesh = make_mesh(2, mesh_n)
+    rng = np.random.Generator(np.random.PCG64(mesh_n))
+    c = rng.uniform(-0.3, 1.0, mesh.n_nodes)
+    return assemble(mesh, c, np.ones(mesh.n_nodes)).A.tocsc()
+
+
+def duplicated_entry():
+    # Tridiagonal [-1, 3, -1] with A[1, 1] stored as two entries 1 + 2.
+    indptr = np.array([0, 2, 6, 8])
+    indices = np.array([0, 1, 0, 1, 1, 2, 1, 2])
+    data = np.array([3.0, -1.0, -1.0, 1.0, 2.0, -1.0, -1.0, 3.0])
+    return sp.csc_matrix((data, indices, indptr), shape=(3, 3))
+
+
+def arrowhead(n=12):
+    # Full last row and column: half-bandwidth n - 1.
+    A = np.diag(np.full(n, n + 1.0))
+    A[:-1, -1] = A[-1, :-1] = 1.0
+    return sp.csc_matrix(A)
+
+
 class TestFactorizeSparseSpd:
+    @pytest.mark.parametrize("make", [
+        lambda: fe_system(8), lambda: fe_system(16), duplicated_entry, arrowhead,
+    ], ids=["fe2d-8", "fe2d-16", "duplicated-entry", "arrowhead"])
+    def test_matches_dense_solve(self, make):
+        A = make()
+        f = np.linspace(-1.0, 2.0, A.shape[0])
+        expected = np.linalg.solve(A.toarray(), f)
+        u = factorize_sparse_spd(A)(f)
+        assert norm(u - expected) <= 1e-12 * norm(expected)
+
     def test_reused_solve(self):
         A = sp.diags([-1.0, 3.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csc")
         solve = factorize_sparse_spd(A)

@@ -264,6 +264,20 @@ class TestRun:
         assert a.k_star == b.k_star
         assert norm(a.x_final - b.x_final) <= 1e-12
 
+    def test_explicit_zero_momentum_ignores_config_rule(self):
+        # lambda_rule only resolves the generic names "tpg" and "tgss".
+        rng = np.random.Generator(np.random.PCG64(43))
+        op = DiagonalOperator(rng.uniform(0.2, 1.0, 8))
+        truth = rng.standard_normal(8)
+        data = add_noise(op.apply(truth), 1e-3, 1)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, max_iters=5000,
+                           lambda_rule="coupling")
+        for method, plain in (("tpg-zero", "land"), ("tgss-zero", "sesop")):
+            a = run(method, op, data, np.zeros(8), cfg)
+            b = run(plain, op, data, np.zeros(8), cfg)
+            assert all(row.lam == 0.0 for row in a.trace), method
+            assert a.k_star == b.k_star, method
+
     def test_all_methods_stop_by_discrepancy_on_noisy_linear_problem(self):
         rng = np.random.Generator(np.random.PCG64(44))
         op = DiagonalOperator(rng.uniform(0.1, 1.0, 20))
