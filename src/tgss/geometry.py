@@ -5,14 +5,21 @@ solvers confine each iterate to an intersection of such stripes; the
 ordered sequential projection implemented here first projects onto the
 upper boundary of the current stripe and then re-projects onto the
 intersection of all boundary hyperplanes picked up along the way.
+
+Every point the sequential projection visits lies in z + span{u_i}, so it
+works in coefficient space: it forms the m x m Gram matrix of the m
+stripe directions and their inner products with z once, runs its side
+tests and Gram solves on m-vectors, and touches vectors of length n only
+for those m(m+1)/2 + m inner products and one update of the final point.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .numkernel import Vec, DimensionError, SingularSystemError, dot, norm, solve_spd_dense
 
@@ -152,11 +159,23 @@ def gamma(u1: Vec, u2: Vec) -> float:
 
 @dataclass
 class SequentialProjectionResult:
+    """Outcome of sequential_stripe_projection.
+
+    point = z - sum_i coefficients[i] * u_i over the input stripes; the
+    skipped stripes have zero coefficients.
+    """
+
     point: Vec
     coefficients: Vec
-    first_step_point: Vec
-    n_dropped: int = 0
-    skipped: list[int] = field(default_factory=list)
+    n_dropped: int
+    skipped: list[int]
+    first_step: tuple[Vec, float, Vec]  # (z, t_0, u_0)
+
+    @property
+    def first_step_point(self) -> Vec:
+        """z - t_0 u_0: z projected onto the first stripe's upper boundary."""
+        z, t0, u0 = self.first_step
+        return z - t0 * u0
 
 
 def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialProjectionResult:
@@ -172,46 +191,70 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialPro
     skipped: the active set stays as it was, the stripe keeps a zero
     coefficient, joins `skipped` and is counted in `n_dropped`.
 
+    Every running point is z - sum_i c_i u_i, so the loop runs on the m
+    coefficients c alone: <u_i, point> = <u_i, z> - (G c)_i with the Gram
+    matrix G_ij = <u_i, u_j>, and a re-projection solves the active
+    sub-block of G.  A call costs m(m+1)/2 + m inner products of length n
+    for G and the <u_i, z>, plus one update of length n per active
+    direction to build the final point.
+
     Returns the final point together with the aggregate coefficients t_i
     (one per input stripe) such that point = z - sum_i t_i * u_i.
     """
     if not stripes:
         raise DimensionError("need at least one stripe")
     z = np.asarray(z, dtype=float)
+    u = [s.u for s in stripes]
+    if any(ui.shape != z.shape for ui in u):
+        raise DimensionError(f"stripe directions do not match the point's shape {z.shape}")
+    m = len(stripes)
+    G = np.empty((m, m))
+    uz = np.empty(m)
+    for i in range(m):
+        uz[i] = np.dot(u[i], z)
+        for j in range(i + 1):
+            G[i, j] = G[j, i] = np.dot(u[i], u[j])
+
     cur = stripes[0]
-    if dot(cur.u, z) <= cur.alpha + cur.xi:
+    if uz[0] <= cur.alpha + cur.xi:
         raise ProjectionPreconditionError(
             "point is not strictly above the current stripe; "
             "the iteration should have stopped"
         )
-
-    coeffs = np.zeros(len(stripes))
-    active_planes = [cur.upper()]
-    active_idx = [0]
-    point, t = project_hyperplane_intersection(z, active_planes)
-    coeffs[0] = t[0]
-    first_step_point = point.copy()
+    coeffs = np.zeros(m)
+    boundary = np.empty(m)  # offsets of the active boundary hyperplanes
+    boundary[0] = cur.alpha + cur.xi
+    try:
+        t = solve_spd_dense(G[:1, :1], uz[:1] - boundary[:1])
+    except SingularSystemError as exc:
+        raise DependentDirectionsError(str(exc)) from exc
+    coeffs[0] = t0 = t[0]
+    active = [0]
     n_dropped = 0
     skipped: list[int] = []
 
-    for i, stripe in enumerate(stripes[1:], start=1):
-        side = classify(point, stripe)
-        if side is StripeSide.INSIDE:
+    for i in range(1, m):
+        stripe = stripes[i]
+        side = uz[i] - G[i] @ coeffs - stripe.alpha
+        if side > stripe.xi:
+            boundary[i] = stripe.alpha + stripe.xi
+        elif side < -stripe.xi:
+            boundary[i] = stripe.alpha - stripe.xi
+        else:
             skipped.append(i)
             continue
-        boundary = stripe.upper() if side is StripeSide.ABOVE else stripe.lower()
+        trial = active + [i]
         try:
-            new_point, t = project_hyperplane_intersection(
-                point, active_planes + [boundary]
-            )
-        except DependentDirectionsError:
+            t = solve_spd_dense(G[np.ix_(trial, trial)],
+                                uz[trial] - G[trial] @ coeffs - boundary[trial])
+        except SingularSystemError:
             n_dropped += 1
             skipped.append(i)
             continue
-        active_planes.append(boundary)
-        active_idx.append(i)
-        point = new_point
-        for j, idx in enumerate(active_idx):
-            coeffs[idx] += t[j]
+        active = trial
+        coeffs[active] += t
 
-    return SequentialProjectionResult(point, coeffs, first_step_point, n_dropped, skipped)
+    point = z.copy()
+    for i in active:
+        point = daxpy(u[i], point, a=-coeffs[i])
+    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, (z, t0, u[0]))

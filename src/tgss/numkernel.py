@@ -13,10 +13,12 @@ lexicographic node numbering of an N x N tensor mesh gives u = N + 2.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -65,10 +67,15 @@ def norm(x: Vec) -> float:
 def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     """Solve the small dense SPD system G t = b via Cholesky.
 
+    LAPACK dpotrf factors G, dpotrs solves.  G must be finite and
+    symmetric to |G - G^T| <= atol + rtol |G^T| elementwise, with
+    rtol = 1e-12 and atol = 1e-14 max(1, max|G|).
+
     Raises
     ------
     SingularSystemError
-        If G is not positive definite (dependent directions).
+        If G is not finite and symmetric, or not positive definite
+        (dependent directions).
     DimensionError
         On shape mismatch or when the system exceeds DENSE_CAP.
     """
@@ -79,13 +86,20 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
         raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
     if n > DENSE_CAP:
         raise DimensionError(f"dense SPD solve capped at {DENSE_CAP}, got {n}")
-    if not np.allclose(G, G.T, rtol=1e-12, atol=1e-14 * max(1.0, float(np.abs(G).max()))):
-        raise SingularSystemError("matrix is not symmetric")
-    try:
-        cho = scipy.linalg.cho_factor(G, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"non-positive pivot in Cholesky: {exc}") from exc
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
+    absG = np.abs(G)
+    gmax = float(absG.max())  # NaN if any entry is NaN
+    atol = 1e-14 * max(1.0, gmax)
+    if not (math.isfinite(gmax) and (np.abs(G - G.T) <= atol + 1e-12 * absG.T).all()):
+        raise SingularSystemError("matrix is not finite and symmetric")
+    chol, info = lapack.dpotrf(G, lower=1)
+    if info > 0:
+        raise SingularSystemError(f"non-positive pivot in Cholesky at column {info}")
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    t, info = lapack.dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return t
 
 
 def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
@@ -134,7 +148,13 @@ def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
         ) from exc
 
     def solve(f: Vec) -> Vec:
-        return scipy.linalg.cho_solve_banded((factor, False), f, check_finite=False)
+        f = np.asarray(f, dtype=float)
+        if f.shape[0] != n:
+            raise DimensionError(f"rhs of length {f.shape[0]} does not match matrix of order {n}")
+        x, info = lapack.dpbtrs(factor, f, lower=0)
+        if info != 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        return x
     return solve
 
 

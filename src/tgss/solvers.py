@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    InvalidStripeError,
     ProjectionPreconditionError,
     Stripe,
     sequential_stripe_projection,
@@ -167,6 +168,8 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
 
 @dataclass
 class IterationState:
+    """Iterates x_{k-1} and x_k with their momentum difference dx = x_k - x_{k-1}."""
+
     x_prev: Vec
     x_cur: Vec
     z_cur: Vec
@@ -174,6 +177,20 @@ class IterationState:
     i_dbts: int = 0
     lambda_cur: float = 0.0
     ring: deque = field(default_factory=deque)
+    dx: Vec = field(init=False)
+    dx_norm: float = field(init=False)
+
+    def __post_init__(self):
+        self._difference()
+
+    def advance(self, x_next: Vec) -> None:
+        """Step to x_next; dx and its norm are computed here, once per iteration."""
+        self.x_prev, self.x_cur = self.x_cur, x_next
+        self._difference()
+
+    def _difference(self) -> None:
+        self.dx = self.x_cur - self.x_prev
+        self.dx_norm = norm(self.dx)
 
 
 @dataclass
@@ -225,8 +242,7 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
     evaluation is reused by the caller.
     """
     k = state.k
-    dx = state.x_cur - state.x_prev
-    dxn = norm(dx)
+    dx, dxn = state.dx, state.dx_norm
     cap = k / (k + cfg.nesterov_alpha)
 
     def beta(i):
@@ -259,13 +275,12 @@ def _select_lambda_z(method: str, state: IterationState, op, data, cfg, delta_us
         state.i_dbts = i_k
         return lam, z, r, rn
     elif rule == "coupling":
-        dxn = norm(state.x_cur - state.x_prev)
-        lam = lambda_coupling(dxn, k, delta_used, cfg)
+        lam = lambda_coupling(state.dx_norm, k, delta_used, cfg)
     elif rule == "zero":
         lam = 0.0
     else:
         raise ConfigError(f"unknown method {method!r}")
-    z = state.x_cur if lam == 0.0 else state.x_cur + lam * (state.x_cur - state.x_prev)
+    z = state.x_cur if lam == 0.0 else state.x_cur + lam * state.dx
     r = op.apply(z) - data.y_delta
     return lam, z, r, norm(r)
 
@@ -325,9 +340,8 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             break
 
         row = TraceRow(k=k, residual_norm=rn, lam=lam, n_dirs_used=1)
-        dxn = norm(state.x_cur - state.x_prev)
         row.coupling_slack = (
-            lam * (lam + 1.0) * dxn ** 2
+            lam * (lam + 1.0) * state.dx_norm ** 2
             - psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2) * rn ** 2
         )
         if record_points:
@@ -336,13 +350,15 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         if family in ("land", "tpg"):
             x_next = z - op.adjoint_apply(z, r)
         else:
-            rec = build_stripe(op, z, data, cfg, r=r, k=k)
-            if norm(rec.u) == 0.0:
-                # Residual is nonzero here, so a vanishing direction breaks
-                # the cone condition assumption.
+            try:
+                rec = build_stripe(op, z, data, cfg, r=r, k=k)
+            except InvalidStripeError as exc:
+                # The width is nonnegative by construction, so the direction
+                # vanished; with a nonzero residual that breaks the cone
+                # condition assumption.
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
-                )
+                ) from exc
             stripes = [rec.stripe] + [s.stripe for s in state.ring]
             try:
                 proj = sequential_stripe_projection(z, stripes)
@@ -366,7 +382,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             row.err = norm(x_next - truth)
             row.re = row.err / max(norm(truth), 1e-300)
         trace.append(row)
-        state.x_prev, state.x_cur = state.x_cur, x_next
+        state.advance(x_next)
 
     wall = time.perf_counter() - t0
     return SolveResult(

@@ -118,6 +118,13 @@ class TestSolveSpdDense:
         with pytest.raises(DimensionError):
             solve_spd_dense(np.eye(3), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # A symmetric pair of infinities passes an isclose-style test.
+        G = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(SingularSystemError, match="not finite and symmetric"):
+            solve_spd_dense(G, np.array([1.0, 1.0]))
+
 
 class TestSolveSparseSpd:
     def test_identity(self):
@@ -221,6 +228,11 @@ class TestFactorizeSparseSpd:
         f = np.linspace(-1.0, 1.0, n)
         u = factorize_sparse_spd(A)(f)
         assert norm(A @ u - f) <= 1e-10 * norm(f)
+
+    def test_band_solve_rejects_wrong_length(self):
+        solve = factorize_sparse_spd(sp.eye(4, format="csc"))
+        with pytest.raises(DimensionError):
+            solve(np.ones(3))
 
 
 class TestCheckSymmetric:

@@ -1,0 +1,148 @@
+"""Property tests of the sequential stripe projection.
+
+The coefficient-space implementation in `geometry` is checked against the
+vector-space loop kept here as the reference: each stage re-projects the
+running point onto the intersection of the active boundary hyperplanes
+with `project_hyperplane_intersection`.
+
+Directions have small-integer entries times a power of two, so every
+Gram entry is exact and both implementations factor the same matrices:
+a Gram block that fails Cholesky in one fails it in the other.  Exactly
+parallel directions are scaled copies of an earlier direction, nearly
+parallel ones such copies with one entry moved.
+
+The two implementations round differently, so their results agree only
+where round-off cannot change a decision or blow up: every Gram block the
+reference solved is well conditioned and no side test is within round-off
+of a tie.  An exactly dependent block that passes Cholesky on round-off
+gives coefficients of order 1/eps in either implementation; such
+examples are still checked for the properties that hold for each
+implementation alone.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tgss.geometry import (
+    DependentDirectionsError,
+    Stripe,
+    project_hyperplane_intersection,
+    sequential_stripe_projection,
+)
+from tgss.numkernel import dot, norm
+
+MAX_COND = 1e4
+MIN_TIE_MARGIN = 1e-8
+RTOL = 1e-10
+
+
+def reference_projection(z, stripes):
+    """The sequential projection as a loop of vector-space projections.
+
+    Returns (point, coefficients, first_step_point, n_dropped, skipped)
+    and two bounds on how far round-off can move them: the largest
+    condition number of an accepted Gram block and the smallest relative
+    distance of a side test from a tie.
+    """
+    planes = [stripes[0].upper()]
+    active = [0]
+    point, t = project_hyperplane_intersection(z, planes)
+    coeffs = np.zeros(len(stripes))
+    coeffs[0] = t[0]
+    first_step_point = point.copy()
+    n_dropped, skipped = 0, []
+    cond, margin = 1.0, np.inf
+    for i, s in enumerate(stripes[1:], start=1):
+        side = dot(s.u, point) - s.alpha
+        scale = norm(s.u) * length_scale(z, stripes, coeffs) + abs(s.alpha) + s.xi
+        margin = min(margin, abs(abs(side) - s.xi) / scale)
+        if -s.xi <= side <= s.xi:
+            skipped.append(i)
+            continue
+        boundary = s.upper() if side > s.xi else s.lower()
+        try:
+            new_point, t = project_hyperplane_intersection(point, planes + [boundary])
+        except DependentDirectionsError:
+            n_dropped += 1
+            skipped.append(i)
+            continue
+        planes.append(boundary)
+        active.append(i)
+        point = new_point
+        coeffs[active] += t
+        U = np.stack([p.u for p in planes])
+        cond = max(cond, np.linalg.cond(U @ U.T))
+    return point, coeffs, first_step_point, n_dropped, skipped, cond, margin
+
+
+def length_scale(z, stripes, coeffs):
+    """||z|| + sum_i |c_i| ||u_i||: the size of the terms summed into a point."""
+    return norm(z) + sum(abs(c) * norm(s.u) for c, s in zip(coeffs, stripes))
+
+
+@st.composite
+def stripe_problems(draw):
+    """(z, stripes) with n in 2..40, m in 1..4 and z strictly above stripe 0."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 4))
+
+    def fresh():
+        entries = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        return np.array(entries, dtype=float) * 2.0 ** draw(st.integers(-2, 2))
+
+    directions = [fresh()]
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(("fresh", "parallel", "near-parallel")))
+        if kind == "fresh":
+            directions.append(fresh())
+            continue
+        base = directions[draw(st.integers(0, len(directions) - 1))]
+        u = draw(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))) * base
+        if kind == "near-parallel":
+            u[draw(st.integers(0, n - 1))] += 2.0 ** draw(st.integers(-6, -1))
+            assume(u.any())
+        directions.append(u)
+
+    z = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    # Offsets and half-widths in units of ||u||: z lies rho ||u|| from the
+    # stripe's centre hyperplane, which is w ||u|| wide on each side.
+    stripes = []
+    for i, u in enumerate(directions):
+        w = draw(st.floats(0.0, 2.0))
+        rho = w + draw(st.floats(1e-3, 4.0)) if i == 0 else draw(st.floats(-4.0, 4.0))
+        stripes.append(Stripe(u, dot(u, z) - rho * norm(u), w * norm(u)))
+    return z, stripes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stripe_problems())
+def test_matches_vector_space_reference(problem):
+    z, stripes = problem
+    res = sequential_stripe_projection(z, stripes)
+    point, coeffs, first_step_point, n_dropped, skipped, cond, margin = (
+        reference_projection(z, stripes))
+
+    # Properties of the new implementation on its own.
+    scale = length_scale(z, stripes, res.coefficients)
+    for i, s in enumerate(stripes):
+        if i not in skipped:
+            off = abs(abs(dot(s.u, res.point) - s.alpha) - s.xi)
+            assert off <= 1e-9 * (norm(s.u) * scale + abs(s.alpha) + s.xi), i
+    u0 = stripes[0].u
+    t0 = (dot(u0, z) - stripes[0].alpha - stripes[0].xi) / dot(u0, u0)
+    np.testing.assert_allclose(res.first_step_point, z - t0 * u0, rtol=0.0,
+                               atol=1e-12 * (norm(z) + abs(t0) * norm(u0)))
+    np.testing.assert_allclose(res.first_step_point, first_step_point, rtol=0.0,
+                               atol=1e-12 * (norm(z) + abs(t0) * norm(u0)))
+
+    # Agreement with the reference where round-off cannot decide.
+    assume(cond <= MAX_COND and margin > MIN_TIE_MARGIN)
+    assert res.skipped == skipped
+    assert res.n_dropped == n_dropped
+    length = length_scale(z, stripes, coeffs) + max(
+        (abs(s.alpha) + s.xi) / norm(s.u) for s in stripes)
+    np.testing.assert_allclose(res.point, point, rtol=0.0, atol=RTOL * length)
+    u_norms = np.array([norm(s.u) for s in stripes])
+    np.testing.assert_allclose(res.coefficients * u_norms, coeffs * u_norms,
+                               rtol=0.0, atol=RTOL * length)

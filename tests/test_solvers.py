@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from tgss.geometry import sequential_stripe_projection
+from tgss.geometry import InvalidStripeError, sequential_stripe_projection
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHODS,
     ConfigError,
+    InvariantViolationError,
     IterationState,
     SolverConfig,
     build_stripe,
@@ -181,6 +182,15 @@ class TestDbtsSelect:
         assert lam == pytest.approx(4.0 / 7.0)
         np.testing.assert_allclose(z, [1.0, 1.0])
 
+    def test_state_keeps_momentum_difference(self):
+        state = self._state([0.0, 1.0], [3.0, 5.0], k=1)
+        np.testing.assert_array_equal(state.dx, [3.0, 4.0])
+        assert state.dx_norm == 5.0
+        state.advance(np.array([3.0, 5.0]))
+        np.testing.assert_array_equal(state.x_prev, [3.0, 5.0])
+        np.testing.assert_array_equal(state.dx, [0.0, 0.0])
+        assert state.dx_norm == 0.0
+
     def test_fallback_when_all_candidates_fail(self):
         # A huge displacement with a tiny residual scale makes the coupling
         # condition fail for every candidate, forcing the closed-form
@@ -349,3 +359,16 @@ class TestRun:
         )
         assert len(rows) == len(res.trace) + 1
         assert rows[1].startswith("0,")
+
+    def test_zero_search_direction_raises_invariant_violation(self):
+        class ZeroAdjoint(DiagonalOperator):
+            def adjoint_apply(self, c, w):
+                return np.zeros(self.n)
+
+        op = ZeroAdjoint(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with pytest.raises(InvariantViolationError,
+                           match="zero search direction at k=0") as info:
+            run("sesop", op, data, np.zeros(2), cfg)
+        assert isinstance(info.value.__cause__, InvalidStripeError)
