@@ -64,7 +64,7 @@ class Stripe:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if norm(u) == 0.0:
+        if not u.any():
             raise InvalidStripeError("stripe direction must be nonzero")
         if self.xi < 0:
             raise InvalidStripeError(f"stripe half-width must be >= 0, got {self.xi}")

@@ -11,6 +11,17 @@ Weighted mass terms integrate the piecewise linear interpolant of the
 coefficient exactly in 1-D and by the three-point edge-midpoint rule on
 triangles in 2-D; both choices keep the matrices symmetric and preserve
 the exactly checkable constant solution u == 1 for c == 1, f == 1.
+
+Both rules give the weighted mass an exact edge form.  With
+beta_ij = M(1)_ij / 2 on every mesh edge i != j and
+g_i = M(1)_ii - sum_j beta_ij, for any nodal w
+
+    M(w)_ij = beta_ij (w_i + w_j),      i != j,
+    M(w)_ii = g_i w_i + sum_j beta_ij w_j,
+
+because an off-diagonal element entry weighs only the edge's two end
+nodes.  The element scatter therefore runs once per mesh (P1Pattern);
+every later M(w) costs a few passes over the edge list.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .numkernel import Vec, factorize_sparse_spd
+from .numkernel import Vec, check_direct_size, factorize_band_spd
 from .operator import ForwardOperator
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
@@ -149,12 +160,17 @@ def local_mass_tensor(mesh: Mesh) -> np.ndarray:
 
 
 class P1Pattern:
-    """Sparsity pattern of piecewise linear matrices on one mesh.
+    """Edge form of the piecewise linear matrices on one mesh.
 
-    Built once per mesh: the CSR structure of every matrix the operator
-    needs (stiffness, weighted mass, system matrix) and a scatter from
-    element-local entries to positions in its data array.  Each matrix
-    is then a new data array on this pattern.
+    Built once per mesh by one element scatter: the stiffness K and the
+    unit mass M(1) on the P1 sparsity pattern, split into their diagonals
+    and their values on the strict-lower edge list (rows > cols, np.intc),
+    together with the edge-form coefficients beta and g of the module
+    docstring.  A symmetric matrix on the mesh is then a pair (diagonal,
+    lower) of a length-n and a per-edge array; mass_data(w) computes that
+    pair for M(w) and matvec applies it.  Both run over the directed
+    edges: heads = (rows, cols) and tails = (cols, rows) list every edge
+    once in each orientation, lower edges first.
     """
 
     def __init__(self, mesh: Mesh):
@@ -162,37 +178,53 @@ class P1Pattern:
         rows = np.repeat(mesh.elements, k, axis=1).ravel()
         cols = np.tile(mesh.elements, (1, k)).ravel()
         keys, position = np.unique(rows * n + cols, return_inverse=True)
-        self.mesh = mesh
+        row, col = np.divmod(keys, n)
+        diagonal, lower = row == col, row > col
+
+        def scatter(local):
+            return np.bincount(position.ravel(), weights=np.ravel(local), minlength=keys.size)
+
+        K = scatter(local_stiffness(mesh))
+        unit_local = local_mass_tensor(mesh).sum(axis=2)
+        M1 = scatter(np.broadcast_to(unit_local, (mesh.elements.shape[0], k, k)))
+        M1[diagonal] += mesh.h ** mesh.dim - quadrature_weights(mesh)
         self.n = n
-        self.indices = (keys % n).astype(np.intc)
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc)
-        # Position of each element-local entry in the data array; int32
-        # halves the largest array the pattern keeps.
-        self._position = position.ravel().astype(np.intc)
-        self._diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
-        self._mass = local_mass_tensor(mesh).reshape(k * k, k).T
-        self._ghost = mesh.h ** mesh.dim - quadrature_weights(mesh)
+        self.n_edges = E = int(lower.sum())
+        self.heads = np.concatenate([row[lower], col[lower]]).astype(np.intc)
+        self.tails = np.concatenate([self.heads[E:], self.heads[:E]])
+        self.rows, self.cols = self.heads[:E], self.tails[:E]
+        self.K_diagonal, self.K_lower = K[diagonal], K[lower]
+        beta = 0.5 * M1[lower]
+        self._beta2 = np.concatenate([beta, beta])
+        self.g = M1[diagonal] - np.bincount(self.heads, weights=self._beta2, minlength=n)
 
-    def scatter(self, local: np.ndarray) -> Vec:
-        """Data array of the sum of element-local matrices (num_elems, k, k)."""
-        return np.bincount(self._position, weights=np.ravel(local),
-                           minlength=self.indices.size)
+    def mass_data(self, w: Vec) -> tuple[Vec, Vec]:
+        """(diagonal, lower) of weighted_mass(mesh, w), in edge form."""
+        E = self.n_edges
+        # beta_ij w_j on every directed edge (i, j), i = head, j = tail.
+        weighted = self._beta2 * w.take(self.tails)
+        diagonal = self.g * w + np.bincount(self.heads, weights=weighted, minlength=self.n)
+        return diagonal, weighted[:E] + weighted[E:]
 
-    def mass_data(self, w: Vec) -> Vec:
-        """Data array of weighted_mass(mesh, w)."""
-        data = self.scatter(w[self.mesh.elements] @ self._mass)
-        data[self._diagonal] += self._ghost * w
-        return data
+    def matvec(self, diagonal: Vec, lower: Vec, x: Vec) -> Vec:
+        """Product of the symmetric matrix (diagonal, lower) with x."""
+        off = np.concatenate([lower, lower]) * x.take(self.tails)
+        return diagonal * x + np.bincount(self.heads, weights=off, minlength=self.n)
+
+    def csr(self, diagonal: Vec, lower: Vec) -> sp.csr_matrix:
+        """The symmetric matrix (diagonal, lower) as a scipy CSR matrix."""
+        nodes = np.arange(self.n)
+        rows = np.concatenate([nodes, self.rows, self.cols])
+        cols = np.concatenate([nodes, self.cols, self.rows])
+        data = np.concatenate([diagonal, lower, lower])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def stiffness(self) -> sp.csr_matrix:
-        return self.csr(self.scatter(local_stiffness(self.mesh)))
+        return self.csr(self.K_diagonal, self.K_lower)
 
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
-        return self.csr(self.mass_data(f_nodal)) @ np.ones(self.n)
-
-    def csr(self, data: Vec) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self.matvec(*self.mass_data(f_nodal), np.ones(self.n))
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -215,11 +247,14 @@ def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
 
-    Builds the mesh's P1Pattern on every call; repeated assembly on one
-    mesh should keep a P1Pattern and call its mass_data.
+    The entries come from the edge form of the module docstring,
+    M(w)_ij = beta_ij (w_i + w_j) off the diagonal and
+    M(w)_ii = g_i w_i + sum_j beta_ij w_j, with beta and g computed by
+    the mesh's P1Pattern.  The pattern is built on every call; repeated
+    assembly on one mesh should keep a P1Pattern and call its mass_data.
     """
     pattern = P1Pattern(mesh)
-    return pattern.csr(pattern.mass_data(np.asarray(w, dtype=float)))
+    return pattern.csr(*pattern.mass_data(np.asarray(w, dtype=float)))
 
 
 def load_vector(mesh: Mesh, f_nodal: Vec) -> Vec:
@@ -250,7 +285,7 @@ def assemble(mesh: Mesh, c: Vec, f_nodal: Vec) -> AssembledSystem:
     check_admissible(c)
     pattern = P1Pattern(mesh)
     K = pattern.stiffness()
-    M_c = pattern.csr(pattern.mass_data(np.asarray(c, dtype=float)))
+    M_c = pattern.csr(*pattern.mass_data(np.asarray(c, dtype=float)))
     return AssembledSystem(K, M_c, K + M_c, pattern.load(np.asarray(f_nodal, dtype=float)))
 
 
@@ -258,13 +293,17 @@ class InversePotentialOperator(ForwardOperator):
     """Coefficient-to-solution map c -> u of -Laplace(u) + c u = f.
 
     derivative_apply and adjoint_apply share the factorization of A(c)
-    and the solution-weighted mass matrix, so they are exactly mutually
-    adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern
-    is built once; each new coefficient costs two data arrays on it and
-    one factorization.
+    and the solution-weighted mass M(u), so they are exactly mutually
+    adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern,
+    the band storage of A(c) and the positions of A's entries in it are
+    built once; each new coefficient costs two edge-form masses, A(c)
+    written into the band storage and one in-place factorization, so one
+    factor is alive at a time.  Meshes past numkernel.DIRECT_LIMIT nodes
+    raise SparseSolveError here, before anything is built.
     """
 
     def __init__(self, mesh: Mesh, f=1.0, eta: float = 0.1, c_F: float = 0.1):
+        check_direct_size(mesh.n_nodes)
         self.mesh = mesh
         if np.isscalar(f):
             self.f_nodal = np.full(mesh.n_nodes, float(f))
@@ -278,9 +317,16 @@ class InversePotentialOperator(ForwardOperator):
         self.n = self.m = mesh.n_nodes
         self.eta = eta
         self.c_F = c_F
-        self._pattern = P1Pattern(mesh)
-        self.K = self._pattern.stiffness()
-        self.load = self._pattern.load(self.f_nodal)
+        self._pattern = pattern = P1Pattern(mesh)
+        self.load = pattern.load(self.f_nodal)
+        # A(c) in LAPACK lower band storage, a (u + 1, n) column-major array
+        # whose flat position j (u + 1) + i - j holds entry (i, j), i >= j.
+        # The storage is reused for every new c, and factorized in place.
+        offset = pattern.rows - pattern.cols
+        width = int(offset.max(initial=0)) + 1
+        self._band_flat = np.zeros(self.n * width)
+        self._band = self._band_flat.reshape(self.n, width).T
+        self._band_lower = pattern.cols.astype(np.intp) * width + offset
         self._cache_key = None
         self._cache = None
 
@@ -291,18 +337,19 @@ class InversePotentialOperator(ForwardOperator):
         if key == self._cache_key:
             return self._cache
         check_admissible(c)
-        # Drop the previous factorization first, so that at most one band
-        # factor is alive at a time.
+        # The band storage holds the cached factor; it is overwritten below.
         self._cache_key = self._cache = None
-        A = self._pattern.csr(self.K.data + self._pattern.mass_data(c))
-        # A is symmetric, so its transpose is A itself in CSC form, uncopied.
-        solve = factorize_sparse_spd(A.T)
+        pattern = self._pattern
+        diagonal, lower = pattern.mass_data(c)
+        self._band_flat.fill(0.0)
+        np.add(pattern.K_diagonal, diagonal, out=self._band[0])
+        self._band_flat[self._band_lower] = pattern.K_lower + lower
+        solve = factorize_band_spd(self._band)
         u = solve(self.load)
         if not np.all(np.isfinite(u)):
             raise AdmissibilityError("state solve produced non-finite values")
-        M_u = self._pattern.csr(self._pattern.mass_data(u))
         self._cache_key = key
-        self._cache = (solve, u, M_u)
+        self._cache = (solve, u, pattern.mass_data(u))
         return self._cache
 
     def apply(self, c: Vec) -> Vec:
@@ -311,11 +358,11 @@ class InversePotentialOperator(ForwardOperator):
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
         solve, _, M_u = self._setup(c)
-        return -solve(M_u @ np.asarray(q, dtype=float))
+        return -solve(self._pattern.matvec(*M_u, np.asarray(q, dtype=float)))
 
     def adjoint_apply(self, c: Vec, w: Vec) -> Vec:
         solve, _, M_u = self._setup(c)
-        return -(M_u @ solve(np.asarray(w, dtype=float)))
+        return -self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float)))
 
 
 def forward(mesh: Mesh, c: Vec, f=1.0) -> Vec:

@@ -3,12 +3,14 @@
 Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
 solved by Cholesky factorization.  Every sparse SPD system of the finite
-element discretization goes through one function, factorize_sparse_spd:
-up to DIRECT_LIMIT unknowns a banded Cholesky factorization in the
-matrix's own node order, which reads only the upper triangle, costs
-O(n u^2) time and n (u + 1) storage for half-bandwidth u, and proves the
-matrix positive definite as it goes; conjugate gradients above.  The
-lexicographic node numbering of an N x N tensor mesh gives u = N + 2.
+element discretization is factorized by LAPACK's band Cholesky
+(dpbtrf, solves by dpbtrs) in the matrix's own node order: the matrix is
+held in lower band storage, the factorization costs O(n u^2) time and
+n (u + 1) floats for half-bandwidth u, and it proves the matrix positive
+definite as it goes.  The lexicographic node numbering of an N x N
+tensor mesh gives u = N + 2.  There is no iterative fallback: systems of
+more than DIRECT_LIMIT unknowns, the nodes of a 256 x 256 mesh, are
+rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import math
 from collections.abc import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 Vec = np.ndarray
 
@@ -28,10 +28,10 @@ Vec = np.ndarray
 # handful of directions, 16 leaves generous headroom.
 DENSE_CAP = 16
 
-# Meshes up to 128x128 nodes are factorized directly; beyond that we fall
-# back to conjugate gradients.
-DIRECT_LIMIT = (128 + 1) ** 2
-CG_TOL = 1e-12
+# Largest system factorize_sparse_spd and the inverse-potential operator
+# accept: a 256 x 256 mesh, whose band factor (u = 258) takes about 0.3 s
+# and 137 MB.
+DIRECT_LIMIT = (256 + 1) ** 2
 
 
 class DimensionError(ValueError):
@@ -102,68 +102,77 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     return t
 
 
-def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
-    """Factorize the sparse SPD matrix A once; return its solve function.
-
-    Up to DIRECT_LIMIT unknowns this is LAPACK's banded Cholesky
-    factorization (dpbtrf, solves by dpbtrs) in A's own row order, with
-    no reordering.  Only the upper triangle of A is read: its
-    half-bandwidth u is the largest column-minus-row offset of a stored
-    entry, duplicate entries are summed, and the factorization takes
-    O(n u^2) time and n (u + 1) floats of storage.  A symmetric matrix is
-    positive definite exactly when the factorization runs to the end; a
-    non-positive leading minor raises SparseSolveError.  Above
-    DIRECT_LIMIT the solve function runs conjugate gradients to tolerance
-    CG_TOL and raises SparseSolveError when they do not converge.
-
-    Symmetry of A is assumed, not checked.
-    """
-    A = sp.csc_matrix(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionError(f"matrix {A.shape} is not square")
+def check_direct_size(n: int) -> None:
+    """Raise SparseSolveError if n unknowns exceed DIRECT_LIMIT."""
     if n > DIRECT_LIMIT:
-        def solve(f: Vec) -> Vec:
-            u, info = spla.cg(A, f, rtol=CG_TOL, atol=0.0, maxiter=10 * n)
-            if info != 0:
-                raise SparseSolveError(f"conjugate gradients did not converge (info={info})")
-            return u
-        return solve
-    col = np.repeat(np.arange(n), np.diff(A.indptr))
-    offset = col - A.indices
-    upper = offset >= 0
-    col, offset = col[upper], offset[upper]
-    u = int(offset.max(initial=0))
-    # LAPACK upper band storage, ab[u + i - j, j] = A[i, j], laid out in
-    # column-major order so that LAPACK factorizes it in place;
-    # bincount sums duplicate entries.
-    ab = np.bincount(col * (u + 1) + (u - offset), weights=A.data[upper],
-                     minlength=n * (u + 1)).reshape(n, u + 1).T
-    try:
-        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=False,
-                                              check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
         raise SparseSolveError(
-            f"band Cholesky factorization failed ({exc}); matrix is not positive definite"
-        ) from exc
+            f"{n} unknowns exceed the direct solver limit DIRECT_LIMIT = {DIRECT_LIMIT}"
+        )
+
+
+def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
+    """Factorize an SPD matrix in lower band storage in place; return its solve.
+
+    ab has shape (u + 1, n) with ab[i - j, j] = A[i, j] for j <= i <= j + u,
+    in Fortran order so that LAPACK dpbtrf overwrites it with the
+    Cholesky factor without a copy; solves run dpbtrs on it.  A
+    symmetric matrix is positive definite exactly when the factorization
+    runs to the end; a non-positive leading minor raises SparseSolveError.
+    The solve raises DimensionError for a rhs of the wrong length.
+    """
+    n = ab.shape[1]
+    factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SparseSolveError(
+            f"band Cholesky factorization failed (leading minor of order {info} "
+            "is not positive); matrix is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
 
     def solve(f: Vec) -> Vec:
         f = np.asarray(f, dtype=float)
         if f.shape[0] != n:
             raise DimensionError(f"rhs of length {f.shape[0]} does not match matrix of order {n}")
-        x, info = lapack.dpbtrs(factor, f, lower=0)
+        x, info = lapack.dpbtrs(factor, f, lower=1)
         if info != 0:
             raise ValueError(f"dpbtrs: illegal value in argument {-info}")
         return x
     return solve
 
 
+def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
+    """Factorize the sparse SPD matrix A once; return its solve function.
+
+    Copies the lower triangle of A into lower band storage, summing
+    duplicate entries, and factorizes it with factorize_band_spd in A's
+    own row order, with no reordering.  The half-bandwidth u is the
+    largest row-minus-column offset of a stored entry.  Raises
+    SparseSolveError above DIRECT_LIMIT unknowns, before any storage is
+    allocated, and when A is not positive definite.
+
+    Symmetry of A is assumed, not checked.
+    """
+    A = sp.coo_matrix(A)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionError(f"matrix {A.shape} is not square")
+    check_direct_size(n)
+    offset = A.row.astype(np.intp) - A.col
+    lower = offset >= 0
+    col, offset = A.col[lower].astype(np.intp), offset[lower]
+    u = int(offset.max(initial=0))
+    # Column-major (u + 1, n) layout: entry (i, j) sits at j (u + 1) + i - j.
+    ab = np.bincount(col * (u + 1) + offset, weights=A.data[lower],
+                     minlength=n * (u + 1)).reshape(n, u + 1).T
+    return factorize_band_spd(ab)
+
+
 def solve_sparse_spd(A, f: Vec) -> Vec:
     """Solve the sparse SPD system A u = f with factorize_sparse_spd.
 
     The residual is checked after the solve as well; a large residual
-    signals a broken matrix, or an inaccurate iterative solve, and raises
-    SparseSolveError.
+    signals a broken matrix and raises SparseSolveError.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[0]

@@ -150,15 +150,16 @@ class StripeRecord:
 
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
-                 r: Vec | None = None, k: int = 0) -> StripeRecord:
+                 r: Vec | None = None, k: int = 0,
+                 r_norm: float | None = None) -> StripeRecord:
     """Residual stripe at z: direction F'(z)* w, offset and width from ||w||.
 
-    The residual may be passed in to reuse the forward evaluation done
-    for the stopping test.
+    The residual, and with it its norm, may be passed in to reuse the
+    forward evaluation done for the stopping test.
     """
     if r is None:
         r = op.apply(z) - data.y_delta
-    rn = norm(r)
+    rn = norm(r) if r_norm is None else r_norm
     u = op.adjoint_apply(z, r)
     delta = data.delta_used(cfg.delta_mode)
     alpha = dot(u, z) - rn * rn
@@ -319,6 +320,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     stopped_by = "max_iters"
     x_final = state.x_cur
     k_star = cfg.max_iters
+    truth_norm = None if truth is None else max(norm(truth), 1e-300)
 
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
@@ -351,7 +353,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             x_next = z - op.adjoint_apply(z, r)
         else:
             try:
-                rec = build_stripe(op, z, data, cfg, r=r, k=k)
+                rec = build_stripe(op, z, data, cfg, r=r, k=k, r_norm=rn)
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -380,7 +382,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
 
         if truth is not None:
             row.err = norm(x_next - truth)
-            row.re = row.err / max(norm(truth), 1e-300)
+            row.re = row.err / truth_norm
         trace.append(row)
         state.advance(x_next)
 

@@ -28,6 +28,10 @@ class TestConstruction:
         with pytest.raises(InvalidStripeError):
             Stripe(np.zeros(2), 0.0, 1.0)
 
+    def test_non_finite_direction_accepted(self):
+        # Only an all-zero direction is invalid; a NaN entry is not zero.
+        Stripe(np.array([np.nan, 0.0]), 0.0, 1.0)
+
     def test_negative_width_rejected(self):
         with pytest.raises(InvalidStripeError):
             Stripe(np.array([1.0, 0.0]), 0.0, -0.1)

@@ -21,10 +21,11 @@ from tgss.invpot import (
     weighted_mass,
 )
 from tgss.numkernel import (
+    DIRECT_LIMIT,
     SparseSolveError,
     check_symmetric,
     dot,
-    factorize_sparse_spd,
+    factorize_band_spd,
     norm,
 )
 
@@ -329,11 +330,11 @@ class TestOperatorContract:
     def test_one_factorization_per_coefficient(self, monkeypatch):
         calls = []
 
-        def counting(A):
-            calls.append(A.shape)
-            return factorize_sparse_spd(A)
+        def counting(ab):
+            calls.append(ab.shape)
+            return factorize_band_spd(ab)
 
-        monkeypatch.setattr(invpot, "factorize_sparse_spd", counting)
+        monkeypatch.setattr(invpot, "factorize_band_spd", counting)
         rng = np.random.Generator(np.random.PCG64(36))
         for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
             op = InversePotentialOperator(mesh)
@@ -363,6 +364,25 @@ class TestOperatorContract:
             # the failed set-up is not cached
             with pytest.raises(SparseSolveError):
                 op.adjoint_apply(c, np.ones(mesh.n_nodes))
+
+    @pytest.mark.parametrize("dim, N", [(1, 16), (1, 64), (2, 8), (2, 16)])
+    def test_apply_matches_dense_solve(self, dim, N):
+        rng = np.random.Generator(np.random.PCG64(37 + N))
+        mesh = make_mesh(dim, N)
+        n = mesh.n_nodes
+        f = rng.uniform(0.5, 1.5, n)
+        op = InversePotentialOperator(mesh, f=f)
+        for _ in range(3):
+            c = rng.uniform(-0.3, 1.5, n)
+            sys_ = assemble(mesh, c, f)
+            expected = np.linalg.solve(sys_.A.toarray(), sys_.load)
+            assert norm(op.apply(c) - expected) <= 1e-12 * norm(expected)
+
+    def test_rejects_mesh_past_direct_limit(self):
+        mesh = make_mesh(2, 257)
+        assert mesh.n_nodes > DIRECT_LIMIT
+        with pytest.raises(SparseSolveError, match="DIRECT_LIMIT"):
+            InversePotentialOperator(mesh)
 
     def test_csv_rows(self):
         mesh1 = make_mesh(1, 4)

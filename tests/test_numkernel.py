@@ -12,6 +12,7 @@ from tgss.numkernel import (
     SparseSolveError,
     check_symmetric,
     dot,
+    factorize_band_spd,
     factorize_sparse_spd,
     gaussian_vector,
     norm,
@@ -222,17 +223,40 @@ class TestFactorizeSparseSpd:
         with pytest.raises(SparseSolveError, match="factorization failed"):
             factorize_sparse_spd(sp.csc_matrix((2, 2)))
 
-    def test_conjugate_gradients_above_direct_limit(self):
+    def test_rejects_size_above_direct_limit(self):
         n = DIRECT_LIMIT + 1
         A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
-        f = np.linspace(-1.0, 1.0, n)
-        u = factorize_sparse_spd(A)(f)
-        assert norm(A @ u - f) <= 1e-10 * norm(f)
+        with pytest.raises(SparseSolveError, match=f"{n} unknowns exceed .* {DIRECT_LIMIT}"):
+            factorize_sparse_spd(A)
 
     def test_band_solve_rejects_wrong_length(self):
         solve = factorize_sparse_spd(sp.eye(4, format="csc"))
         with pytest.raises(DimensionError):
             solve(np.ones(3))
+
+
+def lower_band(A, u):
+    # LAPACK lower band storage ab[i - j, j] = A[i, j], column-major.
+    n = A.shape[0]
+    ab = np.zeros((u + 1, n), order="F")
+    for d in range(u + 1):
+        ab[d, :n - d] = np.diagonal(A, -d)
+    return ab
+
+
+class TestFactorizeBandSpd:
+    def test_factors_in_place_and_solves(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        n, u = 9, 3
+        R = rng.uniform(-1.0, 1.0, (n, n))
+        # Off-diagonal row sums stay below 4u, so A is diagonally dominant.
+        A = np.triu(np.tril(R + R.T, u), -u) + (4 * u + 3) * np.eye(n)
+        ab = lower_band(A, u)
+        solve = factorize_band_spd(ab)
+        np.testing.assert_allclose(ab, lower_band(np.linalg.cholesky(A), u), atol=1e-13)
+        f = np.linspace(-1.0, 2.0, n)
+        expected = np.linalg.solve(A, f)
+        assert norm(solve(f) - expected) <= 1e-12 * norm(expected)
 
 
 class TestCheckSymmetric:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tgss import solvers
 from tgss.geometry import InvalidStripeError, sequential_stripe_projection
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise
@@ -131,6 +132,21 @@ class TestBuildStripe:
         b = build_stripe(op, z, data, cfg, r=r)
         np.testing.assert_allclose(a.u, b.u)
         assert a.stripe.alpha == b.stripe.alpha and a.stripe.xi == b.stripe.xi
+
+    def test_residual_norm_reuse(self, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(43))
+        op = DiagonalOperator(rng.uniform(0.5, 1.5, 5))
+        data = add_noise(rng.standard_normal(5), 1e-2, 3)
+        cfg = SolverConfig()
+        z = rng.standard_normal(5)
+        r = op.apply(z) - data.y_delta
+        a = build_stripe(op, z, data, cfg, r=r)
+        calls = []
+        monkeypatch.setattr(solvers, "norm", lambda x: calls.append(x) or norm(x))
+        b = build_stripe(op, z, data, cfg, r=r, r_norm=a.r_norm)
+        assert calls == []
+        np.testing.assert_array_equal(a.u, b.u)
+        assert (a.r_norm, a.stripe.alpha, a.stripe.xi) == (b.r_norm, b.stripe.alpha, b.stripe.xi)
 
     def test_solution_inside_stripe_linear_exact(self):
         # For a linear operator with zero cone constant and exact data the
