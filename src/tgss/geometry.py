@@ -173,12 +173,17 @@ class SequentialProjectionResult:
 
     @property
     def first_step_point(self) -> Vec:
-        """z - t_0 u_0: z projected onto the first stripe's upper boundary."""
+        """z - t_0 u_0: z projected onto the first stripe's upper boundary.
+
+        Computed when read, from the z and u_0 arrays the projection was
+        given: read it before a caller reuses either array.
+        """
         z, t0, u0 = self.first_step
         return z - t0 * u0
 
 
-def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialProjectionResult:
+def sequential_stripe_projection(z: Vec, stripes: list[Stripe],
+                                 out: Vec | None = None) -> SequentialProjectionResult:
     """Ordered projection of z onto an intersection of stripes.
 
     The first stripe is the current one and z must lie strictly above it.
@@ -199,7 +204,9 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialPro
     direction to build the final point.
 
     Returns the final point together with the aggregate coefficients t_i
-    (one per input stripe) such that point = z - sum_i t_i * u_i.
+    (one per input stripe) such that point = z - sum_i t_i * u_i.  The
+    point is built in `out` where given, an array of z's shape that is not
+    z itself, and in a new array otherwise.
     """
     if not stripes:
         raise DimensionError("need at least one stripe")
@@ -254,7 +261,11 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe]) -> SequentialPro
         active = trial
         coeffs[active] += t
 
-    point = z.copy()
+    if out is None:
+        point = z.copy()
+    else:
+        point = out
+        np.copyto(point, z)
     for i in active:
         point = daxpy(u[i], point, a=-coeffs[i])
     return SequentialProjectionResult(point, coeffs, n_dropped, skipped, (z, t0, u[0]))

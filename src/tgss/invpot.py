@@ -352,17 +352,21 @@ class InversePotentialOperator(ForwardOperator):
         self._cache = (solve, u, pattern.mass_data(u))
         return self._cache
 
-    def apply(self, c: Vec) -> Vec:
+    def apply(self, c: Vec, out: Vec | None = None) -> Vec:
         _, u, _ = self._setup(c)
-        return u.copy()
+        if out is None:
+            return u.copy()
+        np.copyto(out, u)  # the cached state is never handed out
+        return out
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
         solve, _, M_u = self._setup(c)
         return -solve(self._pattern.matvec(*M_u, np.asarray(q, dtype=float)))
 
-    def adjoint_apply(self, c: Vec, w: Vec) -> Vec:
+    def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
         solve, _, M_u = self._setup(c)
-        return -self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float)))
+        return np.negative(self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float))),
+                           out=out)
 
 
 def forward(mesh: Mesh, c: Vec, f=1.0) -> Vec:

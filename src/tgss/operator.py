@@ -21,6 +21,13 @@ class ForwardOperator(abc.ABC):
     adjoint with respect to the Euclidean inner product on coefficient
     vectors: <F'(c) q, w> == <q, F'(c)* w> up to round-off.
 
+    apply and adjoint_apply take an optional output array `out` of the
+    result's length.  An implementation may write the result into `out`
+    and return it, or ignore `out` and return a new array; callers always
+    use the returned array.  With out=None the result is a new array that
+    the caller owns.  The solvers pass work vectors as `out`, so that an
+    iteration allocates no vector of the problem's size.
+
     Attributes
     ----------
     n, m : int
@@ -37,16 +44,16 @@ class ForwardOperator(abc.ABC):
     c_F: float
 
     @abc.abstractmethod
-    def apply(self, c: Vec) -> Vec:
-        """Evaluate F(c)."""
+    def apply(self, c: Vec, out: Vec | None = None) -> Vec:
+        """Evaluate F(c), into `out` where given."""
 
     @abc.abstractmethod
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
         """Evaluate F'(c) q."""
 
     @abc.abstractmethod
-    def adjoint_apply(self, c: Vec, w: Vec) -> Vec:
-        """Evaluate F'(c)* w."""
+    def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
+        """Evaluate F'(c)* w, into `out` where given."""
 
 
 @dataclass(frozen=True)
@@ -83,12 +90,6 @@ def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
     return NoisyData(y_delta=y + noise, delta=delta, seed=seed, delta_eff=norm(noise))
 
 
-def residual(op: ForwardOperator, c: Vec, data: NoisyData) -> tuple[Vec, float]:
-    """Residual F(c) - y_delta and its norm."""
-    r = op.apply(c) - data.y_delta
-    return r, norm(r)
-
-
 class DiagonalOperator(ForwardOperator):
     """Linear operator c -> d * c (componentwise).
 
@@ -106,14 +107,14 @@ class DiagonalOperator(ForwardOperator):
         self.eta = 0.0
         self.c_F = float(np.abs(d).max())
 
-    def apply(self, c: Vec) -> Vec:
-        return self.d * np.asarray(c, dtype=float)
+    def apply(self, c: Vec, out: Vec | None = None) -> Vec:
+        return np.multiply(self.d, np.asarray(c, dtype=float), out=out)
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
         return self.d * np.asarray(q, dtype=float)
 
-    def adjoint_apply(self, c: Vec, w: Vec) -> Vec:
-        return self.d * np.asarray(w, dtype=float)
+    def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
+        return np.multiply(self.d, np.asarray(w, dtype=float), out=out)
 
 
 def diagonal_operator(d: Vec) -> DiagonalOperator:

@@ -13,6 +13,11 @@ All of them iterate on the extrapolated point z_k = x_k + lambda_k
 (x_k - x_{k-1}) and stop by the discrepancy principle evaluated at z_k.
 The projection methods confine x_{k+1} to the intersection of stripes
 built from the current and recent residuals.
+
+A run allocates its vectors of the problem's size once, before the first
+iteration, and the iteration writes into them: the operator applies and
+the stripe projection get them as `out`.  Results handed to the caller
+are copies, never one of these work vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +46,14 @@ EXACT_DATA_FLOOR = 1e-12
 
 class ConfigError(ValueError):
     pass
+
+
+class DivergenceError(RuntimeError):
+    """The residual norm became non-finite: the iteration diverged.
+
+    In practice the step is too long for the operator, e.g. a Landweber
+    step on an operator whose derivative norm exceeds sqrt(2).
+    """
 
 
 class InvariantViolationError(RuntimeError):
@@ -151,16 +164,17 @@ class StripeRecord:
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
                  r: Vec | None = None, k: int = 0,
-                 r_norm: float | None = None) -> StripeRecord:
+                 r_norm: float | None = None, out: Vec | None = None) -> StripeRecord:
     """Residual stripe at z: direction F'(z)* w, offset and width from ||w||.
 
     The residual, and with it its norm, may be passed in to reuse the
-    forward evaluation done for the stopping test.
+    forward evaluation done for the stopping test.  `out` is passed on to
+    the adjoint apply that computes the direction.
     """
     if r is None:
         r = op.apply(z) - data.y_delta
     rn = norm(r) if r_norm is None else r_norm
-    u = op.adjoint_apply(z, r)
+    u = op.adjoint_apply(z, r, out=out)
     delta = data.delta_used(cfg.delta_mode)
     alpha = dot(u, z) - rn * rn
     xi = (delta + cfg.eta * (rn + delta)) * rn
@@ -169,7 +183,13 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
 
 @dataclass
 class IterationState:
-    """Iterates x_{k-1} and x_k with their momentum difference dx = x_k - x_{k-1}."""
+    """Iterates x_{k-1} and x_k with their momentum difference dx = x_k - x_{k-1}.
+
+    z_cur and r are the work vectors the extrapolated point and its
+    residual are built in; when lambda_k = 0 the point is x_k itself and
+    z_cur is not written.  dx is rewritten in place by advance.  x_prev is
+    read for dx alone, so between two advances its array is free.
+    """
 
     x_prev: Vec
     x_cur: Vec
@@ -178,10 +198,13 @@ class IterationState:
     i_dbts: int = 0
     lambda_cur: float = 0.0
     ring: deque = field(default_factory=deque)
+    r: Vec = field(init=False)
     dx: Vec = field(init=False)
     dx_norm: float = field(init=False)
 
     def __post_init__(self):
+        self.r = np.empty_like(self.x_cur)
+        self.dx = np.empty_like(self.x_cur)
         self._difference()
 
     def advance(self, x_next: Vec) -> None:
@@ -190,8 +213,20 @@ class IterationState:
         self._difference()
 
     def _difference(self) -> None:
-        self.dx = self.x_cur - self.x_prev
+        np.subtract(self.x_cur, self.x_prev, out=self.dx)
         self.dx_norm = norm(self.dx)
+
+
+def _extrapolate(state: IterationState, lam: float) -> Vec:
+    """z = x_k + lam dx, built in state.z_cur."""
+    z = np.multiply(state.dx, lam, out=state.z_cur)
+    return np.add(state.x_cur, z, out=z)
+
+
+def _residual(op: ForwardOperator, z: Vec, data: NoisyData, out: Vec) -> Vec:
+    """F(z) - y_delta, built in the array the operator returns for `out`."""
+    r = op.apply(z, out=out)
+    return np.subtract(r, data.y_delta, out=r)
 
 
 @dataclass
@@ -240,10 +275,11 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
     condition.  Falls back to the closed-form coupling weight otherwise.
 
     Returns (lambda, i_k, z, r, r_norm); the accepted trial's forward
-    evaluation is reused by the caller.
+    evaluation is reused by the caller.  Every trial is built in the
+    state's work vectors z_cur and r.
     """
     k = state.k
-    dx, dxn = state.dx, state.dx_norm
+    dxn = state.dx_norm
     cap = k / (k + cfg.nesterov_alpha)
 
     def beta(i):
@@ -251,15 +287,15 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
 
     for j in range(1, cfg.j_max + 1):
         lam = beta(state.i_dbts + j)
-        z = state.x_cur + lam * dx
-        r = op.apply(z) - data.y_delta
+        z = _extrapolate(state, lam)
+        r = _residual(op, z, data, state.r)
         rn = norm(r)
         if discrepancy_met(rn, cfg, delta_used) or coupling_holds(lam, dxn, rn, cfg):
             return lam, state.i_dbts + j, z, r, rn
 
     lam = lambda_coupling(dxn, k, delta_used, cfg)
-    z = state.x_cur + lam * dx
-    r = op.apply(z) - data.y_delta
+    z = _extrapolate(state, lam)
+    r = _residual(op, z, data, state.r)
     return lam, state.i_dbts + cfg.j_max, z, r, norm(r)
 
 
@@ -281,8 +317,8 @@ def _select_lambda_z(method: str, state: IterationState, op, data, cfg, delta_us
         lam = 0.0
     else:
         raise ConfigError(f"unknown method {method!r}")
-    z = state.x_cur if lam == 0.0 else state.x_cur + lam * state.dx
-    r = op.apply(z) - data.y_delta
+    z = state.x_cur if lam == 0.0 else _extrapolate(state, lam)
+    r = _residual(op, z, data, state.r)
     return lam, z, r, norm(r)
 
 
@@ -306,39 +342,53 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     stepping, and the returned final iterate is that accepted point.  The
     trace records per-iteration residual norms, momentum weights and the
     diagnostic slacks of the coupling and stripe-containment conditions.
+    A non-finite residual norm raises DivergenceError.
+
+    The work vectors are allocated here: z, r and dx in the state, two x
+    arrays that swap roles (x_{k+1} is built in the array of x_{k-1}), an
+    error scratch vector, and for the projection methods one array per
+    stripe direction, reused once its stripe leaves the ring.
     """
     method = _normalize_method(method, cfg)
     family = method.partition("-")[0]
     delta_used = data.delta_used(cfg.delta_mode)
     x0 = np.asarray(x0, dtype=float)
     state = IterationState(
-        x_prev=x0.copy(), x_cur=x0.copy(), z_cur=x0.copy(),
+        x_prev=x0.copy(), x_cur=x0.copy(), z_cur=np.empty_like(x0),
         i_dbts=cfg.i0, ring=deque(maxlen=max(0, cfg.n_directions - 1)),
     )
+    gradient_step = family in ("land", "tpg")
+    # The ring's stripes and the one being built hold n_directions at most.
+    free_directions = [] if gradient_step else [
+        np.empty_like(x0) for _ in range(cfg.n_directions)]
     trace: list[TraceRow] = []
     dropped = 0
-    stopped_by = "max_iters"
-    x_final = state.x_cur
-    k_star = cfg.max_iters
-    truth_norm = None if truth is None else max(norm(truth), 1e-300)
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        truth_norm = max(norm(truth), 1e-300)
+        err_scratch = np.empty_like(x0)
 
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
         state.k = k
         lam, z, r, rn = _select_lambda_z(method, state, op, data, cfg, delta_used)
-        state.z_cur = z
         state.lambda_cur = lam
 
+        if not math.isfinite(rn):
+            raise DivergenceError(
+                f"residual norm {rn} is not finite at k={k}: the iteration diverged"
+            )
         if rn <= EXACT_DATA_FLOOR:
             stopped_by = "residual_zero"
-            x_final, k_star = z, k
+            x_final, k_star = z.copy(), k
             break
         if discrepancy_met(rn, cfg, delta_used):
             stopped_by = "discrepancy"
-            x_final, k_star = z, k
+            x_final, k_star = z.copy(), k
             break
         if k == cfg.max_iters:
-            x_final, k_star = state.x_cur, cfg.max_iters
+            stopped_by = "max_iters"
+            x_final, k_star = state.x_cur.copy(), k
             break
 
         row = TraceRow(k=k, residual_norm=rn, lam=lam, n_dirs_used=1)
@@ -349,11 +399,15 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         if record_points:
             row.z = z.copy()
 
-        if family in ("land", "tpg"):
-            x_next = z - op.adjoint_apply(z, r)
+        # dx holds x_k - x_{k-1} already, so x_{k+1} is built in x_{k-1}'s array.
+        x_next = state.x_prev
+        if gradient_step:
+            step = op.adjoint_apply(z, r, out=x_next)
+            x_next = np.subtract(z, step, out=x_next)
         else:
             try:
-                rec = build_stripe(op, z, data, cfg, r=r, k=k, r_norm=rn)
+                rec = build_stripe(op, z, data, cfg, r=r, k=k, r_norm=rn,
+                                   out=free_directions.pop())
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -363,7 +417,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 ) from exc
             stripes = [rec.stripe] + [s.stripe for s in state.ring]
             try:
-                proj = sequential_stripe_projection(z, stripes)
+                proj = sequential_stripe_projection(z, stripes, out=x_next)
             except ProjectionPreconditionError as exc:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "
@@ -378,10 +432,13 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             )
             if record_points:
                 row.x_tilde = proj.first_step_point
+            if len(state.ring) == state.ring.maxlen:
+                # The oldest stripe leaves the ring: its direction's array is free.
+                free_directions.append((state.ring[-1] if state.ring else rec).u)
             state.ring.appendleft(rec)
 
         if truth is not None:
-            row.err = norm(x_next - truth)
+            row.err = norm(np.subtract(x_next, truth, out=err_scratch))
             row.re = row.err / truth_norm
         trace.append(row)
         state.advance(x_next)

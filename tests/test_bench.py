@@ -139,6 +139,23 @@ class TestRunSuite:
         assert back["land"].error == loaded["land"]["error"]
         assert back["land"].stopped_by == "error:ConfigError"
 
+    def test_diverging_run_recorded_as_divergence_error(self, monkeypatch):
+        from tgss import bench
+        from tgss.operator import DiagonalOperator
+
+        op = DiagonalOperator(np.full(50, 3.0))
+        truth = np.ones(50)
+        monkeypatch.setattr(bench, "make_problem",
+                            lambda spec: (op, truth, op.apply(truth), np.zeros(50)))
+        spec = small_linear_spec(methods=["land"], mesh_n=50,
+                                 config={"eta": 0.0, "tau": 2.0, "c_F": 3.0,
+                                         "max_iters": 1000})
+        with np.errstate(over="ignore", invalid="ignore"):
+            [record] = run_suite(spec)
+        assert record.stopped_by == "error:DivergenceError"
+        assert record.k_star == -1
+        assert record.error.startswith("DivergenceError: residual norm ")
+
     def test_norm_scaled_noise_shrinks_effective_level(self):
         from tgss.operator import add_noise
 

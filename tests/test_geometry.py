@@ -245,6 +245,18 @@ class TestSequentialStripeProjection:
                 assert abs(dot(s.u, res.point) - s.alpha) <= s.xi + 1e-9
             checked += 1
 
+    def test_point_built_in_out(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        stripes = [Stripe(rng.standard_normal(6), 0.0, 0.1) for _ in range(3)]
+        z = 10.0 * stripes[0].u
+        expected = sequential_stripe_projection(z, stripes)
+        out = np.full(6, np.nan)
+        res = sequential_stripe_projection(z, stripes, out=out)
+        assert res.point is out
+        assert out.tobytes() == expected.point.tobytes()
+        np.testing.assert_array_equal(res.coefficients, expected.coefficients)
+        assert res.first_step_point.tobytes() == expected.first_step_point.tobytes()
+
     def test_precondition_violation_raises(self):
         s = Stripe(np.array([1.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ProjectionPreconditionError):

@@ -1,6 +1,7 @@
 """Unit tests for the iterative methods and their shared machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHODS,
     ConfigError,
+    DivergenceError,
     InvariantViolationError,
     IterationState,
     SolverConfig,
@@ -378,7 +380,7 @@ class TestRun:
 
     def test_zero_search_direction_raises_invariant_violation(self):
         class ZeroAdjoint(DiagonalOperator):
-            def adjoint_apply(self, c, w):
+            def adjoint_apply(self, c, w, out=None):
                 return np.zeros(self.n)
 
         op = ZeroAdjoint(np.array([0.5, 0.8]))
@@ -388,3 +390,95 @@ class TestRun:
                            match="zero search direction at k=0") as info:
             run("sesop", op, data, np.zeros(2), cfg)
         assert isinstance(info.value.__cause__, InvalidStripeError)
+
+
+class TestDivergence:
+    def test_diverging_landweber_raises_at_first_non_finite_residual(self):
+        # A unit gradient step on d = 3 multiplies the error by 1 - 9 = -8
+        # per iteration, so the residual norm overflows after some 170 steps.
+        op = DiagonalOperator(np.full(50, 3.0))
+        data = add_noise(op.apply(np.ones(50)), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=3.0, max_iters=1000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=r"residual norm (inf|nan) is not finite at k=\d+"):
+                run("land", op, data, np.zeros(50), cfg)
+
+
+class AllocationProbe(DiagonalOperator):
+    """Records, at each apply, how far the traced memory peak rose above
+    the memory in use at the previous apply."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.rises = []
+        self._base = None
+
+    def _mark(self):
+        current, peak = tracemalloc.get_traced_memory()
+        if self._base is not None:
+            self.rises.append(peak - self._base)
+        tracemalloc.reset_peak()
+        self._base = current
+
+    def apply(self, c, out=None):
+        self._mark()
+        return super().apply(c, out=out)
+
+    def adjoint_apply(self, c, w, out=None):
+        self._mark()
+        return super().adjoint_apply(c, w, out=out)
+
+
+class TestWorkVectors:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_iteration_allocates_no_vector(self, method):
+        # Between two operator calls of a steady-state iteration the traced
+        # peak may not rise by half a vector of the problem's size.
+        n = 100_000
+        rng = np.random.Generator(np.random.PCG64(47))
+        d = rng.uniform(0.1, 1.0, n)
+        truth = rng.standard_normal(n)
+        data = add_noise(d * truth, 1e-2 / math.sqrt(n), 3)
+        op = AllocationProbe(d)
+        cfg = SolverConfig(max_iters=25)
+        tracemalloc.start()
+        try:
+            run(method, op, data, np.zeros(n), cfg, truth=truth)
+        finally:
+            tracemalloc.stop()
+        rises = op.rises[9:]      # the stretches that start at the 10th call or later
+        assert len(rises) >= 20
+        assert max(rises) <= 0.5 * 8 * n
+
+    def test_final_iterate_survives_later_runs(self):
+        op = DiagonalOperator(np.array([0.5, 0.8, 1.0]))
+        truth = np.array([1.0, -2.0, 0.5])
+        noisy = add_noise(op.apply(truth), 1e-3, 0)
+        exact = add_noise(np.array([2.0, -1.0, 0.5]), 0.0, 0)
+        cases = [
+            ("discrepancy", noisy, SolverConfig(eta=0.0, tau=2.0, c_F=1.0)),
+            ("residual_zero", exact, SolverConfig(eta=0.0, tau=2.0, c_F=1.0)),
+            ("max_iters", noisy, SolverConfig(eta=0.0, tau=2.0, c_F=1.0, max_iters=3)),
+        ]
+        for stop, data, cfg in cases:
+            for method in METHODS:
+                res = run(method, op, data, np.zeros(3), cfg)
+                assert res.stopped_by == stop, (stop, method)
+                kept = res.x_final.copy()
+                run(method, op, noisy, np.ones(3), SolverConfig(eta=0.0, tau=2.0, c_F=1.0))
+                np.testing.assert_array_equal(res.x_final, kept)
+
+    def test_recorded_points_are_distinct_arrays(self):
+        rng = np.random.Generator(np.random.PCG64(48))
+        op = DiagonalOperator(rng.uniform(0.1, 1.0, 10))
+        truth = rng.standard_normal(10)
+        data = add_noise(op.apply(truth), 1e-3, 1)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=op.c_F)
+        for method, per_row in (("tpg-nes", 1), ("tgss-dbts", 2)):
+            res = run(method, op, data, np.zeros(10), cfg, record_points=True)
+            points = [res.x_final] + [p for row in res.trace
+                                      for p in (row.z, row.x_tilde) if p is not None]
+            assert len(points) == 1 + per_row * len(res.trace) > 3
+            for i, a in enumerate(points):
+                assert not any(np.shares_memory(a, b) for b in points[i + 1:]), method
