@@ -7,10 +7,15 @@ upper boundary of the current stripe and then re-projects onto the
 intersection of all boundary hyperplanes picked up along the way.
 
 Every point the sequential projection visits lies in z + span{u_i}, so it
-works in coefficient space: it forms the m x m Gram matrix of the m
-stripe directions and their inner products with z once, runs its side
-tests and Gram solves on m-vectors, and touches vectors of length n only
-for those m(m+1)/2 + m inner products and one update of the final point.
+works in coefficient space: it needs the m x m Gram matrix of the m
+stripe directions and their inner products with z, runs its side tests
+and Gram solves on m-vectors, and touches vectors of length n only for
+those inner products and one update of the final point.  A run keeps its
+stripes in a StripeRing, which holds the directions in per-run storage
+together with their Gram matrix: a new stripe adds only its own Gram row,
+so a projection step takes m inner products for that row and m - 1 for
+the older directions' <u_i, z>, the newest one's being known from the
+stripe's construction.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .numkernel import Vec, DimensionError, SingularSystemError, dot, norm, solve_spd_dense
+from .numkernel import (
+    Vec,
+    DimensionError,
+    SingularSystemError,
+    dot,
+    norm,
+    solve_spd_dense,
+    solve_spd_scalar,
+)
 
 
 class InvalidStripeError(ValueError):
@@ -157,12 +170,85 @@ def gamma(u1: Vec, u2: Vec) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
 
 
+class StripeRing:
+    """The last `capacity` stripes of a run, newest first, with their Gram matrix.
+
+    The directions are the rows of one (capacity, n) array, reused in
+    turn; the offsets, half-widths and Gram matrix G_ij = <u_i, u_j> are
+    kept in ring order, newest first.  A new direction is written into
+    `slot()`, which on a full ring is the oldest stripe's row, and `push`
+    then makes it the newest stripe: the oldest leaves a full ring, the
+    Gram matrix shifts by one and only the new row is computed, len(ring)
+    inner products of length n.
+    """
+
+    def __init__(self, capacity: int, shape: tuple[int, ...]):
+        self.directions = np.empty((capacity,) + tuple(shape))
+        self._views = list(self.directions)
+        self.alpha = np.empty(capacity)
+        self.xi = np.empty(capacity)
+        self.gram = np.empty((capacity, capacity))
+        self._rows: list[int] = []  # row of each stripe's direction, newest first
+
+    @classmethod
+    def of(cls, stripes: list[Stripe]) -> StripeRing:
+        """A ring holding copies of the stripes, stripes[0] newest."""
+        ring = cls(len(stripes), stripes[0].u.shape)
+        for s in reversed(stripes):
+            ring.push(s)
+        return ring
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def direction(self, i: int) -> Vec:
+        """The direction of the i-th newest stripe, a row of the ring's storage."""
+        return self._views[self._rows[i]]
+
+    def slot(self) -> Vec:
+        """The row the next pushed direction is to be built in.
+
+        On a full ring this is the oldest stripe's direction, which is
+        overwritten: push next, and the oldest stripe leaves.
+        """
+        m = len(self._rows)
+        return self._views[m if m < len(self._views) else self._rows[-1]]
+
+    def push(self, stripe: Stripe) -> None:
+        """Make the stripe the newest, its direction held in `slot()`.
+
+        A direction built elsewhere is copied into the slot.
+        """
+        capacity = len(self._views)
+        if stripe.u.shape != self.directions.shape[1:]:
+            raise DimensionError(
+                f"stripe direction {stripe.u.shape} does not fit the ring's "
+                f"{self.directions.shape[1:]}")
+        rows = self._rows
+        row = len(rows) if len(rows) < capacity else rows.pop()
+        u = self._views[row]
+        if stripe.u is not u:
+            np.copyto(u, stripe.u)
+        m, G = len(rows), self.gram
+        G[1:m + 1, 1:m + 1] = G[:m, :m]
+        self.alpha[1:m + 1] = self.alpha[:m]
+        self.xi[1:m + 1] = self.xi[:m]
+        G[0, 0] = np.dot(u, u)
+        for j, r in enumerate(rows, start=1):
+            G[0, j] = G[j, 0] = np.dot(u, self._views[r])
+        self.alpha[0] = stripe.alpha
+        self.xi[0] = stripe.xi
+        rows.insert(0, row)
+
+
 @dataclass
 class SequentialProjectionResult:
     """Outcome of sequential_stripe_projection.
 
     point = z - sum_i coefficients[i] * u_i over the input stripes; the
-    skipped stripes have zero coefficients.
+    skipped stripes have zero coefficients.  containment_slack is
+    max_i |<u_i, point> - alpha_i| - xi_i over all input stripes, a float
+    that is <= 0 when the point lies in every stripe.
     """
 
     point: Vec
@@ -170,6 +256,7 @@ class SequentialProjectionResult:
     n_dropped: int
     skipped: list[int]
     first_step: tuple[Vec, float, Vec]  # (z, t_0, u_0)
+    containment_slack: float
 
     @property
     def first_step_point(self) -> Vec:
@@ -182,8 +269,9 @@ class SequentialProjectionResult:
         return z - t0 * u0
 
 
-def sequential_stripe_projection(z: Vec, stripes: list[Stripe],
-                                 out: Vec | None = None) -> SequentialProjectionResult:
+def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
+                                 out: Vec | None = None,
+                                 uz0: float | None = None) -> SequentialProjectionResult:
     """Ordered projection of z onto an intersection of stripes.
 
     The first stripe is the current one and z must lie strictly above it.
@@ -199,67 +287,74 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe],
     Every running point is z - sum_i c_i u_i, so the loop runs on the m
     coefficients c alone: <u_i, point> = <u_i, z> - (G c)_i with the Gram
     matrix G_ij = <u_i, u_j>, and a re-projection solves the active
-    sub-block of G.  A call costs m(m+1)/2 + m inner products of length n
-    for G and the <u_i, z>, plus one update of length n per active
-    direction to build the final point.
+    sub-block of G.  The stripes come as a StripeRing, newest first, which
+    holds G already, or as a list, which is copied into a new ring (m
+    copies and m(m+1)/2 inner products of length n).  The call itself
+    takes the inner products <u_i, z>, m - 1 of them when the caller
+    passes `uz0` = <u_0, z>, and one update of length n per active
+    direction to build the final point.  The first step is a scalar
+    division; only active sets of two or more directions go through
+    `solve_spd_dense`.  The containment slack of the result is formed
+    from the same coefficients, with no further pass over vectors.
 
     Returns the final point together with the aggregate coefficients t_i
     (one per input stripe) such that point = z - sum_i t_i * u_i.  The
     point is built in `out` where given, an array of z's shape that is not
     z itself, and in a new array otherwise.
     """
-    if not stripes:
+    if not len(stripes):
         raise DimensionError("need at least one stripe")
     z = np.asarray(z, dtype=float)
-    u = [s.u for s in stripes]
-    if any(ui.shape != z.shape for ui in u):
+    ring = stripes if isinstance(stripes, StripeRing) else StripeRing.of(stripes)
+    if ring.directions.shape[1:] != z.shape:
         raise DimensionError(f"stripe directions do not match the point's shape {z.shape}")
-    m = len(stripes)
-    G = np.empty((m, m))
+    m = len(ring)
+    G = np.ascontiguousarray(ring.gram[:m, :m])
+    alpha, xi = ring.alpha[:m], ring.xi[:m]
+    u = [ring.direction(i) for i in range(m)]
     uz = np.empty(m)
-    for i in range(m):
+    uz[0] = np.dot(u[0], z) if uz0 is None else uz0
+    for i in range(1, m):
         uz[i] = np.dot(u[i], z)
-        for j in range(i + 1):
-            G[i, j] = G[j, i] = np.dot(u[i], u[j])
 
-    cur = stripes[0]
-    if uz[0] <= cur.alpha + cur.xi:
+    if uz[0] <= alpha[0] + xi[0]:
         raise ProjectionPreconditionError(
             "point is not strictly above the current stripe; "
             "the iteration should have stopped"
         )
     coeffs = np.zeros(m)
     boundary = np.empty(m)  # offsets of the active boundary hyperplanes
-    boundary[0] = cur.alpha + cur.xi
+    boundary[0] = alpha[0] + xi[0]
     try:
-        t = solve_spd_dense(G[:1, :1], uz[:1] - boundary[:1])
+        t0 = solve_spd_scalar(G[0, 0], uz[0] - boundary[0])
     except SingularSystemError as exc:
         raise DependentDirectionsError(str(exc)) from exc
-    coeffs[0] = t0 = t[0]
+    coeffs[0] = t0
     active = [0]
     n_dropped = 0
     skipped: list[int] = []
 
     for i in range(1, m):
-        stripe = stripes[i]
-        side = uz[i] - G[i] @ coeffs - stripe.alpha
-        if side > stripe.xi:
-            boundary[i] = stripe.alpha + stripe.xi
-        elif side < -stripe.xi:
-            boundary[i] = stripe.alpha - stripe.xi
+        side = uz[i] - G[i] @ coeffs - alpha[i]
+        if side > xi[i]:
+            boundary[i] = alpha[i] + xi[i]
+        elif side < -xi[i]:
+            boundary[i] = alpha[i] - xi[i]
         else:
             skipped.append(i)
             continue
         trial = active + [i]
+        # While no stripe was skipped the active set is a leading block.
+        idx = slice(0, i + 1) if len(active) == i else trial
+        rows = G[idx]
         try:
-            t = solve_spd_dense(G[np.ix_(trial, trial)],
-                                uz[trial] - G[trial] @ coeffs - boundary[trial])
+            t = solve_spd_dense(rows[:, idx], uz[idx] - rows @ coeffs - boundary[idx])
         except SingularSystemError:
             n_dropped += 1
             skipped.append(i)
             continue
         active = trial
-        coeffs[active] += t
+        coeffs[idx] += t
 
     if out is None:
         point = z.copy()
@@ -268,4 +363,6 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe],
         np.copyto(point, z)
     for i in active:
         point = daxpy(u[i], point, a=-coeffs[i])
-    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, (z, t0, u[0]))
+    slack = float(np.max(np.abs(uz - G @ coeffs - alpha) - xi))
+    return SequentialProjectionResult(point, coeffs, n_dropped, skipped,
+                                      (z, t0, u[0]), slack)

@@ -102,6 +102,25 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     return t
 
 
+def solve_spd_scalar(g: float, b: float) -> float:
+    """solve_spd_dense for a 1 x 1 system, in scalar arithmetic.
+
+    Makes the same checks and gives the same bits as dpotrf + dpotrs,
+    which form the factor l = sqrt(g) and multiply b twice by 1/l.
+
+    Raises
+    ------
+    SingularSystemError
+        If g is not finite or not positive.
+    """
+    if not math.isfinite(g):
+        raise SingularSystemError("matrix is not finite and symmetric")
+    if not g > 0.0:
+        raise SingularSystemError("non-positive pivot in Cholesky at column 1")
+    r = 1.0 / math.sqrt(g)
+    return b * r * r
+
+
 def check_direct_size(n: int) -> None:
     """Raise SparseSolveError if n unknowns exceed DIRECT_LIMIT."""
     if n > DIRECT_LIMIT:

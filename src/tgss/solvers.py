@@ -16,15 +16,17 @@ built from the current and recent residuals.
 
 A run allocates its vectors of the problem's size once, before the first
 iteration, and the iteration writes into them: the operator applies and
-the stripe projection get them as `out`.  Results handed to the caller
-are copies, never one of these work vectors.
+the stripe projection get them as `out`.  The projection methods keep
+their stripes in a `geometry.StripeRing`: each new direction is built in
+the ring's storage, and the ring holds the stripes' Gram matrix across
+iterations, so a step computes only the new direction's Gram row.
+Results handed to the caller are copies, never one of these work vectors.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ from .geometry import (
     InvalidStripeError,
     ProjectionPreconditionError,
     Stripe,
+    StripeRing,
     sequential_stripe_projection,
 )
 from .numkernel import Vec, dot, norm
@@ -154,12 +157,17 @@ def coupling_holds(lam: float, dx_norm: float, r_norm: float, cfg: SolverConfig)
 
 @dataclass
 class StripeRecord:
-    """A stripe together with the residual information it was built from."""
+    """A stripe together with the residual information it was built from.
+
+    uz = <u, z>, the inner product of the direction with the point the
+    stripe was built at.
+    """
 
     stripe: Stripe
     u: Vec
     r_norm: float
     k: int
+    uz: float
 
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
@@ -176,9 +184,9 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
     rn = norm(r) if r_norm is None else r_norm
     u = op.adjoint_apply(z, r, out=out)
     delta = data.delta_used(cfg.delta_mode)
-    alpha = dot(u, z) - rn * rn
+    uz = dot(u, z)
     xi = (delta + cfg.eta * (rn + delta)) * rn
-    return StripeRecord(Stripe(u, alpha, xi), u, rn, k)
+    return StripeRecord(Stripe(u, uz - rn * rn, xi), u, rn, k, uz)
 
 
 @dataclass
@@ -197,7 +205,6 @@ class IterationState:
     k: int = 0
     i_dbts: int = 0
     lambda_cur: float = 0.0
-    ring: deque = field(default_factory=deque)
     r: Vec = field(init=False)
     dx: Vec = field(init=False)
     dx_norm: float = field(init=False)
@@ -346,8 +353,12 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
 
     The work vectors are allocated here: z, r and dx in the state, two x
     arrays that swap roles (x_{k+1} is built in the array of x_{k-1}), an
-    error scratch vector, and for the projection methods one array per
-    stripe direction, reused once its stripe leaves the ring.
+    error scratch vector, and for the projection methods a StripeRing of
+    n_directions stripes.  Each new direction is built in the ring's
+    oldest row, whose stripe leaves the ring as the new one joins, and
+    the ring's Gram matrix carries over from one iteration to the next.
+    The trace's containment slack comes from the projection's
+    coefficients, not from further inner products.
     """
     method = _normalize_method(method, cfg)
     family = method.partition("-")[0]
@@ -355,12 +366,10 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     x0 = np.asarray(x0, dtype=float)
     state = IterationState(
         x_prev=x0.copy(), x_cur=x0.copy(), z_cur=np.empty_like(x0),
-        i_dbts=cfg.i0, ring=deque(maxlen=max(0, cfg.n_directions - 1)),
+        i_dbts=cfg.i0,
     )
     gradient_step = family in ("land", "tpg")
-    # The ring's stripes and the one being built hold n_directions at most.
-    free_directions = [] if gradient_step else [
-        np.empty_like(x0) for _ in range(cfg.n_directions)]
+    ring = None if gradient_step else StripeRing(cfg.n_directions, x0.shape)
     trace: list[TraceRow] = []
     dropped = 0
     if truth is not None:
@@ -407,7 +416,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         else:
             try:
                 rec = build_stripe(op, z, data, cfg, r=r, k=k, r_norm=rn,
-                                   out=free_directions.pop())
+                                   out=ring.slot())
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -415,9 +424,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
                 ) from exc
-            stripes = [rec.stripe] + [s.stripe for s in state.ring]
+            ring.push(rec.stripe)
             try:
-                proj = sequential_stripe_projection(z, stripes, out=x_next)
+                proj = sequential_stripe_projection(z, ring, out=x_next, uz0=rec.uz)
             except ProjectionPreconditionError as exc:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "
@@ -426,16 +435,10 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 ) from exc
             x_next = proj.point
             dropped += proj.n_dropped
-            row.n_dirs_used = len(stripes) - len(proj.skipped)
-            row.containment_slack = max(
-                abs(dot(s.u, x_next) - s.alpha) - s.xi for s in stripes
-            )
+            row.n_dirs_used = len(ring) - len(proj.skipped)
+            row.containment_slack = proj.containment_slack
             if record_points:
                 row.x_tilde = proj.first_step_point
-            if len(state.ring) == state.ring.maxlen:
-                # The oldest stripe leaves the ring: its direction's array is free.
-                free_directions.append((state.ring[-1] if state.ring else rec).u)
-            state.ring.appendleft(rec)
 
         if truth is not None:
             row.err = norm(np.subtract(x_next, truth, out=err_scratch))

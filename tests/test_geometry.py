@@ -9,6 +9,7 @@ from tgss.geometry import (
     InvalidStripeError,
     ProjectionPreconditionError,
     Stripe,
+    StripeRing,
     StripeSide,
     classify,
     gamma,
@@ -18,7 +19,7 @@ from tgss.geometry import (
     project_stripe,
     sequential_stripe_projection,
 )
-from tgss.numkernel import dot, norm
+from tgss.numkernel import DimensionError, dot, norm
 
 
 class TestConstruction:
@@ -268,3 +269,75 @@ class TestSequentialStripeProjection:
         res = sequential_stripe_projection(np.array([2.0, 1.0]), [s1, s2])
         np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
         assert res.n_dropped == 1
+
+
+def random_stripes(rng, count, n):
+    return [Stripe(rng.standard_normal(n), rng.standard_normal(),
+                   abs(rng.standard_normal())) for _ in range(count)]
+
+
+class TestStripeRing:
+    def test_holds_newest_first_and_drops_the_oldest(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        stripes = random_stripes(rng, 5, 7)
+        ring = StripeRing(3, (7,))
+        for s in stripes:
+            ring.push(s)
+        assert len(ring) == 3
+        for i, s in enumerate(reversed(stripes[2:])):
+            assert ring.alpha[i] == s.alpha and ring.xi[i] == s.xi
+            assert ring.direction(i).tobytes() == s.u.tobytes()
+            for j, t in enumerate(reversed(stripes[2:])):
+                # Each entry is one np.dot of the pair, in either order.
+                assert ring.gram[i, j] == np.dot(s.u, t.u)
+
+    def test_direction_built_in_slot_is_not_copied(self):
+        rng = np.random.Generator(np.random.PCG64(22))
+        ring = StripeRing(2, (5,))
+        for s in random_stripes(rng, 4, 5):
+            slot = ring.slot()
+            oldest = ring.direction(len(ring) - 1) if len(ring) == 2 else None
+            np.copyto(slot, s.u)
+            ring.push(Stripe(slot, s.alpha, s.xi))
+            assert ring.direction(0) is slot
+            if oldest is not None:
+                # A full ring hands out its oldest stripe's row.
+                assert slot is oldest
+
+    def test_carried_gram_matches_a_fresh_projection(self):
+        # A run's ring gives the same bits as a list of the same stripes.
+        rng = np.random.Generator(np.random.PCG64(23))
+        ring = StripeRing(3, (6,))
+        stripes = []
+        for _ in range(6):
+            u = rng.standard_normal(6)
+            z = 5.0 * u + rng.standard_normal(6)
+            s = Stripe(u, dot(u, z) - 3.0, 0.5)
+            ring.push(s)
+            stripes = ([s] + stripes)[:3]
+            a = sequential_stripe_projection(z, ring, uz0=dot(u, z))
+            b = sequential_stripe_projection(z, stripes)
+            assert a.point.tobytes() == b.point.tobytes()
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            assert a.skipped == b.skipped and a.n_dropped == b.n_dropped
+
+    def test_containment_slack_matches_inner_products(self):
+        rng = np.random.Generator(np.random.PCG64(24))
+        for _ in range(20):
+            stripes = random_stripes(rng, 3, 8)
+            z = 10.0 * stripes[0].u + rng.standard_normal(8)
+            if dot(stripes[0].u, z) <= stripes[0].alpha + stripes[0].xi:
+                continue
+            res = sequential_stripe_projection(z, stripes)
+            direct = max(abs(dot(s.u, res.point) - s.alpha) - s.xi for s in stripes)
+            scale = max(norm(s.u) for s in stripes) * (norm(z) + norm(res.point))
+            assert type(res.containment_slack) is float
+            assert abs(res.containment_slack - direct) <= 1e-12 * scale
+
+    def test_shape_mismatch_rejected(self):
+        ring = StripeRing(2, (3,))
+        with pytest.raises(DimensionError):
+            ring.push(Stripe(np.ones(4), 0.0, 1.0))
+        ring.push(Stripe(np.ones(3), 0.0, 1.0))
+        with pytest.raises(DimensionError):
+            sequential_stripe_projection(np.full(4, 5.0), ring)

@@ -17,6 +17,7 @@ from tgss.numkernel import (
     gaussian_vector,
     norm,
     solve_spd_dense,
+    solve_spd_scalar,
     solve_sparse_spd,
 )
 
@@ -125,6 +126,26 @@ class TestSolveSpdDense:
         G = np.array([[2.0, bad], [bad, 2.0]])
         with pytest.raises(SingularSystemError, match="not finite and symmetric"):
             solve_spd_dense(G, np.array([1.0, 1.0]))
+
+
+class TestSolveSpdScalar:
+    def test_same_bits_as_lapack(self):
+        # b / g rounds differently from dpotrf + dpotrs in many of
+        # these draws; b (1/sqrt g)(1/sqrt g) must match every one.
+        rng = np.random.Generator(np.random.PCG64(31))
+        g = np.exp(rng.uniform(-40.0, 40.0, 2000))
+        b = rng.standard_normal(2000) * np.exp(rng.uniform(-40.0, 40.0, 2000))
+        for gi, bi in zip(g, b):
+            expected = solve_spd_dense(np.array([[gi]]), np.array([bi]))[0]
+            assert solve_spd_scalar(float(gi), float(bi)) == expected
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_same_checks_as_lapack(self, g):
+        with pytest.raises(SingularSystemError) as dense:
+            solve_spd_dense(np.array([[g]]), np.array([1.0]))
+        with pytest.raises(SingularSystemError) as scalar:
+            solve_spd_scalar(g, 1.0)
+        assert str(scalar.value) == str(dense.value)
 
 
 class TestSolveSparseSpd:

@@ -378,6 +378,25 @@ class TestRun:
         assert len(rows) == len(res.trace) + 1
         assert rows[1].startswith("0,")
 
+    def test_trace_csv_fields_parse_as_floats(self):
+        # A numpy scalar in a TraceRow would be written as "np.float64(...)".
+        rng = np.random.Generator(np.random.PCG64(47))
+        op = DiagonalOperator(rng.uniform(0.1, 1.0, 12))
+        truth = rng.standard_normal(12)
+        data = add_noise(op.apply(truth), 1e-2, 3)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=op.c_F, max_iters=5000)
+        for method in METHODS:
+            res = run(method, op, data, np.zeros(12), cfg, truth=truth)
+            for row in res.trace:
+                for name in ("residual_norm", "lam", "re", "coupling_slack",
+                             "containment_slack", "err"):
+                    value = getattr(row, name)
+                    assert value is None or type(value) is float, (method, name)
+            for line in res.trace_csv_rows()[1:]:
+                for field in line.split(","):
+                    if field:
+                        float(field)
+
     def test_zero_search_direction_raises_invariant_violation(self):
         class ZeroAdjoint(DiagonalOperator):
             def adjoint_apply(self, c, w, out=None):
