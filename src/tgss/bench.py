@@ -16,7 +16,7 @@ import numpy as np
 from . import invpot
 from .numkernel import Vec, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
-from .solvers import METHODS, SolveResult, SolverConfig, run
+from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, run
 
 CSV_HEADER = "method,delta,seed,k_star,wall_time_s,re_final,rate_k,rate_t,stopped_by"
 
@@ -46,6 +46,9 @@ class BenchSpec:
             raise MetricError(f"unknown problem {self.problem!r}")
         if self.noise_scale not in ("component", "norm"):
             raise MetricError(f"unknown noise_scale {self.noise_scale!r}")
+        for method in self.methods:
+            if method not in METHOD_TABLE:
+                raise MetricError(f"unknown method {method!r}")
         if not self.methods or not self.noise_levels or not self.seeds:
             raise MetricError("need at least one method, noise level and seed")
 

@@ -2,25 +2,23 @@
 
 Configuration can come from a flat key-value file with dotted section
 names (e.g. ``solver.tau = 2.8`` or ``bench.problem = invpot1d``); every
-flag mirrors a key and command line values override the file.
+flag mirrors a key and command line values override the file.  The solver
+keys are the fields of `SolverConfig`, and each one's flag is its name
+with dashes (``solver.n_directions`` is ``--n-directions``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import bench
-from .solvers import METHODS, SolverConfig
+from .solvers import METHOD_TABLE, SolverConfig
 
-SOLVER_KEYS = {
-    "eta": float, "tau": float, "mu": float, "c_F": float,
-    "nesterov_alpha": float, "q_scale": float, "q_power": float,
-    "j_max": int, "i0": int, "n_directions": int, "max_iters": int,
-    "delta_mode": str, "lambda_rule": str,
-}
+SOLVER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
 BENCH_KEYS = {
     "problem": str, "mesh_n": int, "problem_seed": int,
@@ -63,40 +61,22 @@ def build_specs(args) -> bench.BenchSpec:
         else:
             raise ValueError(f"unknown config section {section!r}")
 
-    flag_map = {
-        "eta": "eta", "tau": "tau", "mu": "mu", "cf": "c_F", "alpha": "nesterov_alpha",
-        "q_scale": "q_scale", "q_power": "q_power", "jmax": "j_max", "i0": "i0",
-        "directions": "n_directions", "max_iters": "max_iters",
-        "delta_mode": "delta_mode", "lambda_rule": "lambda_rule",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in SOLVER_KEYS:
+        value = getattr(args, key)
         if value is not None:
             solver_overrides[key] = value
+    flags = {
+        "problem": args.problem, "mesh_n": args.mesh_n, "noise_levels": args.delta,
+        "seeds": args.seed, "methods": args.method, "problem_seed": args.problem_seed,
+        "noise_scale": args.noise_scale, "out": args.out, "trace_dir": args.trace,
+    }
+    bench_overrides.update((k, v) for k, v in flags.items() if v is not None)
 
-    problem = args.problem or bench_overrides.get("problem", "invpot1d")
-    mesh_n = args.mesh_n or bench_overrides.get(
-        "mesh_n", 256 if problem == "invpot1d" else 64
-    )
-    if "max_iters" not in solver_overrides:
-        solver_overrides["max_iters"] = 20000 if problem == "invpot2d" else 50000
-
-    methods = args.method if args.method else list(METHODS)
-    return bench.BenchSpec(
-        problem=problem,
-        mesh_n=mesh_n,
-        noise_levels=args.delta if args.delta else [1e-3],
-        seeds=args.seed if args.seed else [0],
-        methods=methods,
-        config=solver_overrides,
-        problem_seed=args.problem_seed
-        if args.problem_seed is not None
-        else int(bench_overrides.get("problem_seed", 12345)),
-        noise_scale=args.noise_scale
-        or bench_overrides.get("noise_scale", "component"),
-        out=args.out or bench_overrides.get("out"),
-        trace_dir=args.trace or bench_overrides.get("trace_dir"),
-    )
+    problem = bench_overrides.setdefault("problem", bench.BenchSpec.problem)
+    bench_overrides.setdefault("mesh_n", 256 if problem == "invpot1d" else 64)
+    if problem == "invpot2d":
+        solver_overrides.setdefault("max_iters", 20000)
+    return bench.BenchSpec(config=solver_overrides, **bench_overrides)
 
 
 def add_common_flags(p: argparse.ArgumentParser):
@@ -106,22 +86,11 @@ def add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=float, action="append",
                    help="noise level, repeatable")
     p.add_argument("--seed", type=int, action="append", help="noise seed, repeatable")
-    p.add_argument("--method", action="append",
-                   help=f"one of {', '.join(METHODS)}; repeatable")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--cf", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--q-scale", dest="q_scale", type=float)
-    p.add_argument("--q-power", dest="q_power", type=float)
-    p.add_argument("--jmax", dest="jmax", type=int)
-    p.add_argument("--i0", type=int)
-    p.add_argument("--directions", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--delta-mode", dest="delta_mode", choices=["effective", "nominal"])
-    p.add_argument("--lambda-rule", dest="lambda_rule",
-                   choices=["zero", "nesterov", "coupling", "dbts"])
+    p.add_argument("--method", action="append", choices=list(METHOD_TABLE),
+                   help="repeatable; default: the paper's six methods")
+    for key, typ in SOLVER_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                       help=f"solver.{key}")
     p.add_argument("--problem-seed", dest="problem_seed", type=int)
     p.add_argument("--noise-scale", dest="noise_scale",
                    choices=["component", "norm"],
@@ -131,8 +100,18 @@ def add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", action="append", choices=["csv", "json"])
 
 
+def checked_spec(args) -> bench.BenchSpec:
+    """The spec of a run; a bad option value is a usage error (exit 2)."""
+    try:
+        spec = build_specs(args)
+        bench.solver_config(spec)
+    except ValueError as exc:  # ConfigError and MetricError are ValueErrors
+        args.usage_error(str(exc))
+    return spec
+
+
 def cmd_run(args) -> int:
-    spec = build_specs(args)
+    spec = checked_spec(args)
     records = bench.run_suite(spec)
     formats = tuple(args.format) if args.format else ("csv",)
     if spec.out:
@@ -144,7 +123,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = build_specs(args)
+    spec = checked_spec(args)
     if len(spec.methods) != 1 or len(spec.noise_levels) != 1 or len(spec.seeds) != 1:
         print("solve expects exactly one --method, --delta and --seed", file=sys.stderr)
         return 2
@@ -190,17 +169,18 @@ def cmd_selftest(args) -> int:
     truth = rng.standard_normal(12)
     data = operator.add_noise(op.apply(truth), 1e-3, 3)
     cfg = solvers.SolverConfig(eta=0.0, tau=2.0, c_F=op.c_F, max_iters=5000)
-    ok = True
-    for method in METHODS:
-        res = solvers.run(method, op, data, np.zeros(12), cfg, truth=truth)
-        ok &= res.stopped_by == "discrepancy"
-    check("all methods stop via discrepancy on the linear test operator", ok)
+    results = {
+        method: solvers.run(method, op, data, np.zeros(12), cfg, truth=truth)
+        for method in METHOD_TABLE
+    }
+    check("all methods stop via discrepancy on the linear test operator",
+          all(res.stopped_by == "discrepancy" for res in results.values()))
 
-    res_a = solvers.run("tpg-zero", op, data, np.zeros(12), cfg)
-    res_b = solvers.run("land", op, data, np.zeros(12), cfg)
-    check("tpg with zero momentum equals landweber",
-          res_a.k_star == res_b.k_star
-          and norm(res_a.x_final - res_b.x_final) <= 1e-12)
+    for zero, plain in (("tpg-zero", "land"), ("tgss-zero", "sesop")):
+        res_a, res_b = results[zero], results[plain]
+        check(f"{zero} equals {plain}",
+              res_a.k_star == res_b.k_star
+              and norm(res_a.x_final - res_b.x_final) <= 1e-12)
 
     if failures:
         print(f"{len(failures)} self-test(s) failed")
@@ -218,7 +198,7 @@ def main(argv=None) -> int:
     for name, fn in (("run", cmd_run), ("solve", cmd_solve), ("selftest", cmd_selftest)):
         p = sub.add_parser(name)
         add_common_flags(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, usage_error=p.error)
     args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -1,13 +1,14 @@
-"""The five iterative methods and their shared machinery.
+"""The iterative methods and their shared machinery.
 
-Methods
--------
-land        gradient iteration with unit step
-tpg-nes     momentum step with the classic (k-1)/(k+alpha-1) schedule
-tpg-dbts    momentum step, weight picked by discrete backtracking search
-sesop       sequential projection onto residual stripes, no momentum
-tgss-nes    momentum + sequential stripe projection, Nesterov weights
-tgss-dbts   momentum + sequential stripe projection, backtracking weights
+A method is a point of a grid with two axes: the update step, a gradient
+step or a sequential projection onto residual stripes, and the rule that
+picks the momentum weight lambda_k: zero, the Nesterov schedule
+(k-1)/(k+alpha-1), the closed-form coupling weight, or discrete
+backtracking search.  METHOD_TABLE maps each accepted name to its point,
+and `run` looks the name up once, before the first iteration.  METHODS
+are the paper's six, in its order: Landweber, TPG with Nesterov and with
+backtracking weights, SESOP, and TGSS with Nesterov and with
+backtracking weights.
 
 All of them iterate on the extrapolated point z_k = x_k + lambda_k
 (x_k - x_{k-1}) and stop by the discrepancy principle evaluated at z_k.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,30 @@ from .geometry import (
 from .numkernel import Vec, dot, norm
 from .operator import ForwardOperator, NoisyData
 
-METHODS = ("land", "tpg-nes", "tpg-dbts", "sesop", "tgss-nes", "tgss-dbts")
+
+class Method(NamedTuple):
+    """A point of the method grid: the update step and the momentum rule."""
+
+    stripes: bool   # stripe projection if True, else a gradient step
+    momentum: str   # "zero", "nesterov", "coupling" or "dbts"
+
+
+_PAPER_METHODS = {
+    "land": Method(False, "zero"),
+    "tpg-nes": Method(False, "nesterov"),
+    "tpg-dbts": Method(False, "dbts"),
+    "sesop": Method(True, "zero"),
+    "tgss-nes": Method(True, "nesterov"),
+    "tgss-dbts": Method(True, "dbts"),
+}
+METHOD_TABLE = {
+    **_PAPER_METHODS,
+    "tpg-coupling": Method(False, "coupling"),
+    "tpg-zero": Method(False, "zero"),
+    "tgss-coupling": Method(True, "coupling"),
+    "tgss-zero": Method(True, "zero"),
+}
+METHODS = tuple(_PAPER_METHODS)
 
 # Residual floor standing in for tau*delta when data is exact.
 EXACT_DATA_FLOOR = 1e-12
@@ -86,7 +111,6 @@ class SolverConfig:
     n_directions: int = 2
     max_iters: int = 50000
     delta_mode: str = "effective"
-    lambda_rule: str = "nesterov"
 
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
@@ -108,8 +132,6 @@ class SolverConfig:
             raise ConfigError("j_max, n_directions must be >= 1 and max_iters >= 0")
         if self.delta_mode not in ("effective", "nominal"):
             raise ConfigError(f"unknown delta_mode {self.delta_mode!r}")
-        if self.lambda_rule not in ("zero", "nesterov", "coupling", "dbts"):
-            raise ConfigError(f"unknown lambda_rule {self.lambda_rule!r}")
 
     def q(self, i: float) -> float:
         return self.q_scale / i ** self.q_power
@@ -306,38 +328,22 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
     return lam, state.i_dbts + cfg.j_max, z, r, norm(r)
 
 
-def _select_lambda_z(method: str, state: IterationState, op, data, cfg, delta_used):
+def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_used):
     """Momentum weight, extrapolated point and its residual for this iteration."""
     k = state.k
-    family, _, rule = method.partition("-")
-    if family in ("land", "sesop") or k == 0:
+    if momentum == "zero" or k == 0:
         lam = 0.0
-    elif rule == "nes":
+    elif momentum == "nesterov":
         lam = lambda_nesterov(k, cfg.nesterov_alpha)
-    elif rule == "dbts":
+    elif momentum == "dbts":
         lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, delta_used)
         state.i_dbts = i_k
         return lam, z, r, rn
-    elif rule == "coupling":
+    else:  # "coupling"
         lam = lambda_coupling(state.dx_norm, k, delta_used, cfg)
-    elif rule == "zero":
-        lam = 0.0
-    else:
-        raise ConfigError(f"unknown method {method!r}")
     z = state.x_cur if lam == 0.0 else _extrapolate(state, lam)
     r = _residual(op, z, data, state.r)
     return lam, z, r, norm(r)
-
-
-def _normalize_method(method: str, cfg: SolverConfig) -> str:
-    """Map the generic family names onto cfg.lambda_rule when needed."""
-    if method in METHODS or method in ("tpg-coupling", "tgss-coupling",
-                                       "tpg-zero", "tgss-zero"):
-        return method
-    if method in ("tpg", "tgss"):
-        rule = {"nesterov": "nes"}.get(cfg.lambda_rule, cfg.lambda_rule)
-        return f"{method}-{rule}"
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
@@ -360,16 +366,18 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     The trace's containment slack comes from the projection's
     coefficients, not from further inner products.
     """
-    method = _normalize_method(method, cfg)
-    family = method.partition("-")[0]
+    if method not in METHOD_TABLE:
+        raise ConfigError(
+            f"unknown method {method!r}; accepted: {', '.join(METHOD_TABLE)}"
+        )
+    stripes, momentum = METHOD_TABLE[method]
     delta_used = data.delta_used(cfg.delta_mode)
     x0 = np.asarray(x0, dtype=float)
     state = IterationState(
         x_prev=x0.copy(), x_cur=x0.copy(), z_cur=np.empty_like(x0),
         i_dbts=cfg.i0,
     )
-    gradient_step = family in ("land", "tpg")
-    ring = None if gradient_step else StripeRing(cfg.n_directions, x0.shape)
+    ring = StripeRing(cfg.n_directions, x0.shape) if stripes else None
     trace: list[TraceRow] = []
     dropped = 0
     if truth is not None:
@@ -380,7 +388,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
         state.k = k
-        lam, z, r, rn = _select_lambda_z(method, state, op, data, cfg, delta_used)
+        lam, z, r, rn = _select_lambda_z(momentum, state, op, data, cfg, delta_used)
         state.lambda_cur = lam
 
         if not math.isfinite(rn):
@@ -410,7 +418,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
 
         # dx holds x_k - x_{k-1} already, so x_{k+1} is built in x_{k-1}'s array.
         x_next = state.x_prev
-        if gradient_step:
+        if not stripes:
             step = op.adjoint_apply(z, r, out=x_next)
             x_next = np.subtract(z, step, out=x_next)
         else:

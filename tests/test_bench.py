@@ -58,6 +58,10 @@ class TestBenchSpec:
         with pytest.raises(MetricError):
             BenchSpec(noise_scale="bogus")
 
+    def test_unknown_method_rejected_before_any_solve(self):
+        with pytest.raises(MetricError, match="bogus"):
+            BenchSpec(methods=["land", "bogus"])
+
     def test_empty_methods(self):
         with pytest.raises(MetricError):
             BenchSpec(methods=[])

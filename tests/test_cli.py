@@ -1,8 +1,11 @@
 """Unit tests for the command line interface."""
 
+import dataclasses
+
 import pytest
 
 from tgss.cli import build_specs, main, parse_config_file
+from tgss.solvers import SolverConfig
 
 
 class TestConfigFile:
@@ -77,7 +80,7 @@ class TestConfigFile:
 class TestCommands:
     LINEAR = [
         "--problem", "linear-diag", "--mesh-n", "12",
-        "--eta", "0.0", "--tau", "2.0", "--cf", "1.0",
+        "--eta", "0.0", "--tau", "2.0", "--c-F", "1.0",
         "--max-iters", "20000",
     ]
 
@@ -128,3 +131,91 @@ class TestCommands:
 
         files = os.listdir(trace)
         assert len(files) == 1 and files[0].startswith("trace_sesop")
+
+    def test_unknown_method_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "bogus", "--method", "land"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err
+
+    def test_bad_delta_mode_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "land", "--delta-mode", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown delta_mode 'bogus'" in captured.err
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("solver.tau = 1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(path), "--problem", "linear-diag",
+                  "--mesh-n", "12", "--method", "land"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau=1.0 must exceed" in captured.err
+
+
+def _parser():
+    import argparse
+
+    from tgss.cli import add_common_flags
+
+    parser = argparse.ArgumentParser()
+    add_common_flags(parser)
+    return parser
+
+
+class TestSolverSchema:
+    """Every SolverConfig field is a config key and a flag, and nothing else is."""
+
+    FIELDS = dataclasses.fields(SolverConfig)
+    TYPES = {"float": float, "int": int, "str": str}
+    VALUES = {float: ("7.25", "8.5"), int: ("7", "8"), str: ("from-file", "from-flag")}
+    BENCH_FLAGS = {
+        "-h", "--help", "--config", "--problem", "--mesh-n", "--delta", "--seed",
+        "--method", "--problem-seed", "--noise-scale", "--out", "--trace", "--format",
+    }
+
+    @staticmethod
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+    def test_file_key_and_flag_reach_config(self, f, tmp_path):
+        typ = self.TYPES[f.type]
+        in_file, on_flag = self.VALUES[typ]
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"solver.{f.name} = {in_file}\n")
+
+        spec = build_specs(_parser().parse_args(["--config", str(path)]))
+        assert spec.config[f.name] == typ(in_file)
+        assert type(spec.config[f.name]) is typ
+
+        spec = build_specs(_parser().parse_args([self.flag(f.name), on_flag]))
+        assert spec.config[f.name] == typ(on_flag)
+        assert type(spec.config[f.name]) is typ
+
+        args = _parser().parse_args(["--config", str(path), self.flag(f.name), on_flag])
+        assert build_specs(args).config[f.name] == typ(on_flag)
+
+    def test_no_other_solver_flag(self):
+        flags = {s for a in _parser()._actions for s in a.option_strings}
+        assert flags - self.BENCH_FLAGS == {self.flag(f.name) for f in self.FIELDS}
+
+    @pytest.mark.parametrize("flag", ["--lambda-rule", "--cf", "--alpha", "--jmax",
+                                      "--directions"])
+    def test_removed_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parser().parse_args([flag, "1"])
+        assert exc.value.code == 2
+
+    def test_removed_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("solver.lambda_rule = coupling\n")
+        with pytest.raises(ValueError, match="lambda_rule"):
+            build_specs(_parser().parse_args(["--config", str(path)]))

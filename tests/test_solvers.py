@@ -41,7 +41,7 @@ class TestSolverConfig:
         {"nesterov_alpha": 2.0},
         {"q_scale": 0.0}, {"q_power": 1.0},
         {"j_max": 0}, {"n_directions": 0}, {"max_iters": -1},
-        {"delta_mode": "bogus"}, {"lambda_rule": "bogus"},
+        {"delta_mode": "bogus"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -293,13 +293,11 @@ class TestRun:
         assert norm(a.x_final - b.x_final) <= 1e-12
 
     def test_explicit_zero_momentum_ignores_config_rule(self):
-        # lambda_rule only resolves the generic names "tpg" and "tgss".
         rng = np.random.Generator(np.random.PCG64(43))
         op = DiagonalOperator(rng.uniform(0.2, 1.0, 8))
         truth = rng.standard_normal(8)
         data = add_noise(op.apply(truth), 1e-3, 1)
-        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, max_iters=5000,
-                           lambda_rule="coupling")
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, max_iters=5000)
         for method, plain in (("tpg-zero", "land"), ("tgss-zero", "sesop")):
             a = run(method, op, data, np.zeros(8), cfg)
             b = run(plain, op, data, np.zeros(8), cfg)
@@ -353,17 +351,6 @@ class TestRun:
         data = add_noise(np.array([1.0]), 0.0, 0)
         with pytest.raises(ConfigError):
             run("bogus", op, data, np.zeros(1), SolverConfig(eta=0.0, tau=2.0))
-
-    def test_generic_family_names_follow_config_rule(self):
-        op = DiagonalOperator(np.array([0.5, 0.8]))
-        truth = np.array([1.0, -2.0])
-        data = add_noise(op.apply(truth), 1e-3, 0)
-        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, lambda_rule="nesterov",
-                           max_iters=5000)
-        a = run("tpg", op, data, np.zeros(2), cfg)
-        b = run("tpg-nes", op, data, np.zeros(2), cfg)
-        assert a.k_star == b.k_star
-        np.testing.assert_allclose(a.x_final, b.x_final)
 
     def test_trace_csv_rows(self):
         op = DiagonalOperator(np.array([0.5, 0.8]))
