@@ -4,7 +4,9 @@ Configuration can come from a flat key-value file with dotted section
 names (e.g. ``solver.tau = 2.8`` or ``bench.problem = invpot1d``); every
 flag mirrors a key and command line values override the file.  The solver
 keys are the fields of `SolverConfig`, and each one's flag is its name
-with dashes (``solver.n_directions`` is ``--n-directions``).
+with dashes (``solver.n_directions`` is ``--n-directions``).  The bench
+keys are the fields of `bench.BenchSpec` that have a plain default; every
+bench flag stores under its field's name.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .solvers import METHOD_TABLE, SolverConfig
 
 SOLVER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
+# A default of None marks an optional path.
 BENCH_KEYS = {
-    "problem": str, "mesh_n": int, "problem_seed": int,
-    "noise_scale": str, "out": str, "trace_dir": str,
+    f.name: str if f.default is None else type(f.default)
+    for f in dataclasses.fields(bench.BenchSpec) if f.default is not dataclasses.MISSING
 }
 
 
@@ -49,7 +52,7 @@ def _typed(section: str, key: str, value):
 
 
 def build_specs(args) -> bench.BenchSpec:
-    file_cfg = parse_config_file(args.config) if args.config else {}
+    file_cfg = parse_config_file(args.config_file) if args.config_file else {}
     solver_overrides = {}
     bench_overrides = {}
     for dotted, value in file_cfg.items():
@@ -65,12 +68,11 @@ def build_specs(args) -> bench.BenchSpec:
         value = getattr(args, key)
         if value is not None:
             solver_overrides[key] = value
-    flags = {
-        "problem": args.problem, "mesh_n": args.mesh_n, "noise_levels": args.delta,
-        "seeds": args.seed, "methods": args.method, "problem_seed": args.problem_seed,
-        "noise_scale": args.noise_scale, "out": args.out, "trace_dir": args.trace,
-    }
-    bench_overrides.update((k, v) for k, v in flags.items() if v is not None)
+    for f in dataclasses.fields(bench.BenchSpec):
+        # config and method_config have no flag; --config stores config_file.
+        value = getattr(args, f.name, None)
+        if value is not None:
+            bench_overrides[f.name] = value
 
     problem = bench_overrides.setdefault("problem", bench.BenchSpec.problem)
     bench_overrides.setdefault("mesh_n", 256 if problem == "invpot1d" else 64)
@@ -80,23 +82,25 @@ def build_specs(args) -> bench.BenchSpec:
 
 
 def add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key-value config file")
+    p.add_argument("--config", dest="config_file", metavar="CONFIG",
+                   help="flat key-value config file")
     p.add_argument("--problem", choices=bench.PROBLEMS)
     p.add_argument("--mesh-n", dest="mesh_n", type=int)
-    p.add_argument("--delta", type=float, action="append",
-                   help="noise level, repeatable")
-    p.add_argument("--seed", type=int, action="append", help="noise seed, repeatable")
-    p.add_argument("--method", action="append", choices=list(METHOD_TABLE),
+    p.add_argument("--delta", dest="noise_levels", metavar="DELTA", type=float,
+                   action="append", help="noise level, repeatable")
+    p.add_argument("--seed", dest="seeds", metavar="SEED", type=int, action="append",
+                   help="noise seed, repeatable")
+    p.add_argument("--method", dest="methods", action="append", choices=list(METHOD_TABLE),
                    help="repeatable; default: the paper's six methods")
     for key, typ in SOLVER_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
                        help=f"solver.{key}")
     p.add_argument("--problem-seed", dest="problem_seed", type=int)
-    p.add_argument("--noise-scale", dest="noise_scale",
-                   choices=["component", "norm"],
+    p.add_argument("--noise-scale", dest="noise_scale", metavar="{component,norm}",
                    help="interpret --delta per component or as the noise norm")
     p.add_argument("--out", help="output base path (extension added per format)")
-    p.add_argument("--trace", help="directory for per-run trace CSVs")
+    p.add_argument("--trace", dest="trace_dir", metavar="TRACE",
+                   help="directory for per-run trace CSVs")
     p.add_argument("--format", action="append", choices=["csv", "json"])
 
 

@@ -161,15 +161,6 @@ def project_hyperplane_intersection(x: Vec, planes: list[Hyperplane]) -> tuple[V
     return np.asarray(x, dtype=float) - t @ U, t
 
 
-def gamma(u1: Vec, u2: Vec) -> float:
-    """Sine of the angle between two directions: 1 if orthogonal, 0 if parallel."""
-    n1, n2 = norm(u1), norm(u2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise InvalidStripeError("gamma needs two nonzero directions")
-    c = dot(u1, u2) / (n1 * n2)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
-
-
 class StripeRing:
     """The last `capacity` stripes of a run, newest first, with their Gram matrix.
 

@@ -219,17 +219,9 @@ class P1Pattern:
         data = np.concatenate([diagonal, lower, lower])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
-    def stiffness(self) -> sp.csr_matrix:
-        return self.csr(self.K_diagonal, self.K_lower)
-
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
         return self.matvec(*self.mass_data(f_nodal), np.ones(self.n))
-
-
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Stiffness matrix of piecewise linear elements (Neumann, row sums zero)."""
-    return P1Pattern(mesh).stiffness()
 
 
 def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
@@ -257,19 +249,6 @@ def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
     return pattern.csr(*pattern.mass_data(np.asarray(w, dtype=float)))
 
 
-def load_vector(mesh: Mesh, f_nodal: Vec) -> Vec:
-    """Consistent load of the interpolated source, same quadrature as the mass."""
-    return P1Pattern(mesh).load(np.asarray(f_nodal, dtype=float))
-
-
-@dataclass
-class AssembledSystem:
-    K: sp.csr_matrix
-    M_c: sp.csr_matrix
-    A: sp.csr_matrix
-    load: Vec
-
-
 def check_admissible(c: Vec):
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
@@ -278,15 +257,6 @@ def check_admissible(c: Vec):
         raise AdmissibilityError(
             f"coefficient min {c.min():.3e} below admissibility floor"
         )
-
-
-def assemble(mesh: Mesh, c: Vec, f_nodal: Vec) -> AssembledSystem:
-    """Assemble A(c) = K + M(c) and the load of f; rejects inadmissible c."""
-    check_admissible(c)
-    pattern = P1Pattern(mesh)
-    K = pattern.stiffness()
-    M_c = pattern.csr(*pattern.mass_data(np.asarray(c, dtype=float)))
-    return AssembledSystem(K, M_c, K + M_c, pattern.load(np.asarray(f_nodal, dtype=float)))
 
 
 class InversePotentialOperator(ForwardOperator):
@@ -367,18 +337,3 @@ class InversePotentialOperator(ForwardOperator):
         solve, _, M_u = self._setup(c)
         return np.negative(self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float))),
                            out=out)
-
-
-def forward(mesh: Mesh, c: Vec, f=1.0) -> Vec:
-    """One-shot forward solve (convenience wrapper for tests and the CLI)."""
-    return InversePotentialOperator(mesh, f).apply(c)
-
-
-def to_csv_rows(mesh: Mesh, values: Vec):
-    """(coordinates..., value) rows for serializing fields as CSV."""
-    if mesh.dim == 1:
-        return [(float(x), float(v)) for x, v in zip(mesh.nodes, values)]
-    return [
-        (float(x), float(y), float(v))
-        for (x, y), v in zip(mesh.nodes, values)
-    ]

@@ -2,15 +2,16 @@
 
 Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
-solved by Cholesky factorization.  Every sparse SPD system of the finite
-element discretization is factorized by LAPACK's band Cholesky
-(dpbtrf, solves by dpbtrs) in the matrix's own node order: the matrix is
-held in lower band storage, the factorization costs O(n u^2) time and
-n (u + 1) floats for half-bandwidth u, and it proves the matrix positive
+solved by Cholesky factorization.  There is one sparse SPD path,
+factorize_band_spd: the caller writes the matrix into LAPACK lower band
+storage in its own node order, dpbtrf factorizes it in place and dpbtrs
+solves with the factor.  That costs O(n u^2) time and n (u + 1) floats
+for half-bandwidth u, and the factorization proves the matrix positive
 definite as it goes.  The lexicographic node numbering of an N x N
-tensor mesh gives u = N + 2.  There is no iterative fallback: systems of
-more than DIRECT_LIMIT unknowns, the nodes of a 256 x 256 mesh, are
-rejected before anything is allocated.
+tensor mesh gives u = N + 2.  There is no iterative fallback: callers
+run check_direct_size first, which rejects systems of more than
+DIRECT_LIMIT unknowns, the nodes of a 256 x 256 mesh, before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from collections.abc import Callable
 
 import numpy as np
 from scipy.linalg import lapack
-import scipy.sparse as sp
 
 Vec = np.ndarray
 
@@ -28,9 +28,8 @@ Vec = np.ndarray
 # handful of directions, 16 leaves generous headroom.
 DENSE_CAP = 16
 
-# Largest system factorize_sparse_spd and the inverse-potential operator
-# accept: a 256 x 256 mesh, whose band factor (u = 258) takes about 0.3 s
-# and 137 MB.
+# Largest system check_direct_size lets through to factorize_band_spd: a
+# 256 x 256 mesh, whose band factor (u = 258) takes about 0.3 s and 137 MB.
 DIRECT_LIMIT = (256 + 1) ** 2
 
 
@@ -158,61 +157,6 @@ def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
             raise ValueError(f"dpbtrs: illegal value in argument {-info}")
         return x
     return solve
-
-
-def factorize_sparse_spd(A) -> Callable[[Vec], Vec]:
-    """Factorize the sparse SPD matrix A once; return its solve function.
-
-    Copies the lower triangle of A into lower band storage, summing
-    duplicate entries, and factorizes it with factorize_band_spd in A's
-    own row order, with no reordering.  The half-bandwidth u is the
-    largest row-minus-column offset of a stored entry.  Raises
-    SparseSolveError above DIRECT_LIMIT unknowns, before any storage is
-    allocated, and when A is not positive definite.
-
-    Symmetry of A is assumed, not checked.
-    """
-    A = sp.coo_matrix(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionError(f"matrix {A.shape} is not square")
-    check_direct_size(n)
-    offset = A.row.astype(np.intp) - A.col
-    lower = offset >= 0
-    col, offset = A.col[lower].astype(np.intp), offset[lower]
-    u = int(offset.max(initial=0))
-    # Column-major (u + 1, n) layout: entry (i, j) sits at j (u + 1) + i - j.
-    ab = np.bincount(col * (u + 1) + offset, weights=A.data[lower],
-                     minlength=n * (u + 1)).reshape(n, u + 1).T
-    return factorize_band_spd(ab)
-
-
-def solve_sparse_spd(A, f: Vec) -> Vec:
-    """Solve the sparse SPD system A u = f with factorize_sparse_spd.
-
-    The residual is checked after the solve as well; a large residual
-    signals a broken matrix and raises SparseSolveError.
-    """
-    f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    if A.shape != (n, n):
-        raise DimensionError(f"matrix {A.shape} does not match rhs of length {n}")
-    A = sp.csc_matrix(A)
-    u = factorize_sparse_spd(A)(f)
-    res = norm(A @ u - f)
-    if not np.isfinite(res) or res > 1e-10 * max(norm(f), 1e-300):
-        raise SparseSolveError(f"solve residual {res:.3e} exceeds bound; matrix likely indefinite")
-    return u
-
-
-def check_symmetric(A, rtol: float = 1e-12) -> bool:
-    """True if a (dense or sparse) matrix is symmetric to relative tolerance."""
-    if sp.issparse(A):
-        diff = abs(A - A.T)
-        scale = abs(A).max() if A.nnz else 0.0
-        return diff.max() <= rtol * max(scale, 1e-300) if diff.nnz else True
-    A = np.asarray(A, dtype=float)
-    return bool(np.allclose(A, A.T, rtol=rtol, atol=rtol * max(1.0, float(np.abs(A).max()))))
 
 
 def gaussian_vector(n: int, seed: int) -> Vec:

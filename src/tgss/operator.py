@@ -115,7 +115,3 @@ class DiagonalOperator(ForwardOperator):
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
         return np.multiply(self.d, np.asarray(w, dtype=float), out=out)
-
-
-def diagonal_operator(d: Vec) -> DiagonalOperator:
-    return DiagonalOperator(d)

@@ -188,13 +188,12 @@ class StripeRecord:
     stripe: Stripe
     u: Vec
     r_norm: float
-    k: int
     uz: float
 
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
-                 r: Vec | None = None, k: int = 0,
-                 r_norm: float | None = None, out: Vec | None = None) -> StripeRecord:
+                 r: Vec | None = None, r_norm: float | None = None,
+                 out: Vec | None = None) -> StripeRecord:
     """Residual stripe at z: direction F'(z)* w, offset and width from ||w||.
 
     The residual, and with it its norm, may be passed in to reuse the
@@ -208,7 +207,7 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
     delta = data.delta_used(cfg.delta_mode)
     uz = dot(u, z)
     xi = (delta + cfg.eta * (rn + delta)) * rn
-    return StripeRecord(Stripe(u, uz - rn * rn, xi), u, rn, k, uz)
+    return StripeRecord(Stripe(u, uz - rn * rn, xi), u, rn, uz)
 
 
 @dataclass
@@ -423,8 +422,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             x_next = np.subtract(z, step, out=x_next)
         else:
             try:
-                rec = build_stripe(op, z, data, cfg, r=r, k=k, r_norm=rn,
-                                   out=ring.slot())
+                rec = build_stripe(op, z, data, cfg, r=r, r_norm=rn, out=ring.slot())
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from tgss.cli import build_specs, main, parse_config_file
+from tgss.cli import BENCH_KEYS, build_specs, main, parse_config_file
 from tgss.solvers import SolverConfig
 
 
@@ -148,6 +148,14 @@ class TestCommands:
         assert captured.out == ""
         assert "unknown delta_mode 'bogus'" in captured.err
 
+    def test_bad_noise_scale_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "land", "--noise-scale", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown noise_scale 'bogus'" in captured.err
+
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         path.write_text("solver.tau = 1.0\n")
@@ -158,6 +166,40 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tau=1.0 must exceed" in captured.err
+
+
+class TestBenchSchema:
+    """Every BenchSpec field with a plain default is a bench key with a flag."""
+
+    # key: (flag, type, value in the file, value on the flag)
+    KEYS = {
+        "problem": ("--problem", str, "linear-diag", "invpot2d"),
+        "mesh_n": ("--mesh-n", int, "7", "8"),
+        "problem_seed": ("--problem-seed", int, "7", "8"),
+        "noise_scale": ("--noise-scale", str, "norm", "component"),
+        "out": ("--out", str, "from-file", "from-flag"),
+        "trace_dir": ("--trace", str, "from-file", "from-flag"),
+    }
+
+    def test_keys_are_the_fields_with_a_plain_default(self):
+        assert BENCH_KEYS == {key: typ for key, (_, typ, _, _) in self.KEYS.items()}
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_file_key_and_flag_reach_spec(self, key, tmp_path):
+        flag, typ, in_file, on_flag = self.KEYS[key]
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"bench.{key} = {in_file}\n")
+
+        spec = build_specs(_parser().parse_args(["--config", str(path)]))
+        assert getattr(spec, key) == typ(in_file)
+        assert type(getattr(spec, key)) is typ
+
+        spec = build_specs(_parser().parse_args([flag, on_flag]))
+        assert getattr(spec, key) == typ(on_flag)
+        assert type(getattr(spec, key)) is typ
+
+        args = _parser().parse_args(["--config", str(path), flag, on_flag])
+        assert getattr(build_specs(args), key) == typ(on_flag)
 
 
 def _parser():

@@ -12,7 +12,6 @@ from tgss.geometry import (
     StripeRing,
     StripeSide,
     classify,
-    gamma,
     project_halfspace,
     project_hyperplane,
     project_hyperplane_intersection,
@@ -168,23 +167,6 @@ class TestProjectHyperplaneIntersection:
                         for pl in planes)
             for pl in planes:
                 assert abs(dot(pl.u, p) - pl.alpha) <= 1e-10 * max(scale, 1.0)
-
-
-class TestGamma:
-    def test_orthogonal(self):
-        assert gamma(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-
-    def test_parallel(self):
-        u = np.array([1.0, 2.0])
-        assert gamma(u, 3.0 * u) == pytest.approx(0.0, abs=1e-7)
-
-    def test_forty_five_degrees(self):
-        g = gamma(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert g == pytest.approx(np.sqrt(0.5), rel=1e-12)
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(InvalidStripeError):
-            gamma(np.zeros(2), np.ones(2))
 
 
 class TestSequentialStripeProjection:

@@ -2,90 +2,37 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from reference import (
+    assert_matrix_close,
+    reference_mass,
+    reference_stiffness,
+    reference_system,
+)
 from tgss import invpot
 from tgss.invpot import (
     AdmissibilityError,
     InversePotentialOperator,
     MeshError,
-    assemble,
+    P1Pattern,
     check_admissible,
-    forward,
-    load_vector,
     make_mesh,
     quadrature_weights,
-    stiffness_matrix,
-    to_csv_rows,
     true_coefficient,
     weighted_mass,
 )
 from tgss.numkernel import (
     DIRECT_LIMIT,
     SparseSolveError,
-    check_symmetric,
     dot,
     factorize_band_spd,
     norm,
 )
 
 
-# Reference assembly: element matrices summed through a COO matrix and
-# converted to CSR, written out independently of P1Pattern.
-
-def reference_stiffness(mesh):
-    n = mesh.n_nodes
-    if mesh.dim == 1:
-        h = mesh.h
-        main = np.full(n, 2.0 / h)
-        main[0] = main[-1] = 1.0 / h
-        off = np.full(n - 1, -1.0 / h)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    p = mesh.nodes[mesh.elements]
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    K_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def reference_mass(mesh, w):
-    n = mesh.n_nodes
-    ghost = sp.diags((mesh.h ** mesh.dim - quadrature_weights(mesh)) * w)
-    if mesh.dim == 1:
-        h = mesh.h
-        wa = w[mesh.elements[:, 0]]
-        wb = w[mesh.elements[:, 1]]
-        m_aa = h * (wa / 4.0 + wb / 12.0)
-        m_ab = h * (wa + wb) / 12.0
-        m_bb = h * (wa / 12.0 + wb / 4.0)
-        loc = np.stack(
-            [np.stack([m_aa, m_ab], axis=1), np.stack([m_ab, m_bb], axis=1)], axis=1
-        )
-        k = 2
-    else:
-        wq = 0.5 * mesh.h ** 2 / 3.0
-        w_elem = w[mesh.elements]
-        loc = np.zeros((mesh.elements.shape[0], 3, 3))
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            contrib = wq * 0.5 * (w_elem[:, a] + w_elem[:, b]) * 0.25
-            for i in (a, b):
-                for j in (a, b):
-                    loc[:, i, j] += contrib
-        k = 3
-    rows = np.repeat(mesh.elements, k, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, k)).ravel()
-    base = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return (base + ghost).tocsr()
-
-
-def assert_matrix_close(actual, expected, rtol=1e-14):
-    actual, expected = actual.toarray(), expected.toarray()
-    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+def stiffness(mesh):
+    pattern = P1Pattern(mesh)
+    return pattern.csr(pattern.K_diagonal, pattern.K_lower)
 
 
 class TestMesh:
@@ -146,13 +93,13 @@ class TestTrueCoefficient:
 class TestAssembly:
     def test_1d_two_element_stiffness(self):
         mesh = make_mesh(1, 2)  # h = 1
-        K = stiffness_matrix(mesh).toarray()
+        K = stiffness(mesh).toarray()
         expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         np.testing.assert_allclose(K, expected)
 
     def test_stiffness_row_sums_zero(self):
         for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
-            K = stiffness_matrix(mesh)
+            K = stiffness(mesh)
             np.testing.assert_allclose(K @ np.ones(mesh.n_nodes), 0.0, atol=1e-12)
 
     def test_quadrature_weights_sum_to_domain_measure(self):
@@ -163,7 +110,8 @@ class TestAssembly:
         rng = np.random.Generator(np.random.PCG64(31))
         for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
             w = rng.uniform(0.5, 2.0, mesh.n_nodes)
-            assert check_symmetric(weighted_mass(mesh, w))
+            M = weighted_mass(mesh, w)
+            assert (M != M.T).nnz == 0
 
     def test_mass_weight_swap_identity(self):
         # The bilinear form is symmetric in the weight and the trial
@@ -176,30 +124,24 @@ class TestAssembly:
             rhs = weighted_mass(mesh, u) @ q
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
-    def test_constant_solution_of_assembled_system(self):
-        from tgss.numkernel import solve_sparse_spd
-
-        for mesh in (make_mesh(1, 16), make_mesh(2, 8)):
-            ones = np.ones(mesh.n_nodes)
-            sys_ = assemble(mesh, ones, ones)
-            u = solve_sparse_spd(sys_.A, sys_.load)
-            np.testing.assert_allclose(u, 1.0, atol=1e-8)
-
     def test_fixed_pattern_matches_reference_assembly(self):
         rng = np.random.Generator(np.random.PCG64(35))
         for mesh in (make_mesh(1, 16), make_mesh(2, 6)):
             n = mesh.n_nodes
+            pattern = P1Pattern(mesh)
             K_ref = reference_stiffness(mesh)
-            assert_matrix_close(stiffness_matrix(mesh), K_ref)
+            assert_matrix_close(pattern.csr(pattern.K_diagonal, pattern.K_lower), K_ref)
             for _ in range(5):
                 w = rng.standard_normal(n)            # negative entries too
                 assert_matrix_close(weighted_mass(mesh, w), reference_mass(mesh, w))
                 c = rng.uniform(-0.4, 2.0, n)
                 f = rng.uniform(0.5, 1.5, n)
-                sys_ = assemble(mesh, c, f)
-                assert_matrix_close(sys_.A, K_ref + reference_mass(mesh, c))
+                diagonal, lower = pattern.mass_data(c)
+                A = pattern.csr(pattern.K_diagonal + diagonal, pattern.K_lower + lower)
+                assert_matrix_close(A, K_ref + reference_mass(mesh, c))
                 np.testing.assert_allclose(
-                    sys_.load, reference_mass(mesh, f) @ np.ones(n), rtol=1e-14
+                    InversePotentialOperator(mesh, f=f).load,
+                    reference_mass(mesh, f) @ np.ones(n), rtol=1e-14,
                 )
 
     def test_mass_row_sums_full_cell_weight(self):
@@ -216,7 +158,7 @@ class TestAssembly:
         mesh = make_mesh(1, 8)
         f = np.linspace(0.5, 1.5, mesh.n_nodes)
         np.testing.assert_allclose(
-            load_vector(mesh, f),
+            P1Pattern(mesh).load(f),
             weighted_mass(mesh, f) @ np.ones(mesh.n_nodes),
         )
 
@@ -227,7 +169,7 @@ class TestAssembly:
         with pytest.raises(AdmissibilityError):
             check_admissible(np.array([np.nan] * mesh.n_nodes))
         with pytest.raises(AdmissibilityError):
-            assemble(mesh, np.full(mesh.n_nodes, -1.0), np.ones(mesh.n_nodes))
+            InversePotentialOperator(mesh).apply(np.full(mesh.n_nodes, -1.0))
         # mild undershoot below zero is tolerated
         check_admissible(np.full(mesh.n_nodes, -1e-3))
 
@@ -235,19 +177,19 @@ class TestAssembly:
 class TestForwardMap:
     def test_constant_solution_1d(self):
         mesh = make_mesh(1, 32)
-        u = forward(mesh, np.ones(mesh.n_nodes), 1.0)
+        u = InversePotentialOperator(mesh, 1.0).apply(np.ones(mesh.n_nodes))
         assert np.abs(u - 1.0).max() <= 1e-8
 
     def test_constant_solution_2d(self):
         mesh = make_mesh(2, 8)
-        u = forward(mesh, np.ones(mesh.n_nodes), 1.0)
+        u = InversePotentialOperator(mesh, 1.0).apply(np.ones(mesh.n_nodes))
         assert np.abs(u - 1.0).max() <= 1e-8
 
     def test_linearity_in_source(self):
         mesh = make_mesh(1, 16)
         c = 1.0 + true_coefficient(mesh)
-        u1 = forward(mesh, c, 1.0)
-        u2 = forward(mesh, c, 2.0)
+        u1 = InversePotentialOperator(mesh, 1.0).apply(c)
+        u2 = InversePotentialOperator(mesh, 2.0).apply(c)
         np.testing.assert_allclose(u2, 2.0 * u1, rtol=1e-10)
 
     def test_mesh_refinement_consistency(self):
@@ -257,8 +199,8 @@ class TestForwardMap:
         for n in (8, 16, 32):
             mesh_c = make_mesh(1, n)
             mesh_f = make_mesh(1, 2 * n)
-            u_c = forward(mesh_c, true_coefficient(mesh_c), 1.0)
-            u_f = forward(mesh_f, true_coefficient(mesh_f), 1.0)
+            u_c = InversePotentialOperator(mesh_c, 1.0).apply(true_coefficient(mesh_c))
+            u_f = InversePotentialOperator(mesh_f, 1.0).apply(true_coefficient(mesh_f))
             diffs.append(np.abs(u_c - u_f[::2]).max())
         assert diffs[0] > diffs[1] > diffs[2]
 
@@ -277,7 +219,7 @@ class TestOperatorContract:
         eps = 1e-2
         # The adjoint transports a nodal residual back through the solve;
         # against the constant load of eps the result is -eps at all nodes.
-        w = load_vector(mesh, np.full(mesh.n_nodes, eps))
+        w = P1Pattern(mesh).load(np.full(mesh.n_nodes, eps))
         aw = op.adjoint_apply(np.ones(mesh.n_nodes), w)
         np.testing.assert_allclose(aw, -eps * mesh.h, atol=1e-8)
 
@@ -357,7 +299,7 @@ class TestOperatorContract:
         for mesh in (make_mesh(1, 16), make_mesh(2, 8)):
             c = np.full(mesh.n_nodes, invpot.ADMISSIBILITY_FLOOR)
             check_admissible(c)
-            assert np.linalg.eigvalsh(assemble(mesh, c, c).A.toarray()).min() < 0.0
+            assert np.linalg.eigvalsh(reference_system(mesh, c, c)[0]).min() < 0.0
             op = InversePotentialOperator(mesh)
             with pytest.raises(SparseSolveError):
                 op.apply(c)
@@ -374,8 +316,7 @@ class TestOperatorContract:
         op = InversePotentialOperator(mesh, f=f)
         for _ in range(3):
             c = rng.uniform(-0.3, 1.5, n)
-            sys_ = assemble(mesh, c, f)
-            expected = np.linalg.solve(sys_.A.toarray(), sys_.load)
+            expected = np.linalg.solve(*reference_system(mesh, c, f))
             assert norm(op.apply(c) - expected) <= 1e-12 * norm(expected)
 
     def test_rejects_mesh_past_direct_limit(self):
@@ -384,10 +325,3 @@ class TestOperatorContract:
         with pytest.raises(SparseSolveError, match="DIRECT_LIMIT"):
             InversePotentialOperator(mesh)
 
-    def test_csv_rows(self):
-        mesh1 = make_mesh(1, 4)
-        rows1 = to_csv_rows(mesh1, np.arange(5.0))
-        assert rows1[0] == (-1.0, 0.0)
-        mesh2 = make_mesh(2, 2)
-        rows2 = to_csv_rows(mesh2, np.arange(9.0))
-        assert rows2[0] == (-1.0, -1.0, 0.0)

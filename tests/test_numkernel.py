@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tgss.numkernel import (
     DENSE_CAP,
@@ -10,15 +9,13 @@ from tgss.numkernel import (
     DimensionError,
     SingularSystemError,
     SparseSolveError,
-    check_symmetric,
+    check_direct_size,
     dot,
     factorize_band_spd,
-    factorize_sparse_spd,
     gaussian_vector,
     norm,
     solve_spd_dense,
     solve_spd_scalar,
-    solve_sparse_spd,
 )
 
 
@@ -148,114 +145,6 @@ class TestSolveSpdScalar:
         assert str(scalar.value) == str(dense.value)
 
 
-class TestSolveSparseSpd:
-    def test_identity(self):
-        f = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(solve_sparse_spd(sp.eye(3, format="csr"), f), f)
-
-    def test_fem_constant_solution(self):
-        # Reaction-diffusion system with unit coefficient and unit load has
-        # the constant solution: every node of A u = M 1 with A = K + M
-        # and zero-row-sum K returns exactly one.
-        from tgss.invpot import assemble, make_mesh
-
-        mesh = make_mesh(1, 32)
-        sys_ = assemble(mesh, np.ones(mesh.n_nodes), np.ones(mesh.n_nodes))
-        u = solve_sparse_spd(sys_.A, sys_.load)
-        np.testing.assert_allclose(u, 1.0, atol=1e-8)
-
-    def test_random_tridiagonal_residual(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        for _ in range(100):
-            n = int(rng.integers(3, 40))
-            off = rng.uniform(-1.0, 1.0, n - 1)
-            main = np.abs(rng.standard_normal(n)) + 2.5  # diagonally dominant
-            A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-            f = rng.standard_normal(n)
-            u = solve_sparse_spd(A, f)
-            assert norm(A @ u - f) <= 1e-10 * norm(f)
-
-    def test_rejects_singular(self):
-        A = sp.csr_matrix(np.zeros((2, 2)))
-        with pytest.raises((SparseSolveError, RuntimeError)):
-            solve_sparse_spd(A, np.ones(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            solve_sparse_spd(sp.eye(3, format="csr"), np.ones(2))
-
-
-def fe_system(mesh_n):
-    # 2-D A(c) = K + M(c) with c partly below zero, still positive definite.
-    from tgss.invpot import assemble, make_mesh
-
-    mesh = make_mesh(2, mesh_n)
-    rng = np.random.Generator(np.random.PCG64(mesh_n))
-    c = rng.uniform(-0.3, 1.0, mesh.n_nodes)
-    return assemble(mesh, c, np.ones(mesh.n_nodes)).A.tocsc()
-
-
-def duplicated_entry():
-    # Tridiagonal [-1, 3, -1] with A[1, 1] stored as two entries 1 + 2.
-    indptr = np.array([0, 2, 6, 8])
-    indices = np.array([0, 1, 0, 1, 1, 2, 1, 2])
-    data = np.array([3.0, -1.0, -1.0, 1.0, 2.0, -1.0, -1.0, 3.0])
-    return sp.csc_matrix((data, indices, indptr), shape=(3, 3))
-
-
-def arrowhead(n=12):
-    # Full last row and column: half-bandwidth n - 1.
-    A = np.diag(np.full(n, n + 1.0))
-    A[:-1, -1] = A[-1, :-1] = 1.0
-    return sp.csc_matrix(A)
-
-
-class TestFactorizeSparseSpd:
-    @pytest.mark.parametrize("make", [
-        lambda: fe_system(8), lambda: fe_system(16), duplicated_entry, arrowhead,
-    ], ids=["fe2d-8", "fe2d-16", "duplicated-entry", "arrowhead"])
-    def test_matches_dense_solve(self, make):
-        A = make()
-        f = np.linspace(-1.0, 2.0, A.shape[0])
-        expected = np.linalg.solve(A.toarray(), f)
-        u = factorize_sparse_spd(A)(f)
-        assert norm(u - expected) <= 1e-12 * norm(expected)
-
-    def test_reused_solve(self):
-        A = sp.diags([-1.0, 3.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csc")
-        solve = factorize_sparse_spd(A)
-        for f in np.eye(6):
-            np.testing.assert_allclose(A @ solve(f), f, atol=1e-14)
-
-    def test_rejects_indefinite(self):
-        # eigenvalues 0.5 - sqrt(2), 0.5, 0.5 + sqrt(2)
-        A = sp.diags([1.0, 0.5, 1.0], [-1, 0, 1], shape=(3, 3), format="csc")
-        with pytest.raises(SparseSolveError, match="not positive definite"):
-            factorize_sparse_spd(A)
-
-    def test_rejects_zero_diagonal(self):
-        # Row pivoting would give U = I with positive pivots; the swap
-        # itself shows the matrix is not positive definite.
-        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(SparseSolveError, match="not positive definite"):
-            factorize_sparse_spd(A)
-
-    def test_wraps_singular_factor(self):
-        with pytest.raises(SparseSolveError, match="factorization failed"):
-            factorize_sparse_spd(sp.csc_matrix((2, 2)))
-
-    def test_rejects_size_above_direct_limit(self):
-        n = DIRECT_LIMIT + 1
-        A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
-        with pytest.raises(SparseSolveError, match=f"{n} unknowns exceed .* {DIRECT_LIMIT}"):
-            factorize_sparse_spd(A)
-
-    def test_band_solve_rejects_wrong_length(self):
-        solve = factorize_sparse_spd(sp.eye(4, format="csc"))
-        with pytest.raises(DimensionError):
-            solve(np.ones(3))
-
-
 def lower_band(A, u):
     # LAPACK lower band storage ab[i - j, j] = A[i, j], column-major.
     n = A.shape[0]
@@ -263,6 +152,70 @@ def lower_band(A, u):
     for d in range(u + 1):
         ab[d, :n - d] = np.diagonal(A, -d)
     return ab
+
+
+def half_bandwidth(A):
+    i, j = np.nonzero(np.tril(A))
+    return int((i - j).max(initial=0))
+
+
+def factorize(A):
+    return factorize_band_spd(lower_band(A, half_bandwidth(A)))
+
+
+def tridiagonal(n, off, main):
+    return main * np.eye(n) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def arrowhead(n=12):
+    # Full last row and column: half-bandwidth n - 1.
+    A = np.diag(np.full(n, n + 1.0))
+    A[:-1, -1] = A[-1, :-1] = 1.0
+    return A
+
+
+class TestFactorizeSparseSpd:
+    """The one sparse SPD factorization, factorize_band_spd, and its size check."""
+
+    @pytest.mark.parametrize("make", [arrowhead], ids=["arrowhead"])
+    def test_matches_dense_solve(self, make):
+        A = make()
+        f = np.linspace(-1.0, 2.0, A.shape[0])
+        expected = np.linalg.solve(A, f)
+        u = factorize(A)(f)
+        assert norm(u - expected) <= 1e-12 * norm(expected)
+
+    def test_reused_solve(self):
+        A = tridiagonal(6, -1.0, 3.0)
+        solve = factorize(A)
+        for f in np.eye(6):
+            np.testing.assert_allclose(A @ solve(f), f, atol=1e-14)
+
+    def test_rejects_indefinite(self):
+        # eigenvalues 0.5 - sqrt(2), 0.5, 0.5 + sqrt(2)
+        with pytest.raises(SparseSolveError, match="not positive definite"):
+            factorize(tridiagonal(3, 1.0, 0.5))
+
+    def test_rejects_zero_diagonal(self):
+        # Row pivoting would give U = I with positive pivots; Cholesky in
+        # the matrix's own order stops at the zero first pivot.
+        with pytest.raises(SparseSolveError, match="not positive definite"):
+            factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_wraps_singular_factor(self):
+        with pytest.raises(SparseSolveError, match="factorization failed"):
+            factorize(np.zeros((2, 2)))
+
+    def test_rejects_size_above_direct_limit(self):
+        check_direct_size(DIRECT_LIMIT)
+        n = DIRECT_LIMIT + 1
+        with pytest.raises(SparseSolveError, match=f"{n} unknowns exceed .* {DIRECT_LIMIT}"):
+            check_direct_size(n)
+
+    def test_band_solve_rejects_wrong_length(self):
+        solve = factorize(np.eye(4))
+        with pytest.raises(DimensionError):
+            solve(np.ones(3))
 
 
 class TestFactorizeBandSpd:
@@ -278,17 +231,6 @@ class TestFactorizeBandSpd:
         f = np.linspace(-1.0, 2.0, n)
         expected = np.linalg.solve(A, f)
         assert norm(solve(f) - expected) <= 1e-12 * norm(expected)
-
-
-class TestCheckSymmetric:
-    def test_dense(self):
-        assert check_symmetric(np.array([[1.0, 2.0], [2.0, 3.0]]))
-        assert not check_symmetric(np.array([[1.0, 2.0], [0.0, 3.0]]))
-
-    def test_sparse(self):
-        assert check_symmetric(sp.eye(4, format="csr"))
-        A = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert not check_symmetric(A)
 
 
 class TestGaussianVector:

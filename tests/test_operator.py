@@ -8,7 +8,6 @@ from tgss.operator import (
     DiagonalOperator,
     InvalidOperatorError,
     add_noise,
-    diagonal_operator,
 )
 
 
@@ -47,22 +46,22 @@ class TestAddNoise:
 
 class TestDiagonalOperator:
     def test_identity_diagonal(self):
-        op = diagonal_operator(np.array([1.0, 1.0]))
+        op = DiagonalOperator(np.array([1.0, 1.0]))
         np.testing.assert_allclose(op.apply(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_general_diagonal(self):
-        op = diagonal_operator(np.array([2.0, -3.0]))
+        op = DiagonalOperator(np.array([2.0, -3.0]))
         np.testing.assert_allclose(op.apply(np.array([1.0, 1.0])), [2.0, -3.0])
         assert op.c_F == 3.0
         assert op.eta == 0.0
 
     def test_zero_entry_rejected(self):
         with pytest.raises(InvalidOperatorError):
-            diagonal_operator(np.array([1.0, 0.0]))
+            DiagonalOperator(np.array([1.0, 0.0]))
 
     def test_adjoint_consistency(self):
         rng = np.random.Generator(np.random.PCG64(21))
-        op = diagonal_operator(rng.uniform(0.5, 2.0, 8))
+        op = DiagonalOperator(rng.uniform(0.5, 2.0, 8))
         for _ in range(100):
             c, q, w = rng.standard_normal((3, 8))
             lhs = dot(op.derivative_apply(c, q), w)
@@ -71,7 +70,7 @@ class TestDiagonalOperator:
 
     def test_linear_taylor_remainder_is_roundoff(self):
         rng = np.random.Generator(np.random.PCG64(22))
-        op = diagonal_operator(rng.uniform(0.5, 2.0, 6))
+        op = DiagonalOperator(rng.uniform(0.5, 2.0, 6))
         c, q = rng.standard_normal((2, 6))
         for h in (1e-1, 1e-2, 1e-3, 1e-4):
             rem = norm(op.apply(c + h * q) - op.apply(c) - h * op.derivative_apply(c, q))
