@@ -22,6 +22,15 @@ CSV_HEADER = "method,delta,seed,k_star,wall_time_s,re_final,rate_k,rate_t,stoppe
 
 PROBLEMS = ("invpot1d", "invpot2d", "linear-diag")
 
+# (mesh_n, max_iters) of a spec that leaves them unset: 257 nodes in 1-D,
+# a 64 x 64 mesh in 2-D, whose runs stop at fewer iterations, and 64
+# unknowns for the diagonal operator.
+PROBLEM_DEFAULTS = {
+    "invpot1d": (256, SolverConfig.max_iters),
+    "invpot2d": (64, 20000),
+    "linear-diag": (64, SolverConfig.max_iters),
+}
+
 
 class MetricError(ValueError):
     pass
@@ -30,7 +39,7 @@ class MetricError(ValueError):
 @dataclass
 class BenchSpec:
     problem: str = "invpot1d"
-    mesh_n: int = 256
+    mesh_n: int | None = None       # None: the problem's default
     noise_levels: list[float] = field(default_factory=lambda: [1e-3])
     seeds: list[int] = field(default_factory=lambda: [0])
     methods: list[str] = field(default_factory=lambda: list(METHODS))
@@ -44,6 +53,13 @@ class BenchSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise MetricError(f"unknown problem {self.problem!r}")
+        mesh_n, max_iters = PROBLEM_DEFAULTS[self.problem]
+        if self.mesh_n is None:
+            self.mesh_n = mesh_n
+        smallest = 1 if self.problem == "linear-diag" else 2
+        if self.mesh_n < smallest:
+            raise MetricError(f"{self.problem} needs mesh_n >= {smallest}, got {self.mesh_n}")
+        self.config = {"max_iters": max_iters, **self.config}
         if self.noise_scale not in ("component", "norm"):
             raise MetricError(f"unknown noise_scale {self.noise_scale!r}")
         for method in self.methods:

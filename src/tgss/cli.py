@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 
 import numpy as np
 
@@ -22,9 +23,15 @@ from .solvers import METHOD_TABLE, SolverConfig
 
 SOLVER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
-# A default of None marks an optional path.
+
+def _value_type(hint):
+    """The type a value converts to: int for an `int | None` field."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+_BENCH_HINTS = typing.get_type_hints(bench.BenchSpec)
 BENCH_KEYS = {
-    f.name: str if f.default is None else type(f.default)
+    f.name: _value_type(_BENCH_HINTS[f.name])
     for f in dataclasses.fields(bench.BenchSpec) if f.default is not dataclasses.MISSING
 }
 
@@ -73,11 +80,6 @@ def build_specs(args) -> bench.BenchSpec:
         value = getattr(args, f.name, None)
         if value is not None:
             bench_overrides[f.name] = value
-
-    problem = bench_overrides.setdefault("problem", bench.BenchSpec.problem)
-    bench_overrides.setdefault("mesh_n", 256 if problem == "invpot1d" else 64)
-    if problem == "invpot2d":
-        solver_overrides.setdefault("max_iters", 20000)
     return bench.BenchSpec(config=solver_overrides, **bench_overrides)
 
 

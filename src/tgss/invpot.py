@@ -20,8 +20,10 @@ g_i = M(1)_ii - sum_j beta_ij, for any nodal w
     M(w)_ii = g_i w_i + sum_j beta_ij w_j,
 
 because an off-diagonal element entry weighs only the edge's two end
-nodes.  The element scatter therefore runs once per mesh (P1Pattern);
-every later M(w) costs a few passes over the edge list.
+nodes.  The element scatter therefore runs once per mesh (P1Pattern).
+In the lexicographic node numbering every edge joins a node p to p + d
+for one of a few fixed offsets d, so beta lives on a few diagonals and
+every later M(w) costs a few contiguous slice products per offset.
 """
 
 from __future__ import annotations
@@ -160,17 +162,26 @@ def local_mass_tensor(mesh: Mesh) -> np.ndarray:
 
 
 class P1Pattern:
-    """Edge form of the piecewise linear matrices on one mesh.
+    """Offset form of the piecewise linear matrices on one mesh.
 
-    Built once per mesh by one element scatter: the stiffness K and the
-    unit mass M(1) on the P1 sparsity pattern, split into their diagonals
-    and their values on the strict-lower edge list (rows > cols, np.intc),
-    together with the edge-form coefficients beta and g of the module
-    docstring.  A symmetric matrix on the mesh is then a pair (diagonal,
-    lower) of a length-n and a per-edge array; mass_data(w) computes that
-    pair for M(w) and matvec applies it.  Both run over the directed
-    edges: heads = (rows, cols) and tails = (cols, rows) list every edge
-    once in each orientation, lower edges first.
+    Every mesh edge joins nodes whose numbers differ by one of a few
+    offsets, {1} in 1-D and {1, N + 1, N + 2} in 2-D, read off the edge
+    list.  A symmetric matrix on the mesh is then a pair (diagonal,
+    lower): its diagonal, length n, and its strict-lower diagonals as an
+    (n_offsets, n) array with lower[r, p] = A[p + d, p] for offset
+    d = offsets[r], zero where node p has no edge at that offset (past
+    the end of a grid row, or p >= n - d).  Row r is row d of LAPACK
+    lower band storage.
+
+    One element scatter per mesh gives the stiffness K and the unit mass
+    M(1) in that form, and the edge-form coefficients beta and g of the
+    module docstring.  mass_data(w) computes the pair for M(w) and
+    matvec applies a pair, both with contiguous slice products per
+    offset.  A row sums its off-diagonal terms from zero in a fixed
+    order, the lower neighbours by decreasing offset and then the upper
+    ones by increasing offset (the order of the row-major edge list),
+    before the diagonal term is added; the off-diagonal of M(w) is
+    beta[r, p] w[p] + beta[r, p] w[p + d].
     """
 
     def __init__(self, mesh: Mesh):
@@ -189,35 +200,52 @@ class P1Pattern:
         M1 = scatter(np.broadcast_to(unit_local, (mesh.elements.shape[0], k, k)))
         M1[diagonal] += mesh.h ** mesh.dim - quadrature_weights(mesh)
         self.n = n
-        self.n_edges = E = int(lower.sum())
-        self.heads = np.concatenate([row[lower], col[lower]]).astype(np.intc)
-        self.tails = np.concatenate([self.heads[E:], self.heads[:E]])
-        self.rows, self.cols = self.heads[:E], self.tails[:E]
-        self.K_diagonal, self.K_lower = K[diagonal], K[lower]
-        beta = 0.5 * M1[lower]
-        self._beta2 = np.concatenate([beta, beta])
-        self.g = M1[diagonal] - np.bincount(self.heads, weights=self._beta2, minlength=n)
+        offset = row[lower] - col[lower]
+        self.offsets = np.unique(offset)
+        self._spans = [(r, int(d), n - int(d)) for r, d in enumerate(self.offsets)]
+        where = np.searchsorted(self.offsets, offset), col[lower]
+        self.K_diagonal, self.K_lower = K[diagonal], np.zeros((self.offsets.size, n))
+        self.K_lower[where] = K[lower]
+        self.beta = np.zeros((self.offsets.size, n))
+        self.beta[where] = 0.5 * M1[lower]
+        self.g = M1[diagonal] - self.matvec(np.zeros(n), self.beta, np.ones(n))
 
     def mass_data(self, w: Vec) -> tuple[Vec, Vec]:
-        """(diagonal, lower) of weighted_mass(mesh, w), in edge form."""
-        E = self.n_edges
-        # beta_ij w_j on every directed edge (i, j), i = head, j = tail.
-        weighted = self._beta2 * w.take(self.tails)
-        diagonal = self.g * w + np.bincount(self.heads, weights=weighted, minlength=self.n)
-        return diagonal, weighted[:E] + weighted[E:]
+        """(diagonal, lower) of weighted_mass(mesh, w)."""
+        lower = self.beta * w                 # beta[r, p] w[p], towards row p + d
+        ahead = np.zeros_like(lower)          # beta[r, p] w[p + d], towards row p
+        diagonal = np.zeros(self.n)
+        for r, d, m in reversed(self._spans):
+            diagonal[d:] += lower[r, :m]
+        for r, d, m in self._spans:
+            np.multiply(self.beta[r, :m], w[d:], out=ahead[r, :m])
+            diagonal[:m] += ahead[r, :m]
+        diagonal += self.g * w
+        lower += ahead
+        return diagonal, lower
 
-    def matvec(self, diagonal: Vec, lower: Vec, x: Vec) -> Vec:
-        """Product of the symmetric matrix (diagonal, lower) with x."""
-        off = np.concatenate([lower, lower]) * x.take(self.tails)
-        return diagonal * x + np.bincount(self.heads, weights=off, minlength=self.n)
+    def matvec(self, diagonal: Vec, lower: Vec, x: Vec, out: Vec | None = None) -> Vec:
+        """Product of the symmetric matrix (diagonal, lower) with x.
+
+        Written into out when given, which must not share memory with x.
+        """
+        out = np.empty(self.n) if out is None else out
+        out.fill(0.0)
+        product = np.empty(self.n)
+        for r, d, m in reversed(self._spans):
+            out[d:] += np.multiply(lower[r, :m], x[:m], out=product[:m])
+        for r, d, m in self._spans:
+            out[:m] += np.multiply(lower[r, :m], x[d:], out=product[:m])
+        out += np.multiply(diagonal, x, out=product)
+        return out
 
     def csr(self, diagonal: Vec, lower: Vec) -> sp.csr_matrix:
         """The symmetric matrix (diagonal, lower) as a scipy CSR matrix."""
-        nodes = np.arange(self.n)
-        rows = np.concatenate([nodes, self.rows, self.cols])
-        cols = np.concatenate([nodes, self.cols, self.rows])
-        data = np.concatenate([diagonal, lower, lower])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        spans = self._spans
+        bands = [lower[r, :m] for r, _, m in spans]
+        offsets = [d for _, d, _ in spans]
+        return sp.diags([diagonal, *bands, *bands], [0, *(-d for d in offsets), *offsets],
+                        shape=(self.n, self.n), format="csr")
 
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
@@ -241,9 +269,10 @@ def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
 
     The entries come from the edge form of the module docstring,
     M(w)_ij = beta_ij (w_i + w_j) off the diagonal and
-    M(w)_ii = g_i w_i + sum_j beta_ij w_j, with beta and g computed by
-    the mesh's P1Pattern.  The pattern is built on every call; repeated
-    assembly on one mesh should keep a P1Pattern and call its mass_data.
+    M(w)_ii = g_i w_i + sum_j beta_ij w_j, with beta stored per offset
+    and g computed by the mesh's P1Pattern.  The pattern is built on
+    every call; repeated assembly on one mesh should keep a P1Pattern
+    and call its mass_data.
     """
     pattern = P1Pattern(mesh)
     return pattern.csr(*pattern.mass_data(np.asarray(w, dtype=float)))
@@ -264,12 +293,14 @@ class InversePotentialOperator(ForwardOperator):
 
     derivative_apply and adjoint_apply share the factorization of A(c)
     and the solution-weighted mass M(u), so they are exactly mutually
-    adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern,
-    the band storage of A(c) and the positions of A's entries in it are
-    built once; each new coefficient costs two edge-form masses, A(c)
-    written into the band storage and one in-place factorization, so one
-    factor is alive at a time.  Meshes past numkernel.DIRECT_LIMIT nodes
-    raise SparseSolveError here, before anything is built.
+    adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern
+    and the band storage of A(c) are built once; each new coefficient
+    costs two masses in offset form, A(c) written into the band storage
+    one offset row at a time and one in-place factorization, so one
+    factor is alive at a time.  With out given, adjoint_apply allocates
+    only the solve's result and one vector of slice products.  Meshes
+    past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
+    before anything is built.
     """
 
     def __init__(self, mesh: Mesh, f=1.0, eta: float = 0.1, c_F: float = 0.1):
@@ -289,14 +320,12 @@ class InversePotentialOperator(ForwardOperator):
         self.c_F = c_F
         self._pattern = pattern = P1Pattern(mesh)
         self.load = pattern.load(self.f_nodal)
-        # A(c) in LAPACK lower band storage, a (u + 1, n) column-major array
-        # whose flat position j (u + 1) + i - j holds entry (i, j), i >= j.
-        # The storage is reused for every new c, and factorized in place.
-        offset = pattern.rows - pattern.cols
-        width = int(offset.max(initial=0)) + 1
-        self._band_flat = np.zeros(self.n * width)
-        self._band = self._band_flat.reshape(self.n, width).T
-        self._band_lower = pattern.cols.astype(np.intp) * width + offset
+        # A(c) in LAPACK lower band storage: a (u + 1, n) Fortran-order array
+        # with ab[d, j] = A[j + d, j], so band row d takes the pattern's
+        # offset-d row.  The storage is reused for every new c and
+        # factorized in place.
+        width = int(pattern.offsets.max(initial=0)) + 1
+        self._band = np.zeros((width, self.n), order="F")
         self._cache_key = None
         self._cache = None
 
@@ -311,10 +340,12 @@ class InversePotentialOperator(ForwardOperator):
         self._cache_key = self._cache = None
         pattern = self._pattern
         diagonal, lower = pattern.mass_data(c)
-        self._band_flat.fill(0.0)
-        np.add(pattern.K_diagonal, diagonal, out=self._band[0])
-        self._band_flat[self._band_lower] = pattern.K_lower + lower
-        solve = factorize_band_spd(self._band)
+        band = self._band
+        band.fill(0.0)
+        np.add(pattern.K_diagonal, diagonal, out=band[0])
+        for r, d in enumerate(pattern.offsets):
+            np.add(pattern.K_lower[r], lower[r], out=band[d])
+        solve = factorize_band_spd(band)
         u = solve(self.load)
         if not np.all(np.isfinite(u)):
             raise AdmissibilityError("state solve produced non-finite values")
@@ -335,5 +366,5 @@ class InversePotentialOperator(ForwardOperator):
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
         solve, _, M_u = self._setup(c)
-        return np.negative(self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float))),
-                           out=out)
+        out = self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float)), out=out)
+        return np.negative(out, out=out)

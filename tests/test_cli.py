@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from tgss.bench import BenchSpec, solver_config
 from tgss.cli import BENCH_KEYS, build_specs, main, parse_config_file
 from tgss.solvers import SolverConfig
 
@@ -200,6 +201,40 @@ class TestBenchSchema:
 
         args = _parser().parse_args(["--config", str(path), flag, on_flag])
         assert getattr(build_specs(args), key) == typ(on_flag)
+
+
+class TestProblemDefaults:
+    """A spec that leaves mesh_n and max_iters unset gets the problem's defaults,
+    the same from BenchSpec and from the command line."""
+
+    EXPECTED = {
+        "invpot1d": (256, 50000),
+        "invpot2d": (64, 20000),
+        "linear-diag": (64, 50000),
+    }
+
+    @pytest.mark.parametrize("problem", EXPECTED)
+    def test_library_and_command_line_agree(self, problem):
+        library = BenchSpec(problem=problem)
+        command_line = build_specs(_parser().parse_args(["--problem", problem]))
+        for spec in (library, command_line):
+            assert (spec.mesh_n, solver_config(spec).max_iters) == self.EXPECTED[problem]
+
+    @pytest.mark.parametrize("problem, mesh_n", [("invpot1d", 1), ("invpot2d", 1),
+                                                 ("linear-diag", 0)])
+    def test_too_small_mesh_is_usage_error(self, problem, mesh_n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", problem, "--mesh-n", str(mesh_n), "--method", "land"])
+        assert exc.value.code == 2
+        assert "needs mesh_n >= " in capsys.readouterr().err
+
+    def test_explicit_values_win(self):
+        spec = BenchSpec(problem="invpot2d", mesh_n=8, config={"max_iters": 5})
+        assert (spec.mesh_n, solver_config(spec).max_iters) == (8, 5)
+        args = _parser().parse_args(["--problem", "invpot2d", "--mesh-n", "8",
+                                     "--max-iters", "5"])
+        spec = build_specs(args)
+        assert (spec.mesh_n, solver_config(spec).max_iters) == (8, 5)
 
 
 def _parser():

@@ -1,5 +1,7 @@
 """Unit tests for the elliptic coefficient-identification benchmark."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,18 @@ class TestAssembly:
                     InversePotentialOperator(mesh, f=f).load,
                     reference_mass(mesh, f) @ np.ones(n), rtol=1e-14,
                 )
+
+    def test_pattern_offsets(self):
+        # Every P1 matrix lives on the lower diagonals {1} in 1-D and
+        # {1, N + 1, N + 2} in 2-D, stored as rows of length n that are
+        # zero past the end of the matrix and across grid-row ends.
+        for mesh, offsets in ((make_mesh(1, 8), [1]), (make_mesh(2, 5), [1, 6, 7])):
+            pattern = P1Pattern(mesh)
+            assert pattern.offsets.tolist() == offsets
+            assert pattern.K_lower.shape == pattern.beta.shape == (len(offsets), mesh.n_nodes)
+            for r, d in enumerate(offsets):
+                assert not pattern.beta[r, mesh.n_nodes - d:].any()
+        assert not pattern.beta[0, 5::6].any()       # offset 1 from x = N
 
     def test_mass_row_sums_full_cell_weight(self):
         # The diagonal correction tops every node up to the full cell
@@ -292,6 +306,26 @@ class TestOperatorContract:
             op.adjoint_apply(c + 0.1, w)
             op.apply(c + 0.1)
             assert len(calls) == 2
+
+    def test_adjoint_apply_into_out_allocates_little(self):
+        # Warm, adjoint_apply allocates the solve's result and one vector
+        # of slice products, never a temporary per directed edge.
+        mesh = make_mesh(2, 128)
+        n = mesh.n_nodes
+        rng = np.random.Generator(np.random.PCG64(38))
+        op = InversePotentialOperator(mesh)
+        c = 1.0 + 0.1 * rng.standard_normal(n)
+        w = rng.standard_normal(n)
+        out = np.empty(n)
+        op.adjoint_apply(c, w, out=out)
+        tracemalloc.start()
+        try:
+            result = op.adjoint_apply(c, w, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is out
+        assert peak <= 4 * n * out.itemsize
 
     def test_indefinite_system_raises(self):
         # c == floor passes the admissibility check, but A(c) is then
