@@ -16,12 +16,25 @@ together with their Gram matrix: a new stripe adds only its own Gram row,
 so a projection step takes m inner products for that row and m - 1 for
 the older directions' <u_i, z>, the newest one's being known from the
 stripe's construction.
+
+The checks on a ring's stripes run where their inputs are at hand.  A
+Stripe(u, alpha, xi) rejects a zero u at once.  A direction a run
+builds in the ring's own storage is pushed as its raw u, offset and
+half-width, not as a Stripe, and StripeRing.push finds it zero from
+G_00 = ||u||^2, which it computes anyway, not by a pass of its own over
+u; a direction whose squared norm underflows to zero counts as zero.
+The Gram matrix is symmetric by construction, one inner product per
+pair, so its blocks go to numkernel.solve_spd_symmetric, which tests
+them finite but not symmetric; its Cholesky pivots reject dependent
+directions.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -34,6 +47,7 @@ from .numkernel import (
     norm,
     solve_spd_dense,
     solve_spd_scalar,
+    solve_spd_symmetric,
 )
 
 
@@ -161,6 +175,17 @@ def project_hyperplane_intersection(x: Vec, planes: list[Hyperplane]) -> tuple[V
     return np.asarray(x, dtype=float) - t @ U, t
 
 
+class StripeData(Protocol):
+    """What StripeRing.push reads from a stripe."""
+
+    u: Vec
+    alpha: float
+    xi: float
+
+
+_ZERO_DIRECTION = "stripe direction must be nonzero (||u||^2 = 0)"
+
+
 class StripeRing:
     """The last `capacity` stripes of a run, newest first, with their Gram matrix.
 
@@ -170,16 +195,18 @@ class StripeRing:
     `slot()`, which on a full ring is the oldest stripe's row, and `push`
     then makes it the newest stripe: the oldest leaves a full ring, the
     Gram matrix shifts by one and only the new row is computed, len(ring)
-    inner products of length n.
+    inner products of length n.  Both triangles of that row get the same
+    inner product, so the Gram matrix is exactly symmetric.
     """
 
     def __init__(self, capacity: int, shape: tuple[int, ...]):
         self.directions = np.empty((capacity,) + tuple(shape))
-        self._views = list(self.directions)
+        # Rows that hold no stripe, the next one handed out last.
+        self._free: list[Vec] = list(self.directions)[::-1]
         self.alpha = np.empty(capacity)
         self.xi = np.empty(capacity)
         self.gram = np.empty((capacity, capacity))
-        self._rows: list[int] = []  # row of each stripe's direction, newest first
+        self._rows: list[Vec] = []  # each stripe's row of `directions`, newest first
 
     @classmethod
     def of(cls, stripes: list[Stripe]) -> StripeRing:
@@ -194,7 +221,7 @@ class StripeRing:
 
     def direction(self, i: int) -> Vec:
         """The direction of the i-th newest stripe, a row of the ring's storage."""
-        return self._views[self._rows[i]]
+        return self._rows[i]
 
     def slot(self) -> Vec:
         """The row the next pushed direction is to be built in.
@@ -202,34 +229,49 @@ class StripeRing:
         On a full ring this is the oldest stripe's direction, which is
         overwritten: push next, and the oldest stripe leaves.
         """
-        m = len(self._rows)
-        return self._views[m if m < len(self._views) else self._rows[-1]]
+        return self._free[-1] if self._free else self._rows[-1]
 
-    def push(self, stripe: Stripe) -> None:
+    def push(self, stripe: StripeData) -> None:
         """Make the stripe the newest, its direction held in `slot()`.
 
-        A direction built elsewhere is copied into the slot.
+        The stripe is a Stripe or anything with its u, alpha and xi, such
+        as a solver's StripeRecord, whose direction is not checked when it
+        is built.  A direction built elsewhere is tested and then copied
+        into the slot: when ||u||^2 = 0 the push raises InvalidStripeError
+        and leaves the ring as it was.  A zero direction built in the slot
+        raises as well; on a full ring the slot was the oldest stripe's
+        row, so that stripe leaves the ring and the others stay as they
+        were.
         """
-        capacity = len(self._views)
-        if stripe.u.shape != self.directions.shape[1:]:
+        src = stripe.u
+        if src.shape != self.directions.shape[1:]:
             raise DimensionError(
-                f"stripe direction {stripe.u.shape} does not fit the ring's "
+                f"stripe direction {src.shape} does not fit the ring's "
                 f"{self.directions.shape[1:]}")
-        rows = self._rows
-        row = len(rows) if len(rows) < capacity else rows.pop()
-        u = self._views[row]
-        if stripe.u is not u:
-            np.copyto(u, stripe.u)
+        rows, free = self._rows, self._free
+        u = self.slot()
+        if src is not u:
+            # Whether a sum of squares is zero does not depend on its order,
+            # so this test on the source stands for the one on the copy.
+            if np.dot(src, src) == 0.0:
+                raise InvalidStripeError(_ZERO_DIRECTION)
+            np.copyto(u, src)
+        uu = np.dot(u, u)
+        if not free:
+            free.append(rows.pop())  # the oldest stripe leaves; u was its row
+        if uu == 0.0:
+            raise InvalidStripeError(_ZERO_DIRECTION)
+        free.pop()
         m, G = len(rows), self.gram
         G[1:m + 1, 1:m + 1] = G[:m, :m]
         self.alpha[1:m + 1] = self.alpha[:m]
         self.xi[1:m + 1] = self.xi[:m]
-        G[0, 0] = np.dot(u, u)
-        for j, r in enumerate(rows, start=1):
-            G[0, j] = G[j, 0] = np.dot(u, self._views[r])
+        G[0, 0] = uu
+        for j, v in enumerate(rows, start=1):
+            G[0, j] = G[j, 0] = np.dot(u, v)
         self.alpha[0] = stripe.alpha
         self.xi[0] = stripe.xi
-        rows.insert(0, row)
+        rows.insert(0, u)
 
 
 @dataclass
@@ -280,13 +322,17 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
     matrix G_ij = <u_i, u_j>, and a re-projection solves the active
     sub-block of G.  The stripes come as a StripeRing, newest first, which
     holds G already, or as a list, which is copied into a new ring (m
-    copies and m(m+1)/2 inner products of length n).  The call itself
+    copies and m(m+3)/2 inner products of length n, m of them to test the
+    directions before they are copied).  The call itself
     takes the inner products <u_i, z>, m - 1 of them when the caller
     passes `uz0` = <u_0, z>, and one update of length n per active
     direction to build the final point.  The first step is a scalar
     division; only active sets of two or more directions go through
-    `solve_spd_dense`.  The containment slack of the result is formed
-    from the same coefficients, with no further pass over vectors.
+    `solve_spd_symmetric`, on views of the ring's Gram matrix.  The
+    containment slack of the result is formed from the same
+    coefficients, with no further pass over vectors.  A list of stripes
+    with a direction whose squared norm is zero raises InvalidStripeError
+    when it is copied into the ring.
 
     Returns the final point together with the aggregate coefficients t_i
     (one per input stripe) such that point = z - sum_i t_i * u_i.  The
@@ -299,25 +345,26 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
     ring = stripes if isinstance(stripes, StripeRing) else StripeRing.of(stripes)
     if ring.directions.shape[1:] != z.shape:
         raise DimensionError(f"stripe directions do not match the point's shape {z.shape}")
-    m = len(ring)
-    G = np.ascontiguousarray(ring.gram[:m, :m])
-    alpha, xi = ring.alpha[:m], ring.xi[:m]
-    u = [ring.direction(i) for i in range(m)]
+    u = ring._rows
+    m = len(u)
+    G = ring.gram[:m, :m]
+    alpha, xi = ring.alpha[:m].tolist(), ring.xi[:m].tolist()
     uz = np.empty(m)
     uz[0] = np.dot(u[0], z) if uz0 is None else uz0
     for i in range(1, m):
         uz[i] = np.dot(u[i], z)
 
-    if uz[0] <= alpha[0] + xi[0]:
+    top = alpha[0] + xi[0]
+    if uz[0] <= top:
         raise ProjectionPreconditionError(
             "point is not strictly above the current stripe; "
             "the iteration should have stopped"
         )
     coeffs = np.zeros(m)
     boundary = np.empty(m)  # offsets of the active boundary hyperplanes
-    boundary[0] = alpha[0] + xi[0]
+    boundary[0] = top
     try:
-        t0 = solve_spd_scalar(G[0, 0], uz[0] - boundary[0])
+        t0 = solve_spd_scalar(G[0, 0], uz[0] - top)
     except SingularSystemError as exc:
         raise DependentDirectionsError(str(exc)) from exc
     coeffs[0] = t0
@@ -338,8 +385,11 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
         # While no stripe was skipped the active set is a leading block.
         idx = slice(0, i + 1) if len(active) == i else trial
         rows = G[idx]
+        rhs = rows @ coeffs
+        np.subtract(uz[idx], rhs, out=rhs)
+        rhs -= boundary[idx]
         try:
-            t = solve_spd_dense(rows[:, idx], uz[idx] - rows @ coeffs - boundary[idx])
+            t = solve_spd_symmetric(rows[:, idx], rhs)
         except SingularSystemError:
             n_dropped += 1
             skipped.append(i)
@@ -354,6 +404,9 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
         np.copyto(point, z)
     for i in active:
         point = daxpy(u[i], point, a=-coeffs[i])
-    slack = float(np.max(np.abs(uz - G @ coeffs - alpha) - xi))
+    # |<u_i, point> - alpha_i| - xi_i from the coefficients; a NaN wins, as in np.max.
+    gaps = [abs(a - g - b) - x
+            for a, g, b, x in zip(uz.tolist(), (G @ coeffs).tolist(), alpha, xi)]
+    slack = math.nan if any(g != g for g in gaps) else max(gaps)
     return SequentialProjectionResult(point, coeffs, n_dropped, skipped,
                                       (z, t0, u[0]), slack)

@@ -2,7 +2,12 @@
 
 Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
-solved by Cholesky factorization.  There is one sparse SPD path,
+solved by Cholesky factorization, dpotrf and dpotrs, behind two entry
+points with different input checks.  solve_spd_dense takes any matrix
+and tests it finite and symmetric elementwise.  solve_spd_symmetric is
+for Gram blocks symmetric by construction, such as a StripeRing's, and
+tests only that they are finite.  Both raise on a non-positive pivot of
+the factorization.  There is one sparse SPD path,
 factorize_band_spd: the caller writes the matrix into LAPACK lower band
 storage in its own node order, dpbtrf factorizes it in place and dpbtrs
 solves with the factor.  That costs O(n u^2) time and n (u + 1) floats
@@ -73,8 +78,14 @@ def dot(x: Vec, y: Vec) -> float:
 
 
 def norm(x: Vec) -> float:
-    """Euclidean norm, sqrt(dot(x, x))."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean norm, sqrt(dot(x, x)).
+
+    The same steps as np.linalg.norm takes for real input, without its
+    dispatch: x.dot(x) over x raveled in memory order, a view of a
+    contiguous x and a contiguous copy of a strided one.
+    """
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
@@ -97,13 +108,37 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     n = b.shape[0]
     if G.shape != (n, n):
         raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
-    if n > DENSE_CAP:
-        raise DimensionError(f"dense SPD solve capped at {DENSE_CAP}, got {n}")
+    _check_dense_cap(n)
     absG = np.abs(G)
     gmax = float(absG.max())  # NaN if any entry is NaN
     atol = 1e-14 * max(1.0, gmax)
     if not (math.isfinite(gmax) and (np.abs(G - G.T) <= atol + 1e-12 * absG.T).all()):
         raise SingularSystemError("matrix is not finite and symmetric")
+    return _cholesky_solve(G, b)
+
+
+def solve_spd_symmetric(G: np.ndarray, b: Vec) -> Vec:
+    """solve_spd_dense for float64 G and b, G symmetric by construction.
+
+    A Gram block filled in both triangles from one inner product per
+    pair, as StripeRing fills it, cannot fail the elementwise symmetry
+    test, so that test is left out.  The others stay, with the same
+    errors: the size cap, that every entry is finite, and dpotrf's pivots.
+    """
+    _check_dense_cap(b.shape[0])
+    # On a block of a few entries a loop over Python floats beats a ufunc.
+    if not all(math.isfinite(g) for row in G.tolist() for g in row):
+        raise SingularSystemError("matrix is not finite and symmetric")
+    return _cholesky_solve(G, b)
+
+
+def _check_dense_cap(n: int) -> None:
+    if n > DENSE_CAP:
+        raise DimensionError(f"dense SPD solve capped at {DENSE_CAP}, got {n}")
+
+
+def _cholesky_solve(G: np.ndarray, b: Vec) -> Vec:
+    """dpotrf + dpotrs on a checked system; a non-positive pivot raises."""
     chol, info = lapack.dpotrf(G, lower=1)
     if info > 0:
         raise SingularSystemError(f"non-positive pivot in Cholesky at column {info}")

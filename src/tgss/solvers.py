@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -179,16 +180,23 @@ def coupling_holds(lam: float, dx_norm: float, r_norm: float, cfg: SolverConfig)
 
 @dataclass
 class StripeRecord:
-    """A stripe together with the residual information it was built from.
+    """A stripe's direction, offset and half-width, and the residual it was built from.
 
     uz = <u, z>, the inner product of the direction with the point the
-    stripe was built at.
+    stripe was built at.  The direction is not tested for zero until the
+    record is pushed on a StripeRing, which sees that from ||u||^2, or
+    its `stripe` is read.
     """
 
-    stripe: Stripe
     u: Vec
+    alpha: float
+    xi: float
     r_norm: float
     uz: float
+
+    @cached_property
+    def stripe(self) -> Stripe:
+        return Stripe(self.u, self.alpha, self.xi)
 
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
@@ -207,7 +215,7 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
     delta = data.delta_used(cfg.delta_mode)
     uz = dot(u, z)
     xi = (delta + cfg.eta * (rn + delta)) * rn
-    return StripeRecord(Stripe(u, uz - rn * rn, xi), u, rn, uz)
+    return StripeRecord(u, uz - rn * rn, xi, rn, uz)
 
 
 @dataclass
@@ -377,6 +385,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         i_dbts=cfg.i0,
     )
     ring = StripeRing(cfg.n_directions, x0.shape) if stripes else None
+    coupling_scale = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
     trace: list[TraceRow] = []
     dropped = 0
     if truth is not None:
@@ -409,8 +418,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
 
         row = TraceRow(k=k, residual_norm=rn, lam=lam, n_dirs_used=1)
         row.coupling_slack = (
-            lam * (lam + 1.0) * state.dx_norm ** 2
-            - psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2) * rn ** 2
+            lam * (lam + 1.0) * state.dx_norm ** 2 - coupling_scale * rn ** 2
         )
         if record_points:
             row.z = z.copy()
@@ -421,8 +429,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             step = op.adjoint_apply(z, r, out=x_next)
             x_next = np.subtract(z, step, out=x_next)
         else:
+            rec = build_stripe(op, z, data, cfg, r=r, r_norm=rn, out=ring.slot())
             try:
-                rec = build_stripe(op, z, data, cfg, r=r, r_norm=rn, out=ring.slot())
+                ring.push(rec)
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -430,7 +439,6 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
                 ) from exc
-            ring.push(rec.stripe)
             try:
                 proj = sequential_stripe_projection(z, ring, out=x_next, uz0=rec.uz)
             except ProjectionPreconditionError as exc:

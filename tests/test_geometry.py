@@ -1,5 +1,7 @@
 """Unit tests for hyperplane, halfspace and stripe projections."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,66 @@ class TestStripeRing:
             scale = max(norm(s.u) for s in stripes) * (norm(z) + norm(res.point))
             assert type(res.containment_slack) is float
             assert abs(res.containment_slack - direct) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+    def test_gram_exactly_symmetric_after_every_push(self, capacity):
+        # solve_spd_symmetric skips the elementwise symmetry test on the
+        # ring's Gram blocks: this is the invariant that makes that safe.
+        rng = np.random.Generator(np.random.PCG64(25 + capacity))
+        ring = StripeRing(capacity, (9,))
+        for k in range(3 * capacity + 2):
+            s = random_stripes(rng, 1, 9)[0]
+            if k % 2:
+                slot = ring.slot()
+                np.copyto(slot, s.u)
+                s = Stripe(slot, s.alpha, s.xi)
+            ring.push(s)
+            m = len(ring)
+            G = ring.gram[:m, :m]
+            assert G.tobytes() == G.T.copy().tobytes(), k
+
+    @pytest.mark.parametrize("filled", [0, 1, 3])
+    @pytest.mark.parametrize("in_slot", [False, True])
+    def test_zero_direction_rejected_without_changing_the_ring(self, filled, in_slot):
+        rng = np.random.Generator(np.random.PCG64(30 + filled))
+        ring = StripeRing(3, (6,))
+        for s in random_stripes(rng, filled, 6):
+            ring.push(s)
+        m = len(ring)
+        held = [ring.direction(i).copy() for i in range(m)]
+        before = (ring.gram[:m, :m].copy(), ring.alpha[:m].copy(), ring.xi[:m].copy(),
+                  [id(ring.direction(i)) for i in range(m)])
+        u = ring.slot() if in_slot else np.empty(6)
+        u[:] = 0.0
+        with pytest.raises(InvalidStripeError):
+            ring.push(SimpleNamespace(u=u, alpha=1.0, xi=0.5))
+        # Built in the slot of a full ring, the zero direction took the
+        # oldest stripe's row: that stripe has left.  Otherwise nothing moved.
+        kept = m - 1 if in_slot and m == 3 else m
+        assert len(ring) == kept
+        assert ring.gram[:kept, :kept].tobytes() == before[0][:kept, :kept].tobytes()
+        assert ring.alpha[:kept].tobytes() == before[1][:kept].tobytes()
+        assert ring.xi[:kept].tobytes() == before[2][:kept].tobytes()
+        assert [id(ring.direction(i)) for i in range(kept)] == before[3][:kept]
+        for i in range(kept):
+            assert ring.direction(i).tobytes() == held[i].tobytes()
+
+        # The ring stays consistent: the next pushes fill it as usual.
+        for s in random_stripes(rng, 2, 6):
+            ring.push(s)
+        n = len(ring)
+        rows = [ring.direction(i) for i in range(n)]
+        assert len({id(r) for r in rows}) == n
+        for i in range(n):
+            for j in range(n):
+                assert ring.gram[i, j] == np.dot(rows[i], rows[j])
+
+    def test_direction_whose_square_underflows_counts_as_zero(self):
+        ring = StripeRing(2, (2,))
+        tiny = Stripe(np.array([1e-200, 0.0]), 0.0, 1.0)   # nonzero: accepted here
+        with pytest.raises(InvalidStripeError):
+            ring.push(tiny)
+        assert len(ring) == 0
 
     def test_shape_mismatch_rejected(self):
         ring = StripeRing(2, (3,))

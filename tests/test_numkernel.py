@@ -16,6 +16,7 @@ from tgss.numkernel import (
     norm,
     solve_spd_dense,
     solve_spd_scalar,
+    solve_spd_symmetric,
 )
 
 
@@ -67,6 +68,23 @@ class TestNorm:
             x = rng.standard_normal(5)
             if np.any(x != 0.0):
                 assert norm(x) > 0.0
+
+
+    def test_same_bits_as_numpy_norm(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        base = rng.standard_normal(3 * 400) * 10.0 ** rng.integers(-8, 8, 3 * 400)
+        cases = [base[:n] for n in (1, 2, 7, 16, 33, 400)]
+        cases += [base[::3][:n] for n in (2, 7, 33, 400)]      # strided views
+        cases += [base[1:400][::-1], np.empty(0)]
+        for bad in (np.inf, -np.inf, np.nan):
+            x = rng.standard_normal(9)
+            x[4] = bad
+            cases += [x, x[::2]]
+        for x in cases:
+            got = norm(x)
+            assert type(got) is float
+            want = float(np.linalg.norm(x))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x.strides
 
 
 class TestSolveSpdDense:
@@ -123,6 +141,45 @@ class TestSolveSpdDense:
         G = np.array([[2.0, bad], [bad, 2.0]])
         with pytest.raises(SingularSystemError, match="not finite and symmetric"):
             solve_spd_dense(G, np.array([1.0, 1.0]))
+
+
+class TestSolveSpdSymmetric:
+    def test_same_bits_as_solve_spd_dense(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            B = rng.standard_normal((n, 2 * n))
+            G = B @ B.T
+            G = np.triu(G) + np.triu(G, 1).T          # exactly symmetric
+            b = rng.standard_normal(n)
+            assert (solve_spd_symmetric(G, b).tobytes()
+                    == solve_spd_dense(G, b).tobytes())
+
+    def test_block_view_of_a_larger_matrix(self):
+        G = np.array([[4.0, 1.0, 9.0], [1.0, 3.0, 9.0], [9.0, 9.0, 9.0]])
+        b = np.array([1.0, 2.0])
+        assert (solve_spd_symmetric(G[:2, :2], b).tobytes()
+                == solve_spd_dense(np.ascontiguousarray(G[:2, :2]), b).tobytes())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        G = np.array([[2.0, 0.5], [0.5, 2.0]])
+        G[where] = G[where[::-1]] = bad
+        with pytest.raises(SingularSystemError, match="not finite and symmetric"):
+            solve_spd_symmetric(G, np.array([1.0, 1.0]))
+
+    def test_finite_entries_whose_sum_overflows_are_solved(self):
+        G = np.array([[1e308, 0.0], [0.0, 1e308]])
+        t = solve_spd_symmetric(G, np.array([1e308, 2e307]))
+        assert t.tobytes() == solve_spd_dense(G, np.array([1e308, 2e307])).tobytes()
+
+    def test_rejects_indefinite_and_oversized(self):
+        with pytest.raises(SingularSystemError, match="non-positive pivot"):
+            solve_spd_symmetric(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        n = DENSE_CAP + 1
+        with pytest.raises(DimensionError):
+            solve_spd_symmetric(np.eye(n), np.ones(n))
 
 
 class TestSolveSpdScalar:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from tgss import solvers
-from tgss.geometry import InvalidStripeError, sequential_stripe_projection
-from tgss.numkernel import dot, norm
+from tgss.geometry import (
+    DependentDirectionsError,
+    InvalidStripeError,
+    sequential_stripe_projection,
+)
+from tgss.numkernel import SingularSystemError, dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHODS,
@@ -396,6 +400,32 @@ class TestRun:
                            match="zero search direction at k=0") as info:
             run("sesop", op, data, np.zeros(2), cfg)
         assert isinstance(info.value.__cause__, InvalidStripeError)
+
+    def test_zero_direction_built_in_the_ring_raises_invariant_violation(self):
+        class ZeroAdjointInPlace(DiagonalOperator):
+            def adjoint_apply(self, c, w, out=None):
+                out[:] = 0.0
+                return out
+
+        op = ZeroAdjointInPlace(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with pytest.raises(InvariantViolationError,
+                           match="zero search direction at k=0") as info:
+            run("tgss-nes", op, data, np.zeros(2), cfg)
+        assert isinstance(info.value.__cause__, InvalidStripeError)
+
+    def test_nan_search_direction_raises_dependent_directions(self):
+        class NanAdjoint(DiagonalOperator):
+            def adjoint_apply(self, c, w, out=None):
+                return np.full(self.n, np.nan)
+
+        op = NanAdjoint(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with pytest.raises(DependentDirectionsError, match="not finite") as info:
+            run("sesop", op, data, np.zeros(2), cfg)
+        assert isinstance(info.value.__cause__, SingularSystemError)
 
 
 class TestDivergence:
