@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import invpot
-from .numkernel import Vec, norm
+from .numkernel import Vec, empty, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
 from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, run
 
@@ -136,7 +136,7 @@ def make_problem(spec: BenchSpec) -> tuple[ForwardOperator, Vec, Vec, Vec]:
         rng = np.random.Generator(np.random.PCG64(spec.problem_seed))
         d = rng.uniform(0.1, 1.0, spec.mesh_n)
         op = DiagonalOperator(d)
-        truth = rng.standard_normal(spec.mesh_n)
+        truth = rng.standard_normal(out=empty(spec.mesh_n))  # aligned: run takes it as is
         x0 = np.zeros(spec.mesh_n)
     return op, truth, op.apply(truth), x0
 

@@ -40,10 +40,12 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .numkernel import (
+    ALIGN,
     Vec,
     DimensionError,
     SingularSystemError,
     dot,
+    empty,
     norm,
     solve_spd_dense,
     solve_spd_scalar,
@@ -196,11 +198,17 @@ class StripeRing:
     then makes it the newest stripe: the oldest leaves a full ring, the
     Gram matrix shifts by one and only the new row is computed, len(ring)
     inner products of length n.  Both triangles of that row get the same
-    inner product, so the Gram matrix is exactly symmetric.
+    inner product, so the Gram matrix is exactly symmetric.  Every row
+    starts on an ALIGN boundary: when a row's size is not a whole number
+    of ALIGN blocks, the rows are spaced further apart than that size.
     """
 
     def __init__(self, capacity: int, shape: tuple[int, ...]):
-        self.directions = np.empty((capacity,) + tuple(shape))
+        shape = tuple(shape)
+        size = math.prod(shape)
+        block = ALIGN // 8  # doubles per ALIGN bytes
+        stride = -(-size // block) * block
+        self.directions = empty((capacity, stride))[:, :size].reshape((capacity,) + shape)
         # Rows that hold no stripe, the next one handed out last.
         self._free: list[Vec] = list(self.directions)[::-1]
         self.alpha = np.empty(capacity)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import Vec, gaussian_vector, norm
+from .numkernel import Vec, aligned, empty, gaussian_vector, norm
 
 
 class InvalidOperatorError(ValueError):
@@ -80,14 +80,23 @@ class NoisyData:
 
 
 def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
-    """Perturb exact data y by delta times a seeded standard normal draw."""
+    """Perturb exact data y by delta times a seeded standard normal draw.
+
+    y_delta is a new ALIGN-aligned array: the draw, scaled and then added
+    to y in place.
+    """
     if delta < 0:
         raise ValueError(f"noise level must be >= 0, got {delta}")
     y = np.asarray(y, dtype=float)
     if delta == 0.0:
-        return NoisyData(y_delta=y.copy(), delta=0.0, seed=seed, delta_eff=0.0)
-    noise = delta * gaussian_vector(y.shape[0], seed)
-    return NoisyData(y_delta=y + noise, delta=delta, seed=seed, delta_eff=norm(noise))
+        y_delta = empty(y.shape)
+        np.copyto(y_delta, y)
+        return NoisyData(y_delta=y_delta, delta=0.0, seed=seed, delta_eff=0.0)
+    y_delta = gaussian_vector(y.shape[0], seed)
+    y_delta *= delta
+    delta_eff = norm(y_delta)
+    y_delta += y
+    return NoisyData(y_delta=y_delta, delta=delta, seed=seed, delta_eff=delta_eff)
 
 
 class DiagonalOperator(ForwardOperator):
@@ -95,11 +104,12 @@ class DiagonalOperator(ForwardOperator):
 
     Being linear it satisfies the tangential cone condition with eta = 0,
     which makes every stripe-containment and descent statement exact; the
-    tests lean on this.
+    tests lean on this.  d is kept ALIGN-aligned, as a copy where the
+    given array is not.
     """
 
     def __init__(self, d: Vec):
-        d = np.asarray(d, dtype=float)
+        d = aligned(d)
         if np.any(d == 0.0):
             raise InvalidOperatorError("diagonal entries must be nonzero")
         self.d = d

@@ -17,10 +17,15 @@ built from the current and recent residuals.
 
 A run allocates its vectors of the problem's size once, before the first
 iteration, and the iteration writes into them: the operator applies and
-the stripe projection get them as `out`.  The projection methods keep
-their stripes in a `geometry.StripeRing`: each new direction is built in
-the ring's storage, and the ring holds the stripes' Gram matrix across
-iterations, so a step computes only the new direction's Gram row.
+the stripe projection get them as `out`.  All of them, and the data and
+truth vectors the iteration reads, start on a 64-byte boundary
+(numkernel.ALIGN), where numpy's vector loops run at full width.  A
+method with zero momentum (land, sesop, tpg-zero, tgss-zero) always
+steps from z_k = x_k, so its run keeps no momentum difference dx: no dx
+array, and neither dx nor its norm is computed.  The projection methods
+keep their stripes in a `geometry.StripeRing`: each new direction is
+built in the ring's storage, and the ring holds the stripes' Gram matrix
+across iterations, so a step computes only the new direction's Gram row.
 Results handed to the caller are copies, never one of these work vectors.
 """
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,7 +46,7 @@ from .geometry import (
     StripeRing,
     sequential_stripe_projection,
 )
-from .numkernel import Vec, dot, norm
+from .numkernel import Vec, aligned, dot, empty, norm
 from .operator import ForwardOperator, NoisyData
 
 
@@ -225,7 +230,9 @@ class IterationState:
     z_cur and r are the work vectors the extrapolated point and its
     residual are built in; when lambda_k = 0 the point is x_k itself and
     z_cur is not written.  dx is rewritten in place by advance.  x_prev is
-    read for dx alone, so between two advances its array is free.
+    read for dx alone, so between two advances its array is free.  A
+    state built with keep_dx=False, for a method whose lambda_k is always
+    0, has no dx array and keeps dx_norm at 0.  r and dx are ALIGN-aligned.
     """
 
     x_prev: Vec
@@ -234,19 +241,22 @@ class IterationState:
     k: int = 0
     i_dbts: int = 0
     lambda_cur: float = 0.0
+    keep_dx: bool = True
     r: Vec = field(init=False)
-    dx: Vec = field(init=False)
-    dx_norm: float = field(init=False)
+    dx: Vec | None = field(init=False, default=None)
+    dx_norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.r = np.empty_like(self.x_cur)
-        self.dx = np.empty_like(self.x_cur)
-        self._difference()
+        self.r = empty(self.x_cur.shape)
+        if self.keep_dx:
+            self.dx = empty(self.x_cur.shape)
+            self._difference()
 
     def advance(self, x_next: Vec) -> None:
         """Step to x_next; dx and its norm are computed here, once per iteration."""
         self.x_prev, self.x_cur = self.x_cur, x_next
-        self._difference()
+        if self.keep_dx:
+            self._difference()
 
     def _difference(self) -> None:
         np.subtract(self.x_cur, self.x_prev, out=self.dx)
@@ -364,14 +374,17 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     diagnostic slacks of the coupling and stripe-containment conditions.
     A non-finite residual norm raises DivergenceError.
 
-    The work vectors are allocated here: z, r and dx in the state, two x
-    arrays that swap roles (x_{k+1} is built in the array of x_{k-1}), an
-    error scratch vector, and for the projection methods a StripeRing of
-    n_directions stripes.  Each new direction is built in the ring's
-    oldest row, whose stripe leaves the ring as the new one joins, and
-    the ring's Gram matrix carries over from one iteration to the next.
-    The trace's containment slack comes from the projection's
-    coefficients, not from further inner products.
+    The work vectors are allocated here, each on an ALIGN boundary: z, r
+    and dx in the state, two x arrays that swap roles (x_{k+1} is built in
+    the array of x_{k-1}), an error scratch vector, and for the projection
+    methods a StripeRing of n_directions stripes.  A zero-momentum method
+    keeps no dx; its trace's coupling slack is the lambda = 0 value,
+    -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth are read from
+    aligned copies where they are not aligned already.  Each new direction
+    is built in the ring's oldest row, whose stripe leaves the ring as the
+    new one joins, and the ring's Gram matrix carries over from one
+    iteration to the next.  The trace's containment slack comes from the
+    projection's coefficients, not from further inner products.
     """
     if method not in METHOD_TABLE:
         raise ConfigError(
@@ -379,19 +392,23 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         )
     stripes, momentum = METHOD_TABLE[method]
     delta_used = data.delta_used(cfg.delta_mode)
+    data = replace(data, y_delta=aligned(data.y_delta))
     x0 = np.asarray(x0, dtype=float)
+    x_prev, x_cur = empty(x0.shape), empty(x0.shape)
+    np.copyto(x_prev, x0)
+    np.copyto(x_cur, x0)
     state = IterationState(
-        x_prev=x0.copy(), x_cur=x0.copy(), z_cur=np.empty_like(x0),
-        i_dbts=cfg.i0,
+        x_prev=x_prev, x_cur=x_cur, z_cur=empty(x0.shape),
+        i_dbts=cfg.i0, keep_dx=momentum != "zero",
     )
     ring = StripeRing(cfg.n_directions, x0.shape) if stripes else None
     coupling_scale = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
     trace: list[TraceRow] = []
     dropped = 0
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
+        truth = aligned(truth)
         truth_norm = max(norm(truth), 1e-300)
-        err_scratch = np.empty_like(x0)
+        err_scratch = empty(x0.shape)
 
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
@@ -423,7 +440,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         if record_points:
             row.z = z.copy()
 
-        # dx holds x_k - x_{k-1} already, so x_{k+1} is built in x_{k-1}'s array.
+        # x_{k-1} was read for dx alone, so x_{k+1} is built in its array.
         x_next = state.x_prev
         if not stripes:
             step = op.adjoint_apply(z, r, out=x_next)

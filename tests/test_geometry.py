@@ -20,7 +20,7 @@ from tgss.geometry import (
     project_stripe,
     sequential_stripe_projection,
 )
-from tgss.numkernel import DimensionError, dot, norm
+from tgss.numkernel import ALIGN, DimensionError, dot, norm
 
 
 class TestConstruction:
@@ -274,6 +274,16 @@ class TestStripeRing:
             for j, t in enumerate(reversed(stripes[2:])):
                 # Each entry is one np.dot of the pair, in either order.
                 assert ring.gram[i, j] == np.dot(s.u, t.u)
+
+    def test_rows_start_on_a_cache_line(self):
+        # 13 doubles are not a whole number of cache lines: the rows are padded.
+        rng = np.random.Generator(np.random.PCG64(20))
+        ring = StripeRing(3, (13,))
+        assert all(row.ctypes.data % ALIGN == 0 for row in ring.directions)
+        for s in random_stripes(rng, 4, 13):
+            ring.push(s)
+            assert ring.slot().ctypes.data % ALIGN == 0
+        assert all(ring.direction(i).ctypes.data % ALIGN == 0 for i in range(3))
 
     def test_direction_built_in_slot_is_not_copied(self):
         rng = np.random.Generator(np.random.PCG64(22))

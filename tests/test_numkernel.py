@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from tgss.numkernel import (
+    ALIGN,
     DENSE_CAP,
     DIRECT_LIMIT,
     DimensionError,
     SingularSystemError,
     SparseSolveError,
+    aligned,
     check_direct_size,
     dot,
+    empty,
     factorize_band_spd,
     gaussian_vector,
     norm,
@@ -18,6 +21,36 @@ from tgss.numkernel import (
     solve_spd_scalar,
     solve_spd_symmetric,
 )
+
+
+def is_aligned(a):
+    return a.ctypes.data % ALIGN == 0
+
+
+class TestAlignedAllocation:
+    @pytest.mark.parametrize("shape", [0, 1, 13, (3, 13)])
+    def test_empty_is_aligned_contiguous_float64(self, shape):
+        for _ in range(8):  # fresh buffers land at different offsets
+            a = empty(shape)
+            assert a.shape == np.empty(shape).shape
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert is_aligned(a)
+
+    def test_aligned_keeps_an_aligned_array(self):
+        a = empty(13)
+        assert aligned(a) is a
+
+    @pytest.mark.parametrize("make", [
+        lambda: empty(14)[1:],               # 8 bytes past a boundary
+        lambda: np.linspace(0.0, 1.0, 26)[::2],
+        lambda: np.arange(13),
+    ], ids=["offset-view", "strided-view", "int-array"])
+    def test_aligned_copies_anything_else(self, make):
+        x = make()
+        a = aligned(x)
+        assert a is not x and not np.shares_memory(a, x)
+        assert a.dtype == np.float64 and a.flags.c_contiguous and is_aligned(a)
+        np.testing.assert_array_equal(a, x)
 
 
 class TestDot:
@@ -307,3 +340,9 @@ class TestGaussianVector:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             gaussian_vector(0, 0)
+
+    @pytest.mark.parametrize("n", [1, 13, 20_000])
+    def test_same_bits_as_the_generator_and_aligned(self, n):
+        g = gaussian_vector(n, 5)
+        assert g.tobytes() == np.random.Generator(np.random.PCG64(5)).standard_normal(n).tobytes()
+        assert is_aligned(g)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tgss.numkernel import dot, gaussian_vector, norm
+from tgss.numkernel import ALIGN, dot, empty, gaussian_vector, norm
 from tgss.operator import (
     DiagonalOperator,
     InvalidOperatorError,
@@ -31,6 +31,24 @@ class TestAddNoise:
         n = gaussian_vector(256, 42)
         assert norm(data.y_delta - y) == pytest.approx(1e-3 * norm(n), rel=1e-12)
         assert data.delta_eff == pytest.approx(1e-3 * norm(n), rel=1e-12)
+
+    @pytest.mark.parametrize("n, delta, seed", [(1, 0.5, 0), (13, 1e-3, 7), (20_000, 1e-4, 931)])
+    def test_same_bits_as_y_plus_scaled_draw(self, n, delta, seed):
+        y = np.random.Generator(np.random.PCG64(1)).standard_normal(n)
+        noise = delta * np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+        data = add_noise(y, delta, seed)
+        assert data.y_delta.tobytes() == (y + noise).tobytes()
+        assert np.float64(data.delta_eff).tobytes() == np.float64(norm(noise)).tobytes()
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    @pytest.mark.parametrize("y_aligned", [True, False])
+    def test_y_delta_aligned_and_new(self, delta, y_aligned):
+        buf = empty(14)
+        y = buf[:13] if y_aligned else buf[1:]
+        y[:] = np.linspace(-1.0, 1.0, 13)
+        data = add_noise(y, delta, 3)
+        assert data.y_delta.ctypes.data % ALIGN == 0
+        assert not np.shares_memory(data.y_delta, y)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,10 @@ from tgss.geometry import (
     InvalidStripeError,
     sequential_stripe_projection,
 )
-from tgss.numkernel import SingularSystemError, dot, norm
+from tgss.numkernel import ALIGN, SingularSystemError, dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
+    METHOD_TABLE,
     METHODS,
     ConfigError,
     DivergenceError,
@@ -203,6 +204,15 @@ class TestDbtsSelect:
         lam, _, z, _, _ = dbts_select(state, op, data, cfg, 1e-4)
         assert lam == pytest.approx(4.0 / 7.0)
         np.testing.assert_allclose(z, [1.0, 1.0])
+
+    def test_state_without_momentum_difference_swaps_only(self):
+        x_prev, x_cur = np.array([0.0, 1.0]), np.array([3.0, 5.0])
+        state = IterationState(x_prev=x_prev, x_cur=x_cur, z_cur=x_cur.copy(),
+                               keep_dx=False)
+        x_next = np.array([4.0, 4.0])
+        state.advance(x_next)
+        assert state.dx is None and state.dx_norm == 0.0
+        assert state.x_prev is x_cur and state.x_cur is x_next
 
     def test_state_keeps_momentum_difference(self):
         state = self._state([0.0, 1.0], [3.0, 5.0], k=1)
@@ -518,3 +528,49 @@ class TestWorkVectors:
             assert len(points) == 1 + per_row * len(res.trace) > 3
             for i, a in enumerate(points):
                 assert not any(np.shares_memory(a, b) for b in points[i + 1:]), method
+
+
+class AddressProbe(DiagonalOperator):
+    """Records the data address of every vector handed to an apply."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.addresses = []
+
+    def apply(self, c, out=None):
+        self.addresses += [c.ctypes.data, out.ctypes.data]
+        return super().apply(c, out=out)
+
+    def adjoint_apply(self, c, w, out=None):
+        self.addresses += [c.ctypes.data, w.ctypes.data, out.ctypes.data]
+        return super().adjoint_apply(c, w, out=out)
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("n", [13, 2000])
+    @pytest.mark.parametrize("method", list(METHOD_TABLE))
+    def test_run_hands_the_operator_aligned_vectors(self, method, n):
+        rng = np.random.Generator(np.random.PCG64(49))
+        d = rng.uniform(0.1, 1.0, n)
+        truth = rng.standard_normal(n)
+        data = add_noise(d * truth, 1e-2 / math.sqrt(n), 4)
+        for n_directions in (1, 2, 3):
+            op = AddressProbe(d)
+            res = run(method, op, data, np.zeros(n), SolverConfig(n_directions=n_directions),
+                      truth=truth)
+            assert res.stopped_by == "discrepancy" and res.k_star > 2
+            assert [a % ALIGN for a in op.addresses] == [0] * len(op.addresses)
+
+    @pytest.mark.parametrize("method", [m for m, (_, mom) in METHOD_TABLE.items()
+                                        if mom == "zero"])
+    def test_zero_momentum_coupling_slack_is_the_lambda_zero_value(self, method):
+        rng = np.random.Generator(np.random.PCG64(50))
+        op = DiagonalOperator(rng.uniform(0.1, 1.0, 40))
+        data = add_noise(op.apply(rng.standard_normal(40)), 1e-3, 5)
+        cfg = SolverConfig()
+        scale = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
+        res = run(method, op, data, np.zeros(40), cfg)
+        assert len(res.trace) > 2
+        for row in res.trace:
+            assert row.lam == 0.0
+            assert row.coupling_slack == -(scale * row.residual_norm ** 2)
