@@ -9,6 +9,7 @@ per-iteration trace files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,10 @@ from .numkernel import Vec, empty, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
 from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, run
 
-CSV_HEADER = "method,delta,seed,k_star,wall_time_s,re_final,rate_k,rate_t,stopped_by"
-
-PROBLEMS = ("invpot1d", "invpot2d", "linear-diag")
+# The fields of a BenchRecord that its CSV row and JSON object hold, in order.
+RECORD_FIELDS = ("method", "delta", "seed", "k_star", "wall_time_s", "re_final",
+                 "rate_k", "rate_t", "stopped_by")
+CSV_HEADER = ",".join(RECORD_FIELDS)
 
 # (mesh_n, max_iters) of a spec that leaves them unset: 257 nodes in 1-D,
 # a 64 x 64 mesh in 2-D, whose runs stop at fewer iterations, and 64
@@ -30,6 +32,7 @@ PROBLEM_DEFAULTS = {
     "invpot2d": (64, 20000),
     "linear-diag": (64, SolverConfig.max_iters),
 }
+PROBLEMS = tuple(PROBLEM_DEFAULTS)
 
 
 class MetricError(ValueError):
@@ -67,6 +70,12 @@ class BenchSpec:
                 raise MetricError(f"unknown method {method!r}")
         if not self.methods or not self.noise_levels or not self.seeds:
             raise MetricError("need at least one method, noise level and seed")
+        for delta in self.noise_levels:
+            if not (delta >= 0.0 and math.isfinite(delta)):
+                raise MetricError(f"noise level must be finite and >= 0, got {delta}")
+        for seed in (*self.seeds, self.problem_seed):
+            if seed < 0:
+                raise MetricError(f"seeds and problem_seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -84,31 +93,13 @@ class BenchRecord:
     result: SolveResult | None = None   # not serialized
 
     def csv_row(self) -> str:
-        return ",".join([
-            self.method,
-            repr(self.delta),
-            str(self.seed),
-            str(self.k_star),
-            repr(self.wall_time_s),
-            repr(self.re_final),
-            "" if self.rate_k is None else repr(self.rate_k),
-            "" if self.rate_t is None else repr(self.rate_t),
-            self.stopped_by,
-        ])
+        """Floats as repr, None as an empty cell, anything else as str."""
+        values = (getattr(self, name) for name in RECORD_FIELDS)
+        return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                        for v in values)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "delta": self.delta,
-            "seed": self.seed,
-            "k_star": self.k_star,
-            "wall_time_s": self.wall_time_s,
-            "re_final": self.re_final,
-            "rate_k": self.rate_k,
-            "rate_t": self.rate_t,
-            "stopped_by": self.stopped_by,
-            "error": self.error,
-        }
+        return {name: getattr(self, name) for name in (*RECORD_FIELDS, "error")}
 
 
 def relative_error(x: Vec, truth: Vec) -> float:
@@ -122,13 +113,8 @@ def relative_error(x: Vec, truth: Vec) -> float:
 def make_problem(spec: BenchSpec) -> tuple[ForwardOperator, Vec, Vec, Vec]:
     """Operator, ground-truth coefficient, exact data and initial guess."""
     base = solver_config(spec)
-    if spec.problem == "invpot1d":
-        mesh = invpot.make_mesh(1, spec.mesh_n)
-        op = invpot.InversePotentialOperator(mesh, f=1.0, eta=base.eta, c_F=base.c_F)
-        truth = invpot.true_coefficient(mesh)
-        x0 = np.ones(mesh.n_nodes)
-    elif spec.problem == "invpot2d":
-        mesh = invpot.make_mesh(2, spec.mesh_n)
+    if spec.problem != "linear-diag":
+        mesh = invpot.make_mesh(2 if spec.problem == "invpot2d" else 1, spec.mesh_n)
         op = invpot.InversePotentialOperator(mesh, f=1.0, eta=base.eta, c_F=base.c_F)
         truth = invpot.true_coefficient(mesh)
         x0 = np.ones(mesh.n_nodes)

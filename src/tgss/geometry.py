@@ -17,16 +17,12 @@ so a projection step takes m inner products for that row and m - 1 for
 the older directions' <u_i, z>, the newest one's being known from the
 stripe's construction.
 
-The checks on a ring's stripes run where their inputs are at hand.  A
-Stripe(u, alpha, xi) rejects a zero u at once.  A direction a run
-builds in the ring's own storage is pushed as its raw u, offset and
-half-width, not as a Stripe, and StripeRing.push finds it zero from
-G_00 = ||u||^2, which it computes anyway, not by a pass of its own over
-u; a direction whose squared norm underflows to zero counts as zero.
-The Gram matrix is symmetric by construction, one inner product per
-pair, so its blocks go to numkernel.solve_spd_symmetric, which tests
-them finite but not symmetric; its Cholesky pivots reject dependent
-directions.
+A direction whose squared norm is zero, even by underflow, is zero
+everywhere here: Hyperplane and Stripe test ||u|| when they are built.
+A direction a run builds in the ring's own storage is pushed as its raw
+u, offset and half-width, not as a Stripe, and StripeRing.push finds it
+zero from G_00 = ||u||^2, which it computes anyway, not by a pass of its
+own over u.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .numkernel import (
     norm,
     solve_spd_dense,
     solve_spd_scalar,
-    solve_spd_symmetric,
 )
 
 
@@ -93,7 +88,7 @@ class Stripe:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if not u.any():
+        if norm(u) == 0.0:
             raise InvalidStripeError("stripe direction must be nonzero")
         if self.xi < 0:
             raise InvalidStripeError(f"stripe half-width must be >= 0, got {self.xi}")
@@ -336,7 +331,7 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
     passes `uz0` = <u_0, z>, and one update of length n per active
     direction to build the final point.  The first step is a scalar
     division; only active sets of two or more directions go through
-    `solve_spd_symmetric`, on views of the ring's Gram matrix.  The
+    `solve_spd_dense`, on blocks of the ring's Gram matrix.  The
     containment slack of the result is formed from the same
     coefficients, with no further pass over vectors.  A list of stripes
     with a direction whose squared norm is zero raises InvalidStripeError
@@ -397,7 +392,7 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
         np.subtract(uz[idx], rhs, out=rhs)
         rhs -= boundary[idx]
         try:
-            t = solve_spd_symmetric(rows[:, idx], rhs)
+            t = solve_spd_dense(rows[:, idx], rhs)
         except SingularSystemError:
             n_dropped += 1
             skipped.append(i)

@@ -2,18 +2,16 @@
 
 Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
 definite systems (the small Gram systems of the projection steps) are
-solved by Cholesky factorization, dpotrf and dpotrs, behind two entry
-points with different input checks.  solve_spd_dense takes any matrix
-and tests it finite and symmetric elementwise.  solve_spd_symmetric is
-for Gram blocks symmetric by construction, such as a StripeRing's, and
-tests only that they are finite.  Both raise on a non-positive pivot of
-the factorization.  There is one sparse SPD path,
-factorize_band_spd: the caller writes the matrix into LAPACK lower band
-storage in its own node order, dpbtrf factorizes it in place and dpbtrs
-solves with the factor.  That costs O(n u^2) time and n (u + 1) floats
-for half-bandwidth u, and the factorization proves the matrix positive
-definite as it goes.  The lexicographic node numbering of an N x N
-tensor mesh gives u = N + 2.
+solved by Cholesky factorization, dpotrf and dpotrs, in solve_spd_dense:
+every Gram block of two or more directions goes through it with all of
+its checks, and a non-positive pivot of the factorization raises.
+solve_spd_scalar is its 1 x 1 case in scalar arithmetic.  There is one
+sparse SPD path, factorize_band_spd: the caller writes the matrix into
+LAPACK lower band storage in its own node order, dpbtrf factorizes it in
+place and dpbtrs solves with the factor.  That costs O(n u^2) time and
+n (u + 1) floats for half-bandwidth u, and the factorization proves the
+matrix positive definite as it goes.  The lexicographic node numbering
+of an N x N tensor mesh gives u = N + 2.
 
 Lower storage is the faster of the two conventions for one
 factorization and two solves per matrix, the set-up of an iteration.
@@ -157,37 +155,21 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
     n = b.shape[0]
     if G.shape != (n, n):
         raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
-    _check_dense_cap(n)
-    absG = np.abs(G)
-    gmax = float(absG.max())  # NaN if any entry is NaN
-    atol = 1e-14 * max(1.0, gmax)
-    if not (math.isfinite(gmax) and (np.abs(G - G.T) <= atol + 1e-12 * absG.T).all()):
-        raise SingularSystemError("matrix is not finite and symmetric")
-    return _cholesky_solve(G, b)
-
-
-def solve_spd_symmetric(G: np.ndarray, b: Vec) -> Vec:
-    """solve_spd_dense for float64 G and b, G symmetric by construction.
-
-    A Gram block filled in both triangles from one inner product per
-    pair, as StripeRing fills it, cannot fail the elementwise symmetry
-    test, so that test is left out.  The others stay, with the same
-    errors: the size cap, that every entry is finite, and dpotrf's pivots.
-    """
-    _check_dense_cap(b.shape[0])
-    # On a block of a few entries a loop over Python floats beats a ufunc.
-    if not all(math.isfinite(g) for row in G.tolist() for g in row):
-        raise SingularSystemError("matrix is not finite and symmetric")
-    return _cholesky_solve(G, b)
-
-
-def _check_dense_cap(n: int) -> None:
     if n > DENSE_CAP:
         raise DimensionError(f"dense SPD solve capped at {DENSE_CAP}, got {n}")
-
-
-def _cholesky_solve(G: np.ndarray, b: Vec) -> Vec:
-    """dpotrf + dpotrs on a checked system; a non-positive pivot raises."""
+    # On a block of a few entries loops over Python floats beat ufuncs.  The
+    # elementwise test holds at (i, j) and (j, i) exactly when it holds with
+    # the smaller of |G_ij| and |G_ji|; an exactly equal pair always passes.
+    rows = G.tolist()
+    if not all(math.isfinite(g) for row in rows for g in row):
+        raise SingularSystemError("matrix is not finite and symmetric")
+    for i in range(1, n):
+        for j in range(i):
+            a, c = rows[i][j], rows[j][i]
+            if a != c:
+                atol = 1e-14 * max(1.0, max(abs(g) for row in rows for g in row))
+                if not abs(a - c) <= atol + 1e-12 * min(abs(a), abs(c)):
+                    raise SingularSystemError("matrix is not finite and symmetric")
     chol, info = lapack.dpotrf(G, lower=1)
     if info > 0:
         raise SingularSystemError(f"non-positive pivot in Cholesky at column {info}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
     y_delta is a new ALIGN-aligned array: the draw, scaled and then added
     to y in place.
     """
-    if delta < 0:
-        raise ValueError(f"noise level must be >= 0, got {delta}")
+    if not (delta >= 0.0 and math.isfinite(delta)):
+        raise ValueError(f"noise level must be finite and >= 0, got {delta}")
     y = np.asarray(y, dtype=float)
     if delta == 0.0:
         y_delta = empty(y.shape)

@@ -177,10 +177,9 @@ def lambda_coupling(dx_norm: float, k: int, delta_used: float, cfg: SolverConfig
     return min(root, cap)
 
 
-def coupling_holds(lam: float, dx_norm: float, r_norm: float, cfg: SolverConfig) -> bool:
-    lhs = lam * (lam + 1.0) * dx_norm ** 2
-    rhs = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2) * r_norm ** 2
-    return lhs <= rhs
+def coupling_holds(lam: float, dx_norm: float, r_norm: float, coupling_scale: float) -> bool:
+    """lam (lam + 1) ||dx||^2 <= coupling_scale ||r||^2, coupling_scale = psi^2/(mu c_F^2)."""
+    return lam * (lam + 1.0) * dx_norm ** 2 <= coupling_scale * r_norm ** 2
 
 
 @dataclass
@@ -240,7 +239,6 @@ class IterationState:
     z_cur: Vec
     k: int = 0
     i_dbts: int = 0
-    lambda_cur: float = 0.0
     keep_dx: bool = True
     r: Vec = field(init=False)
     dx: Vec | None = field(init=False, default=None)
@@ -312,13 +310,14 @@ class SolveResult:
 
 
 def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
-                cfg: SolverConfig, delta_used: float):
+                cfg: SolverConfig, delta_used: float, coupling_scale: float):
     """Discrete backtracking search for the momentum weight.
 
     Tries lambda = min(q(i)/||dx||, k/(k+alpha)) for the next j_max values
     of the counter and accepts the first trial whose extrapolated point
     either already meets the discrepancy test or satisfies the coupling
-    condition.  Falls back to the closed-form coupling weight otherwise.
+    condition, with coupling_scale = psi^2 / (mu c_F^2) as `run` computes
+    it.  Falls back to the closed-form coupling weight otherwise.
 
     Returns (lambda, i_k, z, r, r_norm); the accepted trial's forward
     evaluation is reused by the caller.  Every trial is built in the
@@ -336,7 +335,8 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
         z = _extrapolate(state, lam)
         r = _residual(op, z, data, state.r)
         rn = norm(r)
-        if discrepancy_met(rn, cfg, delta_used) or coupling_holds(lam, dxn, rn, cfg):
+        if (discrepancy_met(rn, cfg, delta_used)
+                or coupling_holds(lam, dxn, rn, coupling_scale)):
             return lam, state.i_dbts + j, z, r, rn
 
     lam = lambda_coupling(dxn, k, delta_used, cfg)
@@ -345,7 +345,8 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
     return lam, state.i_dbts + cfg.j_max, z, r, norm(r)
 
 
-def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_used):
+def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_used,
+                     coupling_scale):
     """Momentum weight, extrapolated point and its residual for this iteration."""
     k = state.k
     if momentum == "zero" or k == 0:
@@ -353,7 +354,7 @@ def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_
     elif momentum == "nesterov":
         lam = lambda_nesterov(k, cfg.nesterov_alpha)
     elif momentum == "dbts":
-        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, delta_used)
+        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, delta_used, coupling_scale)
         state.i_dbts = i_k
         return lam, z, r, rn
     else:  # "coupling"
@@ -413,8 +414,8 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
         state.k = k
-        lam, z, r, rn = _select_lambda_z(momentum, state, op, data, cfg, delta_used)
-        state.lambda_cur = lam
+        lam, z, r, rn = _select_lambda_z(momentum, state, op, data, cfg, delta_used,
+                                         coupling_scale)
 
         if not math.isfinite(rn):
             raise DivergenceError(

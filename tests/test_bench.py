@@ -66,6 +66,21 @@ class TestBenchSpec:
         with pytest.raises(MetricError):
             BenchSpec(methods=[])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(noise_levels=[1e-3, -1e-3]),
+        dict(noise_levels=[float("nan")]),
+        dict(noise_levels=[float("inf")]),
+        dict(seeds=[0, -1]),
+        dict(problem_seed=-1),
+    ], ids=["negative-delta", "nan-delta", "inf-delta", "negative-seed",
+            "negative-problem-seed"])
+    def test_bad_noise_level_or_seed_rejected(self, kwargs):
+        with pytest.raises(MetricError, match="must be"):
+            BenchSpec(**kwargs)
+
+    def test_zero_noise_and_seeds_accepted(self):
+        BenchSpec(noise_levels=[0.0], seeds=[0], problem_seed=0)
+
 
 class TestMakeProblem:
     def test_linear_problem_deterministic(self):

@@ -157,6 +157,21 @@ class TestCommands:
         assert captured.out == ""
         assert "unknown noise_scale 'bogus'" in captured.err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--delta=-1e-3", "noise level must be finite and >= 0, got -0.001"),
+        ("--delta=nan", "noise level must be finite and >= 0, got nan"),
+        ("--delta=inf", "noise level must be finite and >= 0, got inf"),
+        ("--seed=-1", "seeds and problem_seed must be >= 0, got -1"),
+        ("--problem-seed=-1", "seeds and problem_seed must be >= 0, got -1"),
+    ])
+    def test_bad_noise_level_or_seed_is_usage_error(self, flag, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "land", flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         path.write_text("solver.tau = 1.0\n")

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tgss import geometry
 from tgss.geometry import (
     DependentDirectionsError,
     Hyperplane,
@@ -20,7 +21,7 @@ from tgss.geometry import (
     project_stripe,
     sequential_stripe_projection,
 )
-from tgss.numkernel import ALIGN, DimensionError, dot, norm
+from tgss.numkernel import ALIGN, DimensionError, dot, norm, solve_spd_dense
 
 
 class TestConstruction:
@@ -33,6 +34,14 @@ class TestConstruction:
     def test_non_finite_direction_accepted(self):
         # Only an all-zero direction is invalid; a NaN entry is not zero.
         Stripe(np.array([np.nan, 0.0]), 0.0, 1.0)
+
+    def test_direction_whose_square_underflows_rejected(self):
+        # ||u||^2 underflows to 0, as in Hyperplane and StripeRing.push.
+        u = np.array([1e-200, 0.0])
+        with pytest.raises(InvalidStripeError):
+            Stripe(u, 0.0, 1.0)
+        with pytest.raises(InvalidStripeError):
+            Hyperplane(u, 0.0)
 
     def test_negative_width_rejected(self):
         with pytest.raises(InvalidStripeError):
@@ -247,6 +256,23 @@ class TestSequentialStripeProjection:
         with pytest.raises(ProjectionPreconditionError):
             sequential_stripe_projection(np.array([0.5, 0.0]), [s])
 
+    def test_gram_solves_go_through_solve_spd_dense(self, monkeypatch):
+        # The traced benchmark counts Gram solves under this name.
+        calls = []
+
+        def counting(G, b):
+            calls.append(np.shape(G))
+            return solve_spd_dense(G, b)
+
+        monkeypatch.setattr(geometry, "solve_spd_dense", counting)
+        s0 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
+        s1 = Stripe(np.array([1.0, 1.0]), 0.0, 0.5)
+        z = np.array([2.0, 3.0])   # above s0; its projection [0, 3] is above s1
+        res = sequential_stripe_projection(z, [s0, s1])
+        assert res.skipped == [] and calls == [(2, 2)]
+        project_hyperplane_intersection(z, [s0.upper(), s1.upper()])
+        assert calls == [(2, 2), (2, 2)]
+
     def test_parallel_older_stripe_dropped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s2 = Stripe(np.array([2.0, 0.0]), 5.0, 0.0)  # parallel to s1, incompatible
@@ -330,8 +356,9 @@ class TestStripeRing:
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     def test_gram_exactly_symmetric_after_every_push(self, capacity):
-        # solve_spd_symmetric skips the elementwise symmetry test on the
-        # ring's Gram blocks: this is the invariant that makes that safe.
+        # One inner product per pair fills both triangles, so every Gram
+        # block the projection hands to solve_spd_dense passes its
+        # elementwise symmetry test on the cheap path, with no tolerance.
         rng = np.random.Generator(np.random.PCG64(25 + capacity))
         ring = StripeRing(capacity, (9,))
         for k in range(3 * capacity + 2):
@@ -383,7 +410,7 @@ class TestStripeRing:
 
     def test_direction_whose_square_underflows_counts_as_zero(self):
         ring = StripeRing(2, (2,))
-        tiny = Stripe(np.array([1e-200, 0.0]), 0.0, 1.0)   # nonzero: accepted here
+        tiny = SimpleNamespace(u=np.array([1e-200, 0.0]), alpha=0.0, xi=1.0)
         with pytest.raises(InvalidStripeError):
             ring.push(tiny)
         assert len(ring) == 0

@@ -54,6 +54,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.ones(3), -1.0, 0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(np.ones(3), delta, 0)
+
     def test_delta_used_modes(self):
         data = add_noise(np.zeros(10), 0.5, 1)
         assert data.delta_used("nominal") == 0.5

@@ -33,6 +33,11 @@ from tgss.solvers import (
 )
 
 
+def coupling_scale(cfg):
+    """psi^2 / (mu c_F^2), as `run` computes it for the coupling condition."""
+    return psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
+
+
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
@@ -110,7 +115,7 @@ class TestLambdaRules:
         assert lam == pytest.approx(expected, rel=1e-12)
         # the returned weight satisfies the coupling condition at the
         # stopping threshold residual tau * delta
-        assert coupling_holds(lam, 1.0, cfg.tau * 1.0, cfg)
+        assert coupling_holds(lam, 1.0, cfg.tau * 1.0, coupling_scale(cfg))
 
     def test_coupling_capped_by_momentum_schedule(self):
         cfg = SolverConfig(eta=0.0, tau=2.0, mu=1.01, c_F=1.0)
@@ -190,7 +195,7 @@ class TestDbtsSelect:
                            j_max=1, i0=2)
         state = self._state([0.0, 0.0], [1.0, 0.0], k=1)
         lam, i_k, z, r, rn = dbts_select(state, op, data, cfg,
-                                         data.delta_used("effective"))
+                                         data.delta_used("effective"), coupling_scale(cfg))
         assert lam == pytest.approx(0.25)
         assert i_k == 3
         np.testing.assert_allclose(z, [1.25, 0.0])
@@ -201,7 +206,7 @@ class TestDbtsSelect:
         data = add_noise(np.array([5.0, 5.0]), 1e-4, 0)
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=0.1)
         state = self._state([1.0, 1.0], [1.0, 1.0], k=4)
-        lam, _, z, _, _ = dbts_select(state, op, data, cfg, 1e-4)
+        lam, _, z, _, _ = dbts_select(state, op, data, cfg, 1e-4, coupling_scale(cfg))
         assert lam == pytest.approx(4.0 / 7.0)
         np.testing.assert_allclose(z, [1.0, 1.0])
 
@@ -233,7 +238,8 @@ class TestDbtsSelect:
                            q_scale=4.0, q_power=1.1)
         state = self._state([0.0, 0.0], [100.0, 0.0], k=5)
         delta_used = data.delta_used("effective")
-        lam, i_k, _, _, _ = dbts_select(state, op, data, cfg, delta_used)
+        lam, i_k, _, _, _ = dbts_select(state, op, data, cfg, delta_used,
+                                        coupling_scale(cfg))
         assert i_k == 2 + cfg.j_max
         assert lam == pytest.approx(
             lambda_coupling(100.0, 5, delta_used, cfg), rel=1e-12
