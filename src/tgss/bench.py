@@ -73,6 +73,7 @@ class BenchSpec:
         for delta in self.noise_levels:
             if not (delta >= 0.0 and math.isfinite(delta)):
                 raise MetricError(f"noise level must be finite and >= 0, got {delta}")
+        self.noise_levels = [float(delta) for delta in self.noise_levels]
         for seed in (*self.seeds, self.problem_seed):
             if seed < 0:
                 raise MetricError(f"seeds and problem_seed must be >= 0, got {seed}")
@@ -112,10 +113,9 @@ def relative_error(x: Vec, truth: Vec) -> float:
 
 def make_problem(spec: BenchSpec) -> tuple[ForwardOperator, Vec, Vec, Vec]:
     """Operator, ground-truth coefficient, exact data and initial guess."""
-    base = solver_config(spec)
     if spec.problem != "linear-diag":
         mesh = invpot.make_mesh(2 if spec.problem == "invpot2d" else 1, spec.mesh_n)
-        op = invpot.InversePotentialOperator(mesh, f=1.0, eta=base.eta, c_F=base.c_F)
+        op = invpot.InversePotentialOperator(mesh, f=1.0)
         truth = invpot.true_coefficient(mesh)
         x0 = np.ones(mesh.n_nodes)
     else:
@@ -136,6 +136,7 @@ def solver_config(spec: BenchSpec, method: str | None = None) -> SolverConfig:
 
 def run_suite(spec: BenchSpec) -> list[BenchRecord]:
     """Run every configured method on identical data per (delta, seed) group."""
+    solver_config(spec)  # a bad shared option raises here, before any set-up
     op, truth, y_exact, x0 = make_problem(spec)
     records: list[BenchRecord] = []
     for delta in spec.noise_levels:
@@ -188,10 +189,6 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 def records_to_json(records: list[BenchRecord]) -> str:
     return json.dumps([r.to_json_dict() for r in records], indent=2)
-
-
-def records_from_json(text: str) -> list[BenchRecord]:
-    return [BenchRecord(**d) for d in json.loads(text)]
 
 
 def emit(records: list[BenchRecord], out_base: str, formats=("csv",),

@@ -21,19 +21,23 @@ import numpy as np
 from . import bench
 from .solvers import METHOD_TABLE, SolverConfig
 
-SOLVER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+
+def _config_keys(cls) -> dict:
+    """Key -> value type for the fields of `cls` that have a plain default.
+
+    The type comes from the field's type hint; an `int | None` field
+    takes an int.
+    """
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                     hints[f.name])
+        for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+    }
 
 
-def _value_type(hint):
-    """The type a value converts to: int for an `int | None` field."""
-    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-
-
-_BENCH_HINTS = typing.get_type_hints(bench.BenchSpec)
-BENCH_KEYS = {
-    f.name: _value_type(_BENCH_HINTS[f.name])
-    for f in dataclasses.fields(bench.BenchSpec) if f.default is not dataclasses.MISSING
-}
+SOLVER_KEYS = _config_keys(SolverConfig)
+BENCH_KEYS = _config_keys(bench.BenchSpec)
 
 
 def parse_config_file(path: str) -> dict:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .numkernel import Vec, check_direct_size, factorize_band_spd
 from .operator import ForwardOperator
@@ -239,20 +238,12 @@ class P1Pattern:
         out += np.multiply(diagonal, x, out=product)
         return out
 
-    def csr(self, diagonal: Vec, lower: Vec) -> sp.csr_matrix:
-        """The symmetric matrix (diagonal, lower) as a scipy CSR matrix."""
-        spans = self._spans
-        bands = [lower[r, :m] for r, _, m in spans]
-        offsets = [d for _, d, _ in spans]
-        return sp.diags([diagonal, *bands, *bands], [0, *(-d for d in offsets), *offsets],
-                        shape=(self.n, self.n), format="csr")
-
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
         return self.matvec(*self.mass_data(f_nodal), np.ones(self.n))
 
 
-def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
+def weighted_mass(mesh: Mesh, w: Vec) -> tuple[Vec, Vec]:
     """Boundary-corrected mass matrix weighted by the interpolant of w.
 
     Entry (i, j) approximates the integral of w_h * phi_i * phi_j.
@@ -267,15 +258,12 @@ def weighted_mass(mesh: Mesh, w: Vec) -> sp.csr_matrix:
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
 
-    The entries come from the edge form of the module docstring,
-    M(w)_ij = beta_ij (w_i + w_j) off the diagonal and
-    M(w)_ii = g_i w_i + sum_j beta_ij w_j, with beta stored per offset
-    and g computed by the mesh's P1Pattern.  The pattern is built on
-    every call; repeated assembly on one mesh should keep a P1Pattern
-    and call its mass_data.
+    Returns the matrix as the offset pair (diagonal, lower) of
+    P1Pattern.mass_data, from a pattern built on every call.  The
+    operator keeps one P1Pattern per mesh and calls mass_data; this name
+    stays only because perfbench's tracer wraps it.
     """
-    pattern = P1Pattern(mesh)
-    return pattern.csr(*pattern.mass_data(np.asarray(w, dtype=float)))
+    return P1Pattern(mesh).mass_data(np.asarray(w, dtype=float))
 
 
 def check_admissible(c: Vec):
@@ -300,10 +288,11 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built.
+    before anything is built.  The cone constant eta and the derivative
+    bound c_F of a run on this operator are fields of its SolverConfig.
     """
 
-    def __init__(self, mesh: Mesh, f=1.0, eta: float = 0.1, c_F: float = 0.1):
+    def __init__(self, mesh: Mesh, f=1.0):
         check_direct_size(mesh.n_nodes)
         self.mesh = mesh
         if np.isscalar(f):
@@ -316,8 +305,6 @@ class InversePotentialOperator(ForwardOperator):
         else:
             self.f_nodal = np.asarray(f, dtype=float)
         self.n = self.m = mesh.n_nodes
-        self.eta = eta
-        self.c_F = c_F
         self._pattern = pattern = P1Pattern(mesh)
         self.load = pattern.load(self.f_nodal)
         # A(c) in LAPACK lower band storage: a (u + 1, n) Fortran-order array

@@ -148,15 +148,16 @@ def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
         If G is not finite and symmetric, or not positive definite
         (dependent directions).
     DimensionError
-        On shape mismatch or when the system exceeds DENSE_CAP.
+        On shape mismatch, or when the system is empty or exceeds
+        DENSE_CAP; LAPACK is not called.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if G.shape != (n, n):
         raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
-    if n > DENSE_CAP:
-        raise DimensionError(f"dense SPD solve capped at {DENSE_CAP}, got {n}")
+    if not 0 < n <= DENSE_CAP:
+        raise DimensionError(f"dense SPD solve takes 1 to {DENSE_CAP} unknowns, got {n}")
     # On a block of a few entries loops over Python floats beat ufuncs.  The
     # elementwise test holds at (i, j) and (j, i) exactly when it holds with
     # the smaller of |G_ij| and |G_ji|; an exactly equal pair always passes.

@@ -29,20 +29,17 @@ class ForwardOperator(abc.ABC):
     the caller owns.  The solvers pass work vectors as `out`, so that an
     iteration allocates no vector of the problem's size.
 
+    The tangential cone constant eta and the derivative bound c_F are not
+    part of the operator: a run reads them from its SolverConfig.
+
     Attributes
     ----------
     n, m : int
         Domain and range dimensions.
-    eta : float
-        Tangential cone constant, supplied by configuration.
-    c_F : float
-        Upper bound on the derivative norm, supplied by configuration.
     """
 
     n: int
     m: int
-    eta: float
-    c_F: float
 
     @abc.abstractmethod
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:
@@ -105,7 +102,8 @@ class DiagonalOperator(ForwardOperator):
 
     Being linear it satisfies the tangential cone condition with eta = 0,
     which makes every stripe-containment and descent statement exact; the
-    tests lean on this.  d is kept ALIGN-aligned, as a copy where the
+    tests lean on this.  c_F = max|d| is its norm, a value for a
+    SolverConfig's c_F.  d is kept ALIGN-aligned, as a copy where the
     given array is not.
     """
 
@@ -115,7 +113,6 @@ class DiagonalOperator(ForwardOperator):
             raise InvalidOperatorError("diagonal entries must be nonzero")
         self.d = d
         self.n = self.m = d.shape[0]
-        self.eta = 0.0
         self.c_F = float(np.abs(d).max())
 
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,6 @@ import numpy as np
 from .geometry import (
     InvalidStripeError,
     ProjectionPreconditionError,
-    Stripe,
     StripeRing,
     sequential_stripe_projection,
 )
@@ -188,8 +186,7 @@ class StripeRecord:
 
     uz = <u, z>, the inner product of the direction with the point the
     stripe was built at.  The direction is not tested for zero until the
-    record is pushed on a StripeRing, which sees that from ||u||^2, or
-    its `stripe` is read.
+    record is pushed on a StripeRing, which sees that from ||u||^2.
     """
 
     u: Vec
@@ -197,10 +194,6 @@ class StripeRecord:
     xi: float
     r_norm: float
     uz: float
-
-    @cached_property
-    def stripe(self) -> Stripe:
-        return Stripe(self.u, self.alpha, self.xi)
 
 
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,

@@ -2,7 +2,8 @@
 
 Element matrices are summed through a COO matrix and converted to CSR,
 written out independently of invpot.P1Pattern and of the band storage
-the operator factorizes.
+the operator factorizes.  csr turns a pattern's offset pair (diagonal,
+lower) into a CSR matrix to compare against.
 """
 
 import numpy as np
@@ -65,6 +66,14 @@ def reference_system(mesh, c, f):
     """Dense A(c) = K + M(c) and the load M(f) 1 of the state equation."""
     A = reference_stiffness(mesh) + reference_mass(mesh, c)
     return A.toarray(), reference_mass(mesh, f) @ np.ones(mesh.n_nodes)
+
+
+def csr(pattern, diagonal, lower):
+    """The symmetric matrix (diagonal, lower) of a P1Pattern as a CSR matrix."""
+    offsets = pattern.offsets.tolist()
+    bands = [lower[r, :pattern.n - d] for r, d in enumerate(offsets)]
+    return sp.diags([diagonal, *bands, *bands], [0, *(-d for d in offsets), *offsets],
+                    shape=(pattern.n, pattern.n), format="csr")
 
 
 def assert_matrix_close(actual, expected, rtol=1e-14):

@@ -195,7 +195,7 @@ def test_criterion_4_linear_operator_theory():
         for row in res.trace:
             # solution containment in the stripe built at z
             rec = build_stripe(op, row.z, data, cfg)
-            slack = abs(dot(rec.u, truth) - rec.stripe.alpha) - rec.stripe.xi
+            slack = abs(dot(rec.u, truth) - rec.alpha) - rec.xi
             assert slack <= 1e-12, (method, row.k, slack)
 
             # residual descent estimate for the projection step

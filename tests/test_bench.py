@@ -12,7 +12,6 @@ from tgss.bench import (
     MetricError,
     emit,
     make_problem,
-    records_from_json,
     records_to_csv,
     records_to_json,
     relative_error,
@@ -154,7 +153,7 @@ class TestRunSuite:
             "ConfigError: tau=2.0 must exceed (1+eta)/(1-eta)=3"
         )
         assert loaded["sesop"]["error"] is None
-        back = {r.method: r for r in records_from_json(records_to_json(records))}
+        back = {d["method"]: BenchRecord(**d) for d in json.loads(records_to_json(records))}
         assert back["land"].error == loaded["land"]["error"]
         assert back["land"].stopped_by == "error:ConfigError"
 
@@ -205,9 +204,19 @@ class TestSerialization:
         assert first[0] == records[0].method
         assert int(first[3]) == records[0].k_star
 
+    def test_numpy_noise_levels_written_as_plain_floats(self):
+        # A spec built in Python may hold numpy floats; the CSV must not
+        # carry their repr ("np.float64(0.001)").
+        spec = small_linear_spec(methods=["land"], noise_levels=list(np.array([1e-3])))
+        [record] = run_suite(spec)
+        cells = records_to_csv([record]).splitlines()[1].split(",")
+        for name, cell in zip(CSV_HEADER.split(","), cells):
+            if name not in ("method", "stopped_by"):
+                float(cell)
+
     def test_json_round_trip(self):
         records = self._records()
-        back = records_from_json(records_to_json(records))
+        back = [BenchRecord(**d) for d in json.loads(records_to_json(records))]
         for a, b in zip(records, back):
             assert a.method == b.method
             assert a.k_star == b.k_star

@@ -7,6 +7,7 @@ import pytest
 
 from reference import (
     assert_matrix_close,
+    csr,
     reference_mass,
     reference_stiffness,
     reference_system,
@@ -34,7 +35,12 @@ from tgss.numkernel import (
 
 def stiffness(mesh):
     pattern = P1Pattern(mesh)
-    return pattern.csr(pattern.K_diagonal, pattern.K_lower)
+    return csr(pattern, pattern.K_diagonal, pattern.K_lower)
+
+
+def mass(mesh, w):
+    """weighted_mass(mesh, w) as a CSR matrix."""
+    return csr(P1Pattern(mesh), *weighted_mass(mesh, w))
 
 
 class TestMesh:
@@ -112,7 +118,7 @@ class TestAssembly:
         rng = np.random.Generator(np.random.PCG64(31))
         for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
             w = rng.uniform(0.5, 2.0, mesh.n_nodes)
-            M = weighted_mass(mesh, w)
+            M = mass(mesh, w)
             assert (M != M.T).nnz == 0
 
     def test_mass_weight_swap_identity(self):
@@ -122,8 +128,8 @@ class TestAssembly:
         for mesh in (make_mesh(1, 16), make_mesh(2, 4)):
             u = rng.standard_normal(mesh.n_nodes)
             q = rng.standard_normal(mesh.n_nodes)
-            lhs = weighted_mass(mesh, q) @ u
-            rhs = weighted_mass(mesh, u) @ q
+            lhs = mass(mesh, q) @ u
+            rhs = mass(mesh, u) @ q
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_fixed_pattern_matches_reference_assembly(self):
@@ -132,14 +138,14 @@ class TestAssembly:
             n = mesh.n_nodes
             pattern = P1Pattern(mesh)
             K_ref = reference_stiffness(mesh)
-            assert_matrix_close(pattern.csr(pattern.K_diagonal, pattern.K_lower), K_ref)
+            assert_matrix_close(csr(pattern, pattern.K_diagonal, pattern.K_lower), K_ref)
             for _ in range(5):
                 w = rng.standard_normal(n)            # negative entries too
-                assert_matrix_close(weighted_mass(mesh, w), reference_mass(mesh, w))
+                assert_matrix_close(mass(mesh, w), reference_mass(mesh, w))
                 c = rng.uniform(-0.4, 2.0, n)
                 f = rng.uniform(0.5, 1.5, n)
                 diagonal, lower = pattern.mass_data(c)
-                A = pattern.csr(pattern.K_diagonal + diagonal, pattern.K_lower + lower)
+                A = csr(pattern, pattern.K_diagonal + diagonal, pattern.K_lower + lower)
                 assert_matrix_close(A, K_ref + reference_mass(mesh, c))
                 np.testing.assert_allclose(
                     InversePotentialOperator(mesh, f=f).load,
@@ -163,7 +169,7 @@ class TestAssembly:
         # weight: for constant w every row of M(w) sums to w h^dim,
         # boundary rows included.
         for mesh in (make_mesh(1, 8), make_mesh(2, 4)):
-            M = weighted_mass(mesh, np.full(mesh.n_nodes, 2.5))
+            M = mass(mesh, np.full(mesh.n_nodes, 2.5))
             np.testing.assert_allclose(
                 M @ np.ones(mesh.n_nodes), 2.5 * mesh.h ** mesh.dim, rtol=1e-14
             )
@@ -173,7 +179,7 @@ class TestAssembly:
         f = np.linspace(0.5, 1.5, mesh.n_nodes)
         np.testing.assert_allclose(
             P1Pattern(mesh).load(f),
-            weighted_mass(mesh, f) @ np.ones(mesh.n_nodes),
+            mass(mesh, f) @ np.ones(mesh.n_nodes),
         )
 
     def test_admissibility_guard(self):
@@ -220,6 +226,13 @@ class TestForwardMap:
 
 
 class TestOperatorContract:
+    def test_cone_constant_and_derivative_bound_are_not_arguments(self):
+        # eta and c_F are SolverConfig fields; the operator takes neither.
+        mesh = make_mesh(1, 8)
+        for kwargs in ({"eta": 0.1}, {"c_F": 0.1}):
+            with pytest.raises(TypeError):
+                InversePotentialOperator(mesh, **kwargs)
+
     def test_derivative_constant_perturbation(self):
         mesh = make_mesh(1, 32)
         op = InversePotentialOperator(mesh)

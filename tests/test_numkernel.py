@@ -171,6 +171,10 @@ class TestSolveSpdDense:
         with pytest.raises(DimensionError):
             solve_spd_dense(np.eye(3), np.ones(2))
 
+    def test_rejects_empty_system(self):
+        with pytest.raises(DimensionError, match="got 0"):
+            solve_spd_dense(np.zeros((0, 0)), np.zeros(0))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # A symmetric pair of infinities passes an isclose-style test.

@@ -76,7 +76,7 @@ class TestDiagonalOperator:
         op = DiagonalOperator(np.array([2.0, -3.0]))
         np.testing.assert_allclose(op.apply(np.array([1.0, 1.0])), [2.0, -3.0])
         assert op.c_F == 3.0
-        assert op.eta == 0.0
+        assert not hasattr(op, "eta")   # eta is a SolverConfig field
 
     def test_zero_entry_rejected(self):
         with pytest.raises(InvalidOperatorError):

@@ -67,7 +67,7 @@ def check_containment(problem, method, n_directions):
     # before it; its result x_{k+1} is rebuilt from row k + 1.
     for k, x_next in enumerate(xs[1:]):
         for j in range(max(0, k - n_directions + 1), k + 1):
-            s = build_stripe(op, res.trace[j].z, data, cfg).stripe
+            s = build_stripe(op, res.trace[j].z, data, cfg)
             tol = 1e-9 * (np.linalg.norm(s.u) * np.linalg.norm(x_next)
                           + abs(s.alpha) + s.xi)
             assert abs(np.dot(s.u, x_next) - s.alpha) <= s.xi + tol, (method, k, j)

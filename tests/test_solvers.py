@@ -10,6 +10,7 @@ from tgss import solvers
 from tgss.geometry import (
     DependentDirectionsError,
     InvalidStripeError,
+    Stripe,
     sequential_stripe_projection,
 )
 from tgss.numkernel import ALIGN, SingularSystemError, dot, norm
@@ -129,8 +130,8 @@ class TestBuildStripe:
         cfg = SolverConfig(eta=0.1, tau=2.8)
         rec = build_stripe(op, np.zeros(2), data, cfg)
         np.testing.assert_allclose(rec.u, [-1.0, 0.0])
-        assert rec.stripe.alpha == pytest.approx(-1.0)
-        assert rec.stripe.xi == pytest.approx(0.1)   # eta * ||r||^2 with delta 0
+        assert rec.alpha == pytest.approx(-1.0)
+        assert rec.xi == pytest.approx(0.1)   # eta * ||r||^2 with delta 0
         assert rec.r_norm == pytest.approx(1.0)
 
     def test_residual_reuse(self):
@@ -143,7 +144,7 @@ class TestBuildStripe:
         a = build_stripe(op, z, data, cfg)
         b = build_stripe(op, z, data, cfg, r=r)
         np.testing.assert_allclose(a.u, b.u)
-        assert a.stripe.alpha == b.stripe.alpha and a.stripe.xi == b.stripe.xi
+        assert a.alpha == b.alpha and a.xi == b.xi
 
     def test_residual_norm_reuse(self, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(43))
@@ -158,7 +159,7 @@ class TestBuildStripe:
         b = build_stripe(op, z, data, cfg, r=r, r_norm=a.r_norm)
         assert calls == []
         np.testing.assert_array_equal(a.u, b.u)
-        assert (a.r_norm, a.stripe.alpha, a.stripe.xi) == (b.r_norm, b.stripe.alpha, b.stripe.xi)
+        assert (a.r_norm, a.alpha, a.xi) == (b.r_norm, b.alpha, b.xi)
 
     def test_solution_inside_stripe_linear_exact(self):
         # For a linear operator with zero cone constant and exact data the
@@ -174,8 +175,8 @@ class TestBuildStripe:
             rec = build_stripe(op, z, data, cfg)
             if norm(rec.u) == 0.0:
                 continue
-            slack = abs(dot(rec.u, truth) - rec.stripe.alpha) - rec.stripe.xi
-            assert slack <= 1e-12 * max(1.0, abs(rec.stripe.alpha))
+            slack = abs(dot(rec.u, truth) - rec.alpha) - rec.xi
+            assert slack <= 1e-12 * max(1.0, abs(rec.alpha))
 
 
 class TestDbtsSelect:
@@ -296,9 +297,9 @@ class TestRun:
         z = np.array([0.5, 0.5])
         rec = build_stripe(op, z, data, cfg)
         np.testing.assert_allclose(rec.u, z)
-        assert rec.stripe.alpha == pytest.approx(0.0)
-        assert rec.stripe.xi == 0.0
-        proj = sequential_stripe_projection(z, [rec.stripe])
+        assert rec.alpha == pytest.approx(0.0)
+        assert rec.xi == 0.0
+        proj = sequential_stripe_projection(z, [Stripe(rec.u, rec.alpha, rec.xi)])
         np.testing.assert_allclose(proj.point, [0.0, 0.0], atol=1e-15)
 
     def test_momentum_reduction_to_plain_gradient(self):
