@@ -288,7 +288,8 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built.  The cone constant eta and the derivative
+    before anything is built.  The source f is a scalar or an array of
+    nodal values.  The cone constant eta and the derivative
     bound c_F of a run on this operator are fields of its SolverConfig.
     """
 
@@ -297,11 +298,6 @@ class InversePotentialOperator(ForwardOperator):
         self.mesh = mesh
         if np.isscalar(f):
             self.f_nodal = np.full(mesh.n_nodes, float(f))
-        elif callable(f):
-            pts = mesh.nodes
-            self.f_nodal = np.asarray(
-                f(pts) if mesh.dim == 1 else f(pts[:, 0], pts[:, 1]), dtype=float
-            )
         else:
             self.f_nodal = np.asarray(f, dtype=float)
         self.n = self.m = mesh.n_nodes

@@ -56,25 +56,15 @@ class ForwardOperator(abc.ABC):
 
 @dataclass(frozen=True)
 class NoisyData:
-    """Measured data with its nominal and effective noise levels.
+    """Measured data y_delta and its noise level delta_eff = ||y_delta - y||.
 
-    delta is the nominal level of the noise model y + delta * n with n a
-    seeded standard normal draw; delta_eff is the actually realized
-    perturbation norm ||y_delta - y||, which the discrepancy principle
-    consumes in its default mode.
+    delta_eff is the norm of the perturbation actually added, the bound
+    ||y_delta - y|| <= delta that the discrepancy principle and the stripe
+    widths rest on.
     """
 
     y_delta: Vec
-    delta: float
-    seed: int
     delta_eff: float
-
-    def delta_used(self, mode: str = "effective") -> float:
-        if mode == "effective":
-            return self.delta_eff
-        if mode == "nominal":
-            return self.delta
-        raise ValueError(f"unknown delta mode {mode!r}")
 
 
 def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
@@ -89,12 +79,12 @@ def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
     if delta == 0.0:
         y_delta = empty(y.shape)
         np.copyto(y_delta, y)
-        return NoisyData(y_delta=y_delta, delta=0.0, seed=seed, delta_eff=0.0)
+        return NoisyData(y_delta, 0.0)
     y_delta = gaussian_vector(y.shape[0], seed)
     y_delta *= delta
     delta_eff = norm(y_delta)
     y_delta += y
-    return NoisyData(y_delta=y_delta, delta=delta, seed=seed, delta_eff=delta_eff)
+    return NoisyData(y_delta, delta_eff)
 
 
 class DiagonalOperator(ForwardOperator):

@@ -27,13 +27,23 @@ keep their stripes in a `geometry.StripeRing`: each new direction is
 built in the ring's storage, and the ring holds the stripes' Gram matrix
 across iterations, so a step computes only the new direction's Gram row.
 Results handed to the caller are copies, never one of these work vectors.
+
+Every path reads one noise level, data.delta_eff = ||y_delta - y||.
+
+The benchmark (perfbench/tracing.py, perfbench/hostprobe.py) patches
+names in this module's namespace, by name: `build_stripe`, `dbts_select`
+(a forward apply made inside it counts as a backtracking trial),
+`sequential_stripe_projection`, `norm`, `dot`, and `discrepancy_met`,
+which `run` calls once per iteration to time the host.  The code here
+must keep calling them through these module globals: a renamed or
+locally bound one escapes the tracer without any error.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +110,8 @@ class InvariantViolationError(RuntimeError):
 class SolverConfig:
     """Scalar hyperparameters shared by all methods.
 
-    q_scale / i**q_power is the summable backtracking schedule.
+    q_scale / i**q_power is the summable backtracking schedule.  Every
+    float field must be finite.
     """
 
     eta: float = 0.1
@@ -114,12 +125,14 @@ class SolverConfig:
     i0: int = 2
     n_directions: int = 2
     max_iters: int = 50000
-    delta_mode: str = "effective"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must be in [0, 1), got {self.eta}")
-        if self.tau <= (1.0 + self.eta) / (1.0 - self.eta):
+        if self.tau <= (1.0 + self.eta) / (1.0 - self.eta) or psi(self) <= 0.0:
             raise ConfigError(
                 f"tau={self.tau} must exceed (1+eta)/(1-eta)="
                 f"{(1 + self.eta) / (1 - self.eta):.6g}"
@@ -132,35 +145,30 @@ class SolverConfig:
             raise ConfigError(f"nesterov_alpha must be >= 3, got {self.nesterov_alpha}")
         if self.q_scale <= 0.0 or self.q_power <= 1.0:
             raise ConfigError("need q_scale > 0 and q_power > 1 for a summable schedule")
-        if self.j_max < 1 or self.n_directions < 1 or self.max_iters < 0:
-            raise ConfigError("j_max, n_directions must be >= 1 and max_iters >= 0")
-        if self.delta_mode not in ("effective", "nominal"):
-            raise ConfigError(f"unknown delta_mode {self.delta_mode!r}")
+        if self.j_max < 1 or self.n_directions < 1 or self.max_iters < 0 or self.i0 < 0:
+            raise ConfigError("j_max, n_directions must be >= 1 and max_iters, i0 >= 0")
 
     def q(self, i: float) -> float:
         return self.q_scale / i ** self.q_power
 
 
 def psi(cfg: SolverConfig) -> float:
-    """The positive margin (1 - eta) - (1 + eta)/tau."""
-    value = (1.0 - cfg.eta) - (1.0 + cfg.eta) / cfg.tau
-    if value <= 0.0:
-        raise ConfigError("tau too small: stopping margin not positive")
-    return value
+    """The margin (1 - eta) - (1 + eta)/tau, positive for every valid SolverConfig."""
+    return (1.0 - cfg.eta) - (1.0 + cfg.eta) / cfg.tau
 
 
-def discrepancy_met(r_norm: float, cfg: SolverConfig, delta_used: float) -> bool:
+def discrepancy_met(r_norm: float, cfg: SolverConfig, delta: float) -> bool:
     """Discrepancy principle; with exact data an absolute floor stands in."""
-    if delta_used == 0.0:
+    if delta == 0.0:
         return r_norm <= EXACT_DATA_FLOOR
-    return r_norm <= cfg.tau * delta_used
+    return r_norm <= cfg.tau * delta
 
 
 def lambda_nesterov(k: int, alpha: float) -> float:
     return max(0.0, (k - 1.0) / (k + alpha - 1.0))
 
 
-def lambda_coupling(dx_norm: float, k: int, delta_used: float, cfg: SolverConfig) -> float:
+def lambda_coupling(dx_norm: float, k: int, delta: float, cfg: SolverConfig) -> float:
     """Closed-form weight guaranteeing the coupling condition.
 
     min of sqrt((Psi tau delta)^2 / (mu c_F^2 ||dx||^2) + 1/4) - 1/2 and
@@ -170,7 +178,7 @@ def lambda_coupling(dx_norm: float, k: int, delta_used: float, cfg: SolverConfig
     cap = k / (k + cfg.nesterov_alpha)
     if dx_norm == 0.0:
         return cap
-    s = psi(cfg) * cfg.tau * delta_used
+    s = psi(cfg) * cfg.tau * delta
     root = math.sqrt(s * s / (cfg.mu * cfg.c_F ** 2 * dx_norm ** 2) + 0.25) - 0.5
     return min(root, cap)
 
@@ -209,7 +217,7 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
         r = op.apply(z) - data.y_delta
     rn = norm(r) if r_norm is None else r_norm
     u = op.adjoint_apply(z, r, out=out)
-    delta = data.delta_used(cfg.delta_mode)
+    delta = data.delta_eff
     uz = dot(u, z)
     xi = (delta + cfg.eta * (rn + delta)) * rn
     return StripeRecord(u, uz - rn * rn, xi, rn, uz)
@@ -254,16 +262,19 @@ class IterationState:
         self.dx_norm = norm(self.dx)
 
 
-def _extrapolate(state: IterationState, lam: float) -> Vec:
-    """z = x_k + lam dx, built in state.z_cur."""
-    z = np.multiply(state.dx, lam, out=state.z_cur)
-    return np.add(state.x_cur, z, out=z)
+def _trial(state: IterationState, lam: float, op: ForwardOperator, data: NoisyData):
+    """The point z = x_k + lam dx, its residual F(z) - y_delta and the residual's norm.
 
-
-def _residual(op: ForwardOperator, z: Vec, data: NoisyData, out: Vec) -> Vec:
-    """F(z) - y_delta, built in the array the operator returns for `out`."""
-    r = op.apply(z, out=out)
-    return np.subtract(r, data.y_delta, out=r)
+    z is x_k itself when lam = 0 and is built in state.z_cur otherwise; the
+    residual is built in the array the operator returns for state.r.
+    """
+    z = state.x_cur
+    if lam != 0.0:
+        z = np.multiply(state.dx, lam, out=state.z_cur)
+        z = np.add(state.x_cur, z, out=z)
+    r = op.apply(z, out=state.r)
+    r = np.subtract(r, data.y_delta, out=r)
+    return z, r, norm(r)
 
 
 @dataclass
@@ -303,7 +314,7 @@ class SolveResult:
 
 
 def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
-                cfg: SolverConfig, delta_used: float, coupling_scale: float):
+                cfg: SolverConfig, coupling_scale: float):
     """Discrete backtracking search for the momentum weight.
 
     Tries lambda = min(q(i)/||dx||, k/(k+alpha)) for the next j_max values
@@ -313,8 +324,8 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
     it.  Falls back to the closed-form coupling weight otherwise.
 
     Returns (lambda, i_k, z, r, r_norm); the accepted trial's forward
-    evaluation is reused by the caller.  Every trial is built in the
-    state's work vectors z_cur and r.
+    evaluation is reused by the caller.  Every trial is a `_trial`, built
+    in the state's work vectors.
     """
     k = state.k
     dxn = state.dx_norm
@@ -325,21 +336,16 @@ def dbts_select(state: IterationState, op: ForwardOperator, data: NoisyData,
 
     for j in range(1, cfg.j_max + 1):
         lam = beta(state.i_dbts + j)
-        z = _extrapolate(state, lam)
-        r = _residual(op, z, data, state.r)
-        rn = norm(r)
-        if (discrepancy_met(rn, cfg, delta_used)
+        z, r, rn = _trial(state, lam, op, data)
+        if (discrepancy_met(rn, cfg, data.delta_eff)
                 or coupling_holds(lam, dxn, rn, coupling_scale)):
             return lam, state.i_dbts + j, z, r, rn
 
-    lam = lambda_coupling(dxn, k, delta_used, cfg)
-    z = _extrapolate(state, lam)
-    r = _residual(op, z, data, state.r)
-    return lam, state.i_dbts + cfg.j_max, z, r, norm(r)
+    lam = lambda_coupling(dxn, k, data.delta_eff, cfg)
+    return (lam, state.i_dbts + cfg.j_max, *_trial(state, lam, op, data))
 
 
-def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_used,
-                     coupling_scale):
+def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, coupling_scale):
     """Momentum weight, extrapolated point and its residual for this iteration."""
     k = state.k
     if momentum == "zero" or k == 0:
@@ -347,14 +353,12 @@ def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, delta_
     elif momentum == "nesterov":
         lam = lambda_nesterov(k, cfg.nesterov_alpha)
     elif momentum == "dbts":
-        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, delta_used, coupling_scale)
+        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, coupling_scale)
         state.i_dbts = i_k
         return lam, z, r, rn
     else:  # "coupling"
-        lam = lambda_coupling(state.dx_norm, k, delta_used, cfg)
-    z = state.x_cur if lam == 0.0 else _extrapolate(state, lam)
-    r = _residual(op, z, data, state.r)
-    return lam, z, r, norm(r)
+        lam = lambda_coupling(state.dx_norm, k, data.delta_eff, cfg)
+    return (lam, *_trial(state, lam, op, data))
 
 
 def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
@@ -385,7 +389,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             f"unknown method {method!r}; accepted: {', '.join(METHOD_TABLE)}"
         )
     stripes, momentum = METHOD_TABLE[method]
-    delta_used = data.delta_used(cfg.delta_mode)
+    delta = data.delta_eff
     data = replace(data, y_delta=aligned(data.y_delta))
     x0 = np.asarray(x0, dtype=float)
     x_prev, x_cur = empty(x0.shape), empty(x0.shape)
@@ -407,8 +411,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
         state.k = k
-        lam, z, r, rn = _select_lambda_z(momentum, state, op, data, cfg, delta_used,
-                                         coupling_scale)
+        lam, z, r, rn = _select_lambda_z(momentum, state, op, data, cfg, coupling_scale)
 
         if not math.isfinite(rn):
             raise DivergenceError(
@@ -418,7 +421,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             stopped_by = "residual_zero"
             x_final, k_star = z.copy(), k
             break
-        if discrepancy_met(rn, cfg, delta_used):
+        if discrepancy_met(rn, cfg, delta):
             stopped_by = "discrepancy"
             x_final, k_star = z.copy(), k
             break
@@ -455,7 +458,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             except ProjectionPreconditionError as exc:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "
-                    f"(residual {rn:.3e}, tau*delta {cfg.tau * delta_used:.3e}); "
+                    f"(residual {rn:.3e}, tau*delta {cfg.tau * delta:.3e}); "
                     "eta or tau likely misconfigured"
                 ) from exc
             x_next = proj.point

@@ -182,7 +182,7 @@ def test_criterion_4_linear_operator_theory():
     truth = rng.standard_normal(n)
     data = add_noise(op.apply(truth), 1e-3, 0)
     cfg = SolverConfig(eta=0.0, tau=2.0, c_F=op.c_F, max_iters=20000)
-    delta = data.delta_used("effective")
+    delta = data.delta_eff
     x0 = np.zeros(n)
 
     for method in ("tpg-coupling", "tpg-dbts", "sesop",

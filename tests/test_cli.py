@@ -141,14 +141,6 @@ class TestCommands:
         assert captured.out == ""
         assert "bogus" in captured.err
 
-    def test_bad_delta_mode_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", *self.LINEAR, "--method", "land", "--delta-mode", "bogus"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unknown delta_mode 'bogus'" in captured.err
-
     def test_bad_noise_scale_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", *self.LINEAR, "--method", "land", "--noise-scale", "bogus"])
@@ -167,6 +159,25 @@ class TestCommands:
     def test_bad_noise_level_or_seed_is_usage_error(self, flag, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", *self.LINEAR, "--method", "land", flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--tau=inf"], "tau must be finite, got inf"),
+        (["--tau=nan"], "tau must be finite, got nan"),
+        (["--mu=nan"], "mu must be finite, got nan"),
+        (["--c-F=nan"], "c_F must be finite, got nan"),
+        (["--nesterov-alpha=inf"], "nesterov_alpha must be finite, got inf"),
+        (["--eta=0.29671477163201093", "--tau=1.843796399138237"],
+         "tau=1.843796399138237 must exceed"),
+        (["--i0=-1"], "i0 >= 0"),
+        (["--i0=-5"], "i0 >= 0"),
+    ])
+    def test_bad_solver_value_is_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "tpg-dbts", *flags])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -266,8 +277,8 @@ class TestSolverSchema:
     """Every SolverConfig field is a config key and a flag, and nothing else is."""
 
     FIELDS = dataclasses.fields(SolverConfig)
-    TYPES = {"float": float, "int": int, "str": str}
-    VALUES = {float: ("7.25", "8.5"), int: ("7", "8"), str: ("from-file", "from-flag")}
+    TYPES = {"float": float, "int": int}
+    VALUES = {float: ("7.25", "8.5"), int: ("7", "8")}
     BENCH_FLAGS = {
         "-h", "--help", "--config", "--problem", "--mesh-n", "--delta", "--seed",
         "--method", "--problem-seed", "--noise-scale", "--out", "--trace", "--format",
@@ -300,7 +311,7 @@ class TestSolverSchema:
         assert flags - self.BENCH_FLAGS == {self.flag(f.name) for f in self.FIELDS}
 
     @pytest.mark.parametrize("flag", ["--lambda-rule", "--cf", "--alpha", "--jmax",
-                                      "--directions"])
+                                      "--directions", "--delta-mode"])
     def test_removed_flags_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             _parser().parse_args([flag, "1"])
@@ -308,6 +319,7 @@ class TestSolverSchema:
 
     def test_removed_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("solver.lambda_rule = coupling\n")
-        with pytest.raises(ValueError, match="lambda_rule"):
-            build_specs(_parser().parse_args(["--config", str(path)]))
+        for key, value in [("lambda_rule", "coupling"), ("delta_mode", "effective")]:
+            path.write_text(f"solver.{key} = {value}\n")
+            with pytest.raises(ValueError, match=key):
+                build_specs(_parser().parse_args(["--config", str(path)]))

@@ -1,5 +1,7 @@
 """Unit tests for the forward-operator contract and the noise model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tgss.numkernel import ALIGN, dot, empty, gaussian_vector, norm
 from tgss.operator import (
     DiagonalOperator,
     InvalidOperatorError,
+    NoisyData,
     add_noise,
 )
 
@@ -59,12 +62,8 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="finite"):
             add_noise(np.ones(3), delta, 0)
 
-    def test_delta_used_modes(self):
-        data = add_noise(np.zeros(10), 0.5, 1)
-        assert data.delta_used("nominal") == 0.5
-        assert data.delta_used("effective") == data.delta_eff
-        with pytest.raises(ValueError):
-            data.delta_used("bogus")
+    def test_data_carry_only_the_noise_norm(self):
+        assert [f.name for f in dataclasses.fields(NoisyData)] == ["y_delta", "delta_eff"]
 
 
 class TestDiagonalOperator:

@@ -52,7 +52,11 @@ class TestSolverConfig:
         {"nesterov_alpha": 2.0},
         {"q_scale": 0.0}, {"q_power": 1.0},
         {"j_max": 0}, {"n_directions": 0}, {"max_iters": -1},
-        {"delta_mode": "bogus"},
+        # tau exceeds (1+eta)/(1-eta), but psi rounds to 0
+        {"eta": 0.29671477163201093, "tau": 1.843796399138237},
+        {"i0": -1}, {"i0": -5},
+        *({name: value} for name in ("tau", "mu", "c_F", "nesterov_alpha", "q_scale",
+                                     "q_power") for value in (math.inf, math.nan)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -195,8 +199,7 @@ class TestDbtsSelect:
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=0.1, q_scale=4.0, q_power=1.1,
                            j_max=1, i0=2)
         state = self._state([0.0, 0.0], [1.0, 0.0], k=1)
-        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg,
-                                         data.delta_used("effective"), coupling_scale(cfg))
+        lam, i_k, z, r, rn = dbts_select(state, op, data, cfg, coupling_scale(cfg))
         assert lam == pytest.approx(0.25)
         assert i_k == 3
         np.testing.assert_allclose(z, [1.25, 0.0])
@@ -207,7 +210,7 @@ class TestDbtsSelect:
         data = add_noise(np.array([5.0, 5.0]), 1e-4, 0)
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=0.1)
         state = self._state([1.0, 1.0], [1.0, 1.0], k=4)
-        lam, _, z, _, _ = dbts_select(state, op, data, cfg, 1e-4, coupling_scale(cfg))
+        lam, _, z, _, _ = dbts_select(state, op, data, cfg, coupling_scale(cfg))
         assert lam == pytest.approx(4.0 / 7.0)
         np.testing.assert_allclose(z, [1.0, 1.0])
 
@@ -238,16 +241,30 @@ class TestDbtsSelect:
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, j_max=2, i0=2,
                            q_scale=4.0, q_power=1.1)
         state = self._state([0.0, 0.0], [100.0, 0.0], k=5)
-        delta_used = data.delta_used("effective")
-        lam, i_k, _, _, _ = dbts_select(state, op, data, cfg, delta_used,
-                                        coupling_scale(cfg))
+        lam, i_k, _, _, _ = dbts_select(state, op, data, cfg, coupling_scale(cfg))
         assert i_k == 2 + cfg.j_max
         assert lam == pytest.approx(
-            lambda_coupling(100.0, 5, delta_used, cfg), rel=1e-12
+            lambda_coupling(100.0, 5, data.delta_eff, cfg), rel=1e-12
         )
 
 
 class TestRun:
+    @pytest.mark.parametrize("method", ["land", "tgss-nes"])
+    def test_discrepancy_test_called_once_per_iteration(self, method, monkeypatch):
+        # The benchmark's host-speed probe hooks solvers.discrepancy_met by
+        # name and counts on one call per iteration.
+        rng = np.random.Generator(np.random.PCG64(47))
+        n = 200
+        op = DiagonalOperator(rng.uniform(0.1, 1.0, n))
+        truth = rng.standard_normal(n)
+        data = add_noise(op.apply(truth), 1e-2 / math.sqrt(n), 0)
+        calls = []
+        monkeypatch.setattr(solvers, "discrepancy_met",
+                            lambda *args: calls.append(args) or discrepancy_met(*args))
+        res = run(method, op, data, np.zeros(n), SolverConfig())
+        assert res.stopped_by == "discrepancy" and res.k_star > 0
+        assert len(calls) == res.k_star + 1
+
     def test_one_step_exact_solve_all_methods(self):
         op = DiagonalOperator(np.array([1.0, 1.0, 1.0]))
         y = np.array([2.0, -1.0, 0.5])
