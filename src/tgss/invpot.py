@@ -23,7 +23,10 @@ because an off-diagonal element entry weighs only the edge's two end
 nodes.  The element scatter therefore runs once per mesh (P1Pattern).
 In the lexicographic node numbering every edge joins a node p to p + d
 for one of a few fixed offsets d, so beta lives on a few diagonals and
-every later M(w) costs a few contiguous slice products per offset.
+every later M(w) costs a few contiguous slice products per offset.  The
+scatter itself needs no sort: an element adds its local diagonal to its
+nodes and each of its local node pairs to the lower entry
+(max node, min node), at offset max - min, with one bincount per array.
 """
 
 from __future__ import annotations
@@ -126,18 +129,29 @@ def quadrature_weights(mesh: Mesh) -> Vec:
     return omega
 
 
-def local_stiffness(mesh: Mesh) -> np.ndarray:
-    """Element stiffness matrices, shape (num_elems, dim + 1, dim + 1)."""
+def local_stiffness(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Element stiffness entries (diagonal, pairs), element by element.
+
+    diagonal[e, i] is K_e[i, i], shape (num_elems, dim + 1); pairs[e, t]
+    is K_e[i, j] for the t-th local pair (i, j) of
+    np.triu_indices(dim + 1, 1), shape (num_elems, dim (dim + 1) / 2).
+    In 2-D, K_e[i, j] = (b_i b_j + c_i c_j) / (4 area) with b_i and c_i
+    the coordinate differences of the two other corners, so K_e is
+    symmetric bit for bit and a pair stands for both of its entries.
+    """
+    ne = mesh.elements.shape[0]
     if mesh.dim == 1:
-        K_loc = np.array([[1.0, -1.0], [-1.0, 1.0]]) / mesh.h
-        return np.broadcast_to(K_loc, (mesh.elements.shape[0], 2, 2))
-    p = mesh.nodes[mesh.elements]          # (ne, 3, 2)
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]   # y_j - y_k per local basis
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]   # x_k - x_j
-    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
+        return np.full((ne, 2), 1.0 / mesh.h), np.full((ne, 1), -1.0 / mesh.h)
+    x0, x1, x2 = mesh.nodes[:, 0][mesh.elements.T]   # contiguous (ne,) columns
+    y0, y1, y2 = mesh.nodes[:, 1][mesh.elements.T]
+    b = (y1 - y2, y2 - y0, y0 - y1)                   # y_j - y_k per local basis
+    c = (x2 - x1, x0 - x2, x1 - x0)                   # x_k - x_j
+    scale = 4.0 * (0.5 * np.abs(b[0] * c[1] - b[1] * c[0]))
+
+    def entries(pairs):
+        return np.column_stack([(b[i] * b[j] + c[i] * c[j]) / scale for i, j in pairs])
+
+    return entries((i, i) for i in range(3)), entries(zip(*np.triu_indices(3, 1)))
 
 
 def local_mass_tensor(mesh: Mesh) -> np.ndarray:
@@ -174,40 +188,48 @@ class P1Pattern:
 
     One element scatter per mesh gives the stiffness K and the unit mass
     M(1) in that form, and the edge-form coefficients beta and g of the
-    module docstring.  mass_data(w) computes the pair for M(w) and
-    matvec applies a pair, both with contiguous slice products per
-    offset.  A row sums its off-diagonal terms from zero in a fixed
-    order, the lower neighbours by decreasing offset and then the upper
-    ones by increasing offset (the order of the row-major edge list),
-    before the diagonal term is added; the off-diagonal of M(w) is
-    beta[r, p] w[p] + beta[r, p] w[p + d].
+    module docstring.  The offsets are the nonzero bins of a bincount of
+    the pair offsets.  Each array is one bincount: the diagonal over the
+    element nodes, the lower diagonals over the flat index r n + p of
+    each element pair (p + d, p).  bincount adds in input order and the
+    input is element-major, so every entry sums the same element terms,
+    in the same order, as a sort-based assembly of all (dim + 1)^2 local
+    entries would; the local matrices are symmetric bit for bit, so
+    either of a pair's two entries can be read.  mass_data(w) computes
+    the pair for M(w) and matvec applies a pair, both with contiguous
+    slice products per offset.  A row sums its off-diagonal terms from
+    zero in a fixed order, the lower neighbours by decreasing offset and
+    then the upper ones by increasing offset (the order of the row-major
+    edge list), before the diagonal term is added; the off-diagonal of
+    M(w) is beta[r, p] w[p] + beta[r, p] w[p + d].
     """
 
     def __init__(self, mesh: Mesh):
         n, k = mesh.n_nodes, mesh.dim + 1
-        rows = np.repeat(mesh.elements, k, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, k)).ravel()
-        keys, position = np.unique(rows * n + cols, return_inverse=True)
-        row, col = np.divmod(keys, n)
-        diagonal, lower = row == col, row > col
-
-        def scatter(local):
-            return np.bincount(position.ravel(), weights=np.ravel(local), minlength=keys.size)
-
-        K = scatter(local_stiffness(mesh))
-        unit_local = local_mass_tensor(mesh).sum(axis=2)
-        M1 = scatter(np.broadcast_to(unit_local, (mesh.elements.shape[0], k, k)))
-        M1[diagonal] += mesh.h ** mesh.dim - quadrature_weights(mesh)
+        elements = mesh.elements
+        i, j = np.triu_indices(k, 1)
+        a, b = elements[:, i].ravel(), elements[:, j].ravel()   # element-major pairs
+        low, offset = np.minimum(a, b), np.abs(a - b)
         self.n = n
-        offset = row[lower] - col[lower]
-        self.offsets = np.unique(offset)
+        self.offsets = np.flatnonzero(np.bincount(offset))
         self._spans = [(r, int(d), n - int(d)) for r, d in enumerate(self.offsets)]
-        where = np.searchsorted(self.offsets, offset), col[lower]
-        self.K_diagonal, self.K_lower = K[diagonal], np.zeros((self.offsets.size, n))
-        self.K_lower[where] = K[lower]
-        self.beta = np.zeros((self.offsets.size, n))
-        self.beta[where] = 0.5 * M1[lower]
-        self.g = M1[diagonal] - self.matvec(np.zeros(n), self.beta, np.ones(n))
+        row_of = np.zeros(self.offsets[-1] + 1, dtype=np.intp)
+        row_of[self.offsets] = np.arange(self.offsets.size)
+        lower_index = row_of[offset] * n + low
+
+        def scatter(diagonal, pairs):
+            return (np.bincount(elements.ravel(), weights=diagonal.ravel(), minlength=n),
+                    np.bincount(lower_index, weights=pairs.ravel(),
+                                minlength=self.offsets.size * n).reshape(-1, n))
+
+        self.K_diagonal, self.K_lower = scatter(*local_stiffness(mesh))
+        unit_local = local_mass_tensor(mesh).sum(axis=2)
+        ne = elements.shape[0]
+        M1_diagonal, M1_lower = scatter(np.tile(unit_local.diagonal(), (ne, 1)),
+                                        np.tile(unit_local[i, j], (ne, 1)))
+        M1_diagonal += mesh.h ** mesh.dim - quadrature_weights(mesh)
+        self.beta = 0.5 * M1_lower
+        self.g = M1_diagonal - self.matvec(np.zeros(n), self.beta, np.ones(n))
 
     def mass_data(self, w: Vec) -> tuple[Vec, Vec]:
         """(diagonal, lower) of weighted_mass(mesh, w)."""

@@ -91,10 +91,11 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """The residual norm became non-finite: the iteration diverged.
+    """The residual norm or a search direction became non-finite.
 
     In practice the step is too long for the operator, e.g. a Landweber
-    step on an operator whose derivative norm exceeds sqrt(2).
+    step on an operator whose derivative norm exceeds sqrt(2), or the
+    operator's adjoint returned non-finite values.
     """
 
 
@@ -370,7 +371,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     stepping, and the returned final iterate is that accepted point.  The
     trace records per-iteration residual norms, momentum weights and the
     diagnostic slacks of the coupling and stripe-containment conditions.
-    A non-finite residual norm raises DivergenceError.
+    A non-finite residual norm raises DivergenceError, and so does a
+    stripe direction whose squared norm, the ring's new Gram entry, is
+    not finite.
 
     The work vectors are allocated here, each on an ALIGN boundary: z, r
     and dx in the state, two x arrays that swap roles (x_{k+1} is built in
@@ -453,6 +456,10 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
                 ) from exc
+            if not math.isfinite(ring.gram[0, 0]):
+                raise DivergenceError(
+                    f"search direction norm^2 {ring.gram[0, 0]} is not finite at k={k}"
+                )
             try:
                 proj = sequential_stripe_projection(z, ring, out=x_next, uz0=rec.uz)
             except ProjectionPreconditionError as exc:

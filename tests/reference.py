@@ -2,14 +2,31 @@
 
 Element matrices are summed through a COO matrix and converted to CSR,
 written out independently of invpot.P1Pattern and of the band storage
-the operator factorizes.  csr turns a pattern's offset pair (diagonal,
-lower) into a CSR matrix to compare against.
+the operator factorizes.  reference_pattern builds a P1Pattern's arrays
+the sort-based way, np.unique over every local (row, col) key of the
+full (num_elems, dim + 1, dim + 1) element matrices, as an oracle for
+the pattern's sort-free pair scatter.  csr turns a pattern's offset
+pair (diagonal, lower) into a CSR matrix to compare against.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from tgss.invpot import quadrature_weights
+from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
+
+
+def reference_local_stiffness(mesh):
+    """Element stiffness matrices, shape (num_elems, dim + 1, dim + 1)."""
+    if mesh.dim == 1:
+        K_loc = np.array([[1.0, -1.0], [-1.0, 1.0]]) / mesh.h
+        return np.broadcast_to(K_loc, (mesh.elements.shape[0], 2, 2))
+    p = mesh.nodes[mesh.elements]
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
+    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area[:, None, None]
+    )
 
 
 def reference_stiffness(mesh):
@@ -20,13 +37,7 @@ def reference_stiffness(mesh):
         main[0] = main[-1] = 1.0 / h
         off = np.full(n - 1, -1.0 / h)
         return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    p = mesh.nodes[mesh.elements]
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    area = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    K_loc = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
+    K_loc = reference_local_stiffness(mesh)
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
     return sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -66,6 +77,43 @@ def reference_system(mesh, c, f):
     """Dense A(c) = K + M(c) and the load M(f) 1 of the state equation."""
     A = reference_stiffness(mesh) + reference_mass(mesh, c)
     return A.toarray(), reference_mass(mesh, f) @ np.ones(mesh.n_nodes)
+
+
+def reference_pattern(mesh):
+    """A P1Pattern whose arrays come from a sort-based element scatter.
+
+    The keys row n + col of all local entries are sorted by np.unique,
+    and each array is a bincount over the keys' positions, element-major.
+    The result is a P1Pattern with these arrays (and the offset spans its
+    methods read) set directly, so its mass_data, matvec and load are the
+    pattern's own methods on these arrays.
+    """
+    n, k = mesh.n_nodes, mesh.dim + 1
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    keys, position = np.unique(rows * n + cols, return_inverse=True)
+    row, col = np.divmod(keys, n)
+    diagonal, lower = row == col, row > col
+
+    def scatter(local):
+        return np.bincount(position.ravel(), weights=np.ravel(local), minlength=keys.size)
+
+    K = scatter(reference_local_stiffness(mesh))
+    unit_local = local_mass_tensor(mesh).sum(axis=2)
+    M1 = scatter(np.broadcast_to(unit_local, (mesh.elements.shape[0], k, k)))
+    M1[diagonal] += mesh.h ** mesh.dim - quadrature_weights(mesh)
+    pattern = object.__new__(P1Pattern)
+    pattern.n = n
+    offset = row[lower] - col[lower]
+    pattern.offsets = np.unique(offset)
+    pattern._spans = [(r, int(d), n - int(d)) for r, d in enumerate(pattern.offsets)]
+    where = np.searchsorted(pattern.offsets, offset), col[lower]
+    pattern.K_diagonal, pattern.K_lower = K[diagonal], np.zeros((pattern.offsets.size, n))
+    pattern.K_lower[where] = K[lower]
+    pattern.beta = np.zeros((pattern.offsets.size, n))
+    pattern.beta[where] = 0.5 * M1[lower]
+    pattern.g = M1[diagonal] - pattern.matvec(np.zeros(n), pattern.beta, np.ones(n))
+    return pattern
 
 
 def csr(pattern, diagonal, lower):

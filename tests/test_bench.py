@@ -17,6 +17,7 @@ from tgss.bench import (
     relative_error,
     run_suite,
 )
+from tgss.numkernel import ALIGN
 
 
 def small_linear_spec(**kwargs):
@@ -90,6 +91,20 @@ class TestMakeProblem:
         assert np.array_equal(y1, y2)
         assert np.array_equal(op1.d, op2.d)
         assert np.array_equal(x01, np.zeros(12))
+
+    @pytest.mark.parametrize("n", (1, 40, 64, 20000))
+    @pytest.mark.parametrize("problem_seed", (0, 7, 12345))
+    def test_linear_problem_draws_uniform_bits_in_place(self, problem_seed, n):
+        # d is drawn as a scaled random() into aligned memory; it and the
+        # truth drawn after it are the bits of uniform(0.1, 1.0, n) and
+        # standard_normal(n), and d is aligned, so the operator keeps it
+        # without a copy.
+        spec = small_linear_spec(mesh_n=n, problem_seed=problem_seed)
+        op, truth, _, _ = make_problem(spec)
+        rng = np.random.Generator(np.random.PCG64(problem_seed))
+        assert op.d.tobytes() == rng.uniform(0.1, 1.0, n).tobytes()
+        assert truth.tobytes() == rng.standard_normal(n).tobytes()
+        assert op.d.ctypes.data % ALIGN == 0
 
     def test_problem_seed_changes_instance(self):
         a = make_problem(small_linear_spec(problem_seed=1))[1]

@@ -8,7 +8,9 @@ import pytest
 from reference import (
     assert_matrix_close,
     csr,
+    reference_local_stiffness,
     reference_mass,
+    reference_pattern,
     reference_stiffness,
     reference_system,
 )
@@ -19,6 +21,7 @@ from tgss.invpot import (
     MeshError,
     P1Pattern,
     check_admissible,
+    local_stiffness,
     make_mesh,
     quadrature_weights,
     true_coefficient,
@@ -151,6 +154,30 @@ class TestAssembly:
                     InversePotentialOperator(mesh, f=f).load,
                     reference_mass(mesh, f) @ np.ones(n), rtol=1e-14,
                 )
+
+    @pytest.mark.parametrize("N", (2, 3, 7, 16, 48, 65))
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_pair_scatter_matches_sorted_assembly(self, dim, N):
+        # The sort-free pair scatter gives the sort-based assembly's arrays
+        # bit for bit: both sum the same element terms in element order.
+        mesh = make_mesh(dim, N)
+        pattern, expected = P1Pattern(mesh), reference_pattern(mesh)
+        for name in ("offsets", "K_diagonal", "K_lower", "beta", "g"):
+            actual, wanted = getattr(pattern, name), getattr(expected, name)
+            assert actual.dtype == wanted.dtype, name
+            assert np.array_equal(actual, wanted), name
+        f = np.random.Generator(np.random.PCG64(N)).uniform(-1.0, 2.0, mesh.n_nodes)
+        load, wanted_load = pattern.load(f), expected.load(f)
+        assert load.dtype == wanted_load.dtype
+        assert np.array_equal(load, wanted_load)
+        # The per-pair stiffness entries are the full element matrices'
+        # entries, read from either triangle.
+        diagonal, pairs = local_stiffness(mesh)
+        K_loc = reference_local_stiffness(mesh)
+        i, j = np.triu_indices(dim + 1, 1)
+        assert np.array_equal(diagonal, K_loc.diagonal(axis1=1, axis2=2))
+        assert np.array_equal(pairs, K_loc[:, i, j])
+        assert np.array_equal(pairs, K_loc[:, j, i])
 
     def test_pattern_offsets(self):
         # Every P1 matrix lives on the lower diagonals {1} in 1-D and
