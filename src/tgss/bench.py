@@ -47,7 +47,6 @@ class BenchSpec:
     seeds: list[int] = field(default_factory=lambda: [0])
     methods: list[str] = field(default_factory=lambda: list(METHODS))
     config: dict = field(default_factory=dict)
-    method_config: dict = field(default_factory=dict)
     problem_seed: int = 12345
     noise_scale: str = "component"
     out: str | None = None
@@ -100,7 +99,10 @@ class BenchRecord:
                         for v in values)
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in (*RECORD_FIELDS, "error")}
+        """The serialized fields; a non-finite float, as a failed run's times, is None."""
+        values = {name: getattr(self, name) for name in (*RECORD_FIELDS, "error")}
+        return {name: None if isinstance(v, float) and not math.isfinite(v) else v
+                for name, v in values.items()}
 
 
 def relative_error(x: Vec, truth: Vec) -> float:
@@ -132,15 +134,16 @@ def make_problem(spec: BenchSpec) -> tuple[ForwardOperator, Vec, Vec, Vec]:
 
 
 def solver_config(spec: BenchSpec, method: str | None = None) -> SolverConfig:
-    overrides = dict(spec.config)
-    if method is not None:
-        overrides.update(spec.method_config.get(method, {}))
-    return SolverConfig(**overrides)
+    """The SolverConfig of the spec's runs, the same for every method.
+
+    `method` is not read; the benchmark harness passes it.
+    """
+    return SolverConfig(**spec.config)
 
 
 def run_suite(spec: BenchSpec) -> list[BenchRecord]:
     """Run every configured method on identical data per (delta, seed) group."""
-    solver_config(spec)  # a bad shared option raises here, before any set-up
+    cfg = solver_config(spec)  # a bad option raises here, before any set-up
     op, truth, y_exact, x0 = make_problem(spec)
     records: list[BenchRecord] = []
     for delta in spec.noise_levels:
@@ -156,7 +159,6 @@ def run_suite(spec: BenchSpec) -> list[BenchRecord]:
             group: list[BenchRecord] = []
             for method in spec.methods:
                 try:
-                    cfg = solver_config(spec, method)
                     res = run(method, op, data, x0, cfg, truth=truth)
                     rec = BenchRecord(
                         method=method, delta=delta, seed=seed,
@@ -192,7 +194,8 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 
 def records_to_json(records: list[BenchRecord]) -> str:
-    return json.dumps([r.to_json_dict() for r in records], indent=2)
+    """Strict JSON: a non-finite float is written as null, never as NaN."""
+    return json.dumps([r.to_json_dict() for r in records], indent=2, allow_nan=False)
 
 
 def emit(records: list[BenchRecord], out_base: str, formats=("csv",),

@@ -1,4 +1,4 @@
-"""Command line interface: run suites, solve single problems, self-test.
+"""Command line interface: run suites and solve single problems.
 
 Configuration can come from a flat key-value file with dotted section
 names (e.g. ``solver.tau = 2.8`` or ``bench.problem = invpot1d``); every
@@ -15,8 +15,6 @@ import argparse
 import dataclasses
 import sys
 import typing
-
-import numpy as np
 
 from . import bench
 from .solvers import METHOD_TABLE, SolverConfig
@@ -80,7 +78,7 @@ def build_specs(args) -> bench.BenchSpec:
         if value is not None:
             solver_overrides[key] = value
     for f in dataclasses.fields(bench.BenchSpec):
-        # config and method_config have no flag; --config stores config_file.
+        # config has no flag; --config stores config_file.
         value = getattr(args, f.name, None)
         if value is not None:
             bench_overrides[f.name] = value
@@ -142,61 +140,13 @@ def cmd_solve(args) -> int:
     print(f"method      : {rec.method}")
     print(f"k_star      : {rec.k_star}")
     print(f"stopped_by  : {rec.stopped_by}")
+    if rec.error is not None:
+        print(f"error       : {rec.error}")
     print(f"re_final    : {rec.re_final:.6e}")
     print(f"wall_time_s : {rec.wall_time_s:.3f}")
     if spec.out:
         bench.emit(records, spec.out, ("csv",), spec.trace_dir)
     return 0 if not rec.stopped_by.startswith("error") else 1
-
-
-def cmd_selftest(args) -> int:
-    """Quick invariant suite over the geometry and solver layers."""
-    from . import geometry, operator, solvers
-    from .numkernel import dot, norm
-
-    rng = np.random.Generator(np.random.PCG64(7))
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    ok = True
-    for _ in range(200):
-        n = int(rng.integers(2, 8))
-        s = geometry.Stripe(rng.standard_normal(n), rng.standard_normal(),
-                            abs(rng.standard_normal()))
-        x = 3.0 * rng.standard_normal(n)
-        p = geometry.project_stripe(x, s)
-        p2 = geometry.project_stripe(p, s)
-        ok &= norm(p2 - p) <= 1e-9
-        ok &= abs(dot(s.u, p) - s.alpha) <= s.xi + 1e-9
-    check("stripe projection idempotent and feasible", ok)
-
-    d = rng.uniform(0.2, 1.0, 12)
-    op = operator.DiagonalOperator(d)
-    truth = rng.standard_normal(12)
-    data = operator.add_noise(op.apply(truth), 1e-3, 3)
-    cfg = solvers.SolverConfig(eta=0.0, tau=2.0, c_F=op.c_F, max_iters=5000)
-    results = {
-        method: solvers.run(method, op, data, np.zeros(12), cfg, truth=truth)
-        for method in METHOD_TABLE
-    }
-    check("all methods stop via discrepancy on the linear test operator",
-          all(res.stopped_by == "discrepancy" for res in results.values()))
-
-    for zero, plain in (("tpg-zero", "land"), ("tgss-zero", "sesop")):
-        res_a, res_b = results[zero], results[plain]
-        check(f"{zero} equals {plain}",
-              res_a.k_star == res_b.k_star
-              and norm(res_a.x_final - res_b.x_final) <= 1e-12)
-
-    if failures:
-        print(f"{len(failures)} self-test(s) failed")
-        return 1
-    print("all self-tests passed")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -205,7 +155,7 @@ def main(argv=None) -> int:
         description="Iterative regularization methods for nonlinear ill-posed problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("solve", cmd_solve), ("selftest", cmd_selftest)):
+    for name, fn in (("run", cmd_run), ("solve", cmd_solve)):
         p = sub.add_parser(name)
         add_common_flags(p)
         p.set_defaults(fn=fn, usage_error=p.error)

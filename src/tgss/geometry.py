@@ -1,4 +1,4 @@
-"""Hyperplanes, halfspaces and stripes with their metric projections.
+"""Residual stripes and the sequential projection onto their intersection.
 
 A stripe is the thickened hyperplane {x : |<u, x> - alpha| <= xi}.  The
 solvers confine each iterate to an intersection of such stripes; the
@@ -17,8 +17,14 @@ so a projection step takes m inner products for that row and m - 1 for
 the older directions' <u_i, z>, the newest one's being known from the
 stripe's construction.
 
+The projections in vector space, onto one hyperplane, halfspace or
+stripe, are not part of the library: tests/reference.py holds them as
+the reference the tests compare against.  project_hyperplane_intersection
+stays here, because the benchmark's tracer times it under this module's
+name.
+
 A direction whose squared norm is zero, even by underflow, is zero
-everywhere here: Hyperplane and Stripe test ||u|| when they are built.
+everywhere here: a Stripe tests ||u|| when it is built.
 A direction a run builds in the ring's own storage is pushed as its raw
 u, offset and half-width, not as a Stripe, and StripeRing.push finds it
 zero from G_00 = ||u||^2, which it computes anyway, not by a pass of its
@@ -27,7 +33,6 @@ own over u.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -40,7 +45,6 @@ from .numkernel import (
     Vec,
     DimensionError,
     SingularSystemError,
-    dot,
     empty,
     norm,
     solve_spd_dense,
@@ -58,21 +62,6 @@ class DependentDirectionsError(RuntimeError):
 
 class ProjectionPreconditionError(RuntimeError):
     """Point fed to the sequential projection is not above its first stripe."""
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : <u, x> = alpha}."""
-
-    u: Vec
-    alpha: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if norm(u) == 0.0:
-            raise InvalidStripeError("hyperplane direction must be nonzero")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -96,62 +85,12 @@ class Stripe:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "xi", float(self.xi))
 
-    def upper(self) -> Hyperplane:
-        return Hyperplane(self.u, self.alpha + self.xi)
 
-    def lower(self) -> Hyperplane:
-        return Hyperplane(self.u, self.alpha - self.xi)
+def project_hyperplane_intersection(x: Vec, planes: list) -> tuple[Vec, Vec]:
+    """Project x onto the intersection of several hyperplanes {<u, .> = alpha}.
 
-
-class StripeSide(enum.Enum):
-    ABOVE = "above"
-    INSIDE = "inside"
-    BELOW = "below"
-
-
-def project_hyperplane(x: Vec, plane: Hyperplane) -> Vec:
-    """Orthogonal projection of x onto the hyperplane."""
-    u = plane.u
-    t = (dot(u, x) - plane.alpha) / dot(u, u)
-    return np.asarray(x, dtype=float) - t * u
-
-
-def project_halfspace(x: Vec, u: Vec, alpha: float) -> Vec:
-    """Projection of x onto the halfspace {<u, .> <= alpha}.
-
-    Returns x unchanged when already feasible, otherwise the orthogonal
-    projection onto the boundary hyperplane.
-    """
-    plane = Hyperplane(u, alpha)
-    if dot(plane.u, x) <= alpha:
-        return np.asarray(x, dtype=float)
-    return project_hyperplane(x, plane)
-
-
-def classify(x: Vec, stripe: Stripe) -> StripeSide:
-    """Which side of the stripe x lies on; boundary points count as inside."""
-    s = dot(stripe.u, x) - stripe.alpha
-    if s > stripe.xi:
-        return StripeSide.ABOVE
-    if s < -stripe.xi:
-        return StripeSide.BELOW
-    return StripeSide.INSIDE
-
-
-def project_stripe(x: Vec, stripe: Stripe) -> Vec:
-    """Metric projection of x onto the stripe (case split on the side)."""
-    side = classify(x, stripe)
-    if side is StripeSide.INSIDE:
-        return np.asarray(x, dtype=float)
-    if side is StripeSide.ABOVE:
-        return project_hyperplane(x, stripe.upper())
-    return project_hyperplane(x, stripe.lower())
-
-
-def project_hyperplane_intersection(x: Vec, planes: list[Hyperplane]) -> tuple[Vec, Vec]:
-    """Project x onto the intersection of several hyperplanes.
-
-    Solves the Gram normal equations G t = b with G_ij = <u_i, u_j> and
+    Each plane is anything with a direction u and an offset alpha.  Solves
+    the Gram normal equations G t = b with G_ij = <u_i, u_j> and
     b_j = <u_j, x> - alpha_j, and returns (x - sum_i t_i u_i, t).
 
     Raises

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import Vec, check_direct_size, factorize_band_spd
-from .operator import ForwardOperator
+from .operator import ForwardOperator, InvalidOperatorError
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
 # negative excursions keep the operator positive definite (the stiffness
@@ -310,8 +310,9 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built.  The source f is a scalar or an array of
-    nodal values.  The cone constant eta and the derivative
+    before anything is built.  The source f is a finite scalar or an
+    array of finite values, one per node; any other f raises
+    InvalidOperatorError.  The cone constant eta and the derivative
     bound c_F of a run on this operator are fields of its SolverConfig.
     """
 
@@ -322,6 +323,14 @@ class InversePotentialOperator(ForwardOperator):
             self.f_nodal = np.full(mesh.n_nodes, float(f))
         else:
             self.f_nodal = np.asarray(f, dtype=float)
+            if self.f_nodal.shape != (mesh.n_nodes,):
+                raise InvalidOperatorError(
+                    f"nodal source has shape {self.f_nodal.shape}, "
+                    f"the mesh has {mesh.n_nodes} nodes")
+        bad = np.flatnonzero(~np.isfinite(self.f_nodal))
+        if bad.size:
+            raise InvalidOperatorError(
+                f"source must be finite, got {self.f_nodal[bad[0]]} at node {bad[0]}")
         self.n = self.m = mesh.n_nodes
         self._pattern = pattern = P1Pattern(mesh)
         self.load = pattern.load(self.f_nodal)

@@ -94,16 +94,23 @@ class DiagonalOperator(ForwardOperator):
     which makes every stripe-containment and descent statement exact; the
     tests lean on this.  c_F = max|d| is its norm, a value for a
     SolverConfig's c_F.  d is kept ALIGN-aligned, as a copy where the
-    given array is not.
+    given array is not.  d must be a non-empty 1-D array of finite,
+    nonzero entries.
     """
 
     def __init__(self, d: Vec):
         d = aligned(d)
+        if d.ndim != 1 or d.size == 0:
+            raise InvalidOperatorError(
+                f"diagonal must be a non-empty 1-D array, got shape {d.shape}")
         if np.any(d == 0.0):
             raise InvalidOperatorError("diagonal entries must be nonzero")
+        self.c_F = float(np.abs(d).max())
+        if not math.isfinite(self.c_F):  # a NaN or inf entry makes max|d| one
+            i = int(np.flatnonzero(~np.isfinite(d))[0])
+            raise InvalidOperatorError(f"diagonal entries must be finite, got d[{i}] = {d[i]}")
         self.d = d
         self.n = self.m = d.shape[0]
-        self.c_F = float(np.abs(d).max())
 
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:
         return np.multiply(self.d, np.asarray(c, dtype=float), out=out)

@@ -1,18 +1,148 @@
-"""Reference assembly of the inverse-potential matrices, for the tests.
+"""Reference implementations the tests compare the library against.
 
-Element matrices are summed through a COO matrix and converted to CSR,
-written out independently of invpot.P1Pattern and of the band storage
-the operator factorizes.  reference_pattern builds a P1Pattern's arrays
-the sort-based way, np.unique over every local (row, col) key of the
-full (num_elems, dim + 1, dim + 1) element matrices, as an oracle for
-the pattern's sort-free pair scatter.  csr turns a pattern's offset
+Geometry: the projections of a point onto one hyperplane, halfspace or
+stripe, in vector space, and the sequential stripe projection written as
+a loop of such projections (reference_projection), each stage
+re-projecting the running point onto the intersection of the active
+boundary hyperplanes.  The library runs the same projection in
+coefficient space on a StripeRing's Gram matrix.
+
+Assembly: element matrices are summed through a COO matrix and converted
+to CSR, written out independently of invpot.P1Pattern and of the band
+storage the operator factorizes.  reference_pattern builds a P1Pattern's
+arrays the sort-based way, np.unique over every local (row, col) key of
+the full (num_elems, dim + 1, dim + 1) element matrices, as an oracle
+for the pattern's sort-free pair scatter.  csr turns a pattern's offset
 pair (diagonal, lower) into a CSR matrix to compare against.
 """
+
+import enum
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from tgss.geometry import (
+    DependentDirectionsError,
+    InvalidStripeError,
+    project_hyperplane_intersection,
+)
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
+from tgss.numkernel import dot, norm
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """The set {x : <u, x> = alpha}."""
+
+    u: np.ndarray
+    alpha: float
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        if norm(u) == 0.0:
+            raise InvalidStripeError("hyperplane direction must be nonzero")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "alpha", float(self.alpha))
+
+
+def upper(stripe):
+    """The stripe's upper boundary hyperplane {<u, .> = alpha + xi}."""
+    return Hyperplane(stripe.u, stripe.alpha + stripe.xi)
+
+
+def lower(stripe):
+    """The stripe's lower boundary hyperplane {<u, .> = alpha - xi}."""
+    return Hyperplane(stripe.u, stripe.alpha - stripe.xi)
+
+
+class StripeSide(enum.Enum):
+    ABOVE = "above"
+    INSIDE = "inside"
+    BELOW = "below"
+
+
+def project_hyperplane(x, plane):
+    """Orthogonal projection of x onto the hyperplane."""
+    u = plane.u
+    t = (dot(u, x) - plane.alpha) / dot(u, u)
+    return np.asarray(x, dtype=float) - t * u
+
+
+def project_halfspace(x, u, alpha):
+    """Projection of x onto the halfspace {<u, .> <= alpha}.
+
+    Returns x unchanged when already feasible, otherwise the orthogonal
+    projection onto the boundary hyperplane.
+    """
+    plane = Hyperplane(u, alpha)
+    if dot(plane.u, x) <= alpha:
+        return np.asarray(x, dtype=float)
+    return project_hyperplane(x, plane)
+
+
+def classify(x, stripe):
+    """Which side of the stripe x lies on; boundary points count as inside."""
+    s = dot(stripe.u, x) - stripe.alpha
+    if s > stripe.xi:
+        return StripeSide.ABOVE
+    if s < -stripe.xi:
+        return StripeSide.BELOW
+    return StripeSide.INSIDE
+
+
+def project_stripe(x, stripe):
+    """Metric projection of x onto the stripe (case split on the side)."""
+    side = classify(x, stripe)
+    if side is StripeSide.INSIDE:
+        return np.asarray(x, dtype=float)
+    if side is StripeSide.ABOVE:
+        return project_hyperplane(x, upper(stripe))
+    return project_hyperplane(x, lower(stripe))
+
+
+def reference_projection(z, stripes):
+    """The sequential projection as a loop of vector-space projections.
+
+    Returns (point, coefficients, first_step_point, n_dropped, skipped)
+    and two bounds on how far round-off can move them: the largest
+    condition number of an accepted Gram block and the smallest relative
+    distance of a side test from a tie.
+    """
+    planes = [upper(stripes[0])]
+    active = [0]
+    point, t = project_hyperplane_intersection(z, planes)
+    coeffs = np.zeros(len(stripes))
+    coeffs[0] = t[0]
+    first_step_point = point.copy()
+    n_dropped, skipped = 0, []
+    cond, margin = 1.0, np.inf
+    for i, s in enumerate(stripes[1:], start=1):
+        side = dot(s.u, point) - s.alpha
+        scale = norm(s.u) * length_scale(z, stripes, coeffs) + abs(s.alpha) + s.xi
+        margin = min(margin, abs(abs(side) - s.xi) / scale)
+        if -s.xi <= side <= s.xi:
+            skipped.append(i)
+            continue
+        boundary = upper(s) if side > s.xi else lower(s)
+        try:
+            new_point, t = project_hyperplane_intersection(point, planes + [boundary])
+        except DependentDirectionsError:
+            n_dropped += 1
+            skipped.append(i)
+            continue
+        planes.append(boundary)
+        active.append(i)
+        point = new_point
+        coeffs[active] += t
+        U = np.stack([p.u for p in planes])
+        cond = max(cond, np.linalg.cond(U @ U.T))
+    return point, coeffs, first_step_point, n_dropped, skipped, cond, margin
+
+
+def length_scale(z, stripes, coeffs):
+    """||z|| + sum_i |c_i| ||u_i||: the size of the terms summed into a point."""
+    return norm(z) + sum(abs(c) * norm(s.u) for c, s in zip(coeffs, stripes))
 
 
 def reference_local_stiffness(mesh):

@@ -20,6 +20,14 @@ from tgss.bench import (
 from tgss.numkernel import ALIGN
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which strict JSON has not."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def small_linear_spec(**kwargs):
     base = dict(
         problem="linear-diag", mesh_n=12,
@@ -144,33 +152,41 @@ class TestRunSuite:
             assert repr(ra.k_star) == repr(rb.k_star)
             assert repr(ra.re_final) == repr(rb.re_final)
 
-    def test_per_run_failure_recorded(self):
-        # A per-method override with tau below its admissible bound fails
-        # that one run; the suite keeps going and flags the row.
-        spec = small_linear_spec(
-            methods=["land", "sesop"],
-            method_config={"land": {"eta": 0.5}},
-        )
-        records = run_suite(spec)
+    @staticmethod
+    def _land_fails(monkeypatch):
+        """Make every land run raise; the other methods run as usual."""
+        from tgss import bench, solvers
+
+        def run(method, *args, **kwargs):
+            if method == "land":
+                raise solvers.DivergenceError("residual norm nan is not finite at k=3")
+            return solvers.run(method, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run", run)
+
+    def test_per_run_failure_recorded(self, monkeypatch):
+        # One failing run is flagged; the suite keeps going.
+        self._land_fails(monkeypatch)
+        records = run_suite(small_linear_spec(methods=["land", "sesop"]))
         by_method = {r.method: r for r in records}
         assert by_method["land"].stopped_by.startswith("error:")
         assert by_method["land"].k_star == -1
         assert by_method["sesop"].stopped_by == "discrepancy"
 
-    def test_failure_message_kept_in_json(self):
-        spec = small_linear_spec(
-            methods=["land", "sesop"],
-            method_config={"land": {"eta": 0.5}},
-        )
-        records = run_suite(spec)
-        loaded = {d["method"]: d for d in json.loads(records_to_json(records))}
+    def test_failure_message_kept_in_json(self, monkeypatch):
+        self._land_fails(monkeypatch)
+        records = run_suite(small_linear_spec(methods=["land", "sesop"]))
+        loaded = {d["method"]: d for d in strict_json(records_to_json(records))}
         assert loaded["land"]["error"] == (
-            "ConfigError: tau=2.0 must exceed (1+eta)/(1-eta)=3"
+            "DivergenceError: residual norm nan is not finite at k=3"
         )
+        # A failed run's NaN time and error are written as null.
+        assert loaded["land"]["wall_time_s"] is None
+        assert loaded["land"]["re_final"] is None
         assert loaded["sesop"]["error"] is None
-        back = {d["method"]: BenchRecord(**d) for d in json.loads(records_to_json(records))}
+        back = {d["method"]: BenchRecord(**d) for d in strict_json(records_to_json(records))}
         assert back["land"].error == loaded["land"]["error"]
-        assert back["land"].stopped_by == "error:ConfigError"
+        assert back["land"].stopped_by == "error:DivergenceError"
 
     def test_diverging_run_recorded_as_divergence_error(self, monkeypatch):
         from tgss import bench

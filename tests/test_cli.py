@@ -108,6 +108,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "k_star" in out and "discrepancy" in out
 
+    def test_solve_prints_the_error_of_a_failed_run(self, monkeypatch, capsys):
+        from tgss import bench
+        from tgss.invpot import AdmissibilityError
+
+        def failing_run(*args, **kwargs):
+            raise AdmissibilityError("coefficient min -3.4e+01 below admissibility floor")
+
+        monkeypatch.setattr(bench, "run", failing_run)
+        code = main(["solve", *self.LINEAR, "--method", "sesop",
+                     "--delta", "1e-3", "--seed", "0"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "stopped_by  : error:AdmissibilityError\n" in out
+        assert ("error       : AdmissibilityError: coefficient min -3.4e+01 "
+                "below admissibility floor\n") in out
+
+    def test_selftest_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
     def test_solve_rejects_multiple_methods(self, capsys):
         code = main(["solve", *self.LINEAR, "--method", "land",
                      "--method", "sesop"])
@@ -117,10 +139,6 @@ class TestCommands:
         code = main(["run", *self.LINEAR, "--method", "land",
                      "--noise-scale", "norm"])
         assert code == 0
-
-    def test_selftest(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "all self-tests passed" in capsys.readouterr().out
 
     def test_trace_output(self, tmp_path):
         out = str(tmp_path / "res")

@@ -1,24 +1,33 @@
-"""Unit tests for hyperplane, halfspace and stripe projections."""
+"""Unit tests for the stripe geometry and its vector-space test reference.
+
+The hyperplane, halfspace and single-stripe projections are the test
+reference's (tests/reference.py); the tests of them here check the
+reference itself.
+"""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from reference import (
+    Hyperplane,
+    StripeSide,
+    classify,
+    lower,
+    project_halfspace,
+    project_hyperplane,
+    project_stripe,
+    upper,
+)
 from tgss import geometry
 from tgss.geometry import (
     DependentDirectionsError,
-    Hyperplane,
     InvalidStripeError,
     ProjectionPreconditionError,
     Stripe,
     StripeRing,
-    StripeSide,
-    classify,
-    project_halfspace,
-    project_hyperplane,
     project_hyperplane_intersection,
-    project_stripe,
     sequential_stripe_projection,
 )
 from tgss.numkernel import ALIGN, DimensionError, dot, norm, solve_spd_dense
@@ -49,8 +58,8 @@ class TestConstruction:
 
     def test_boundaries(self):
         s = Stripe(np.array([1.0, 0.0]), 2.0, 0.5)
-        assert s.upper().alpha == 2.5
-        assert s.lower().alpha == 1.5
+        assert upper(s).alpha == 2.5
+        assert lower(s).alpha == 1.5
 
 
 class TestProjectHyperplane:
@@ -270,7 +279,7 @@ class TestSequentialStripeProjection:
         z = np.array([2.0, 3.0])   # above s0; its projection [0, 3] is above s1
         res = sequential_stripe_projection(z, [s0, s1])
         assert res.skipped == [] and calls == [(2, 2)]
-        project_hyperplane_intersection(z, [s0.upper(), s1.upper()])
+        project_hyperplane_intersection(z, [upper(s0), upper(s1)])
         assert calls == [(2, 2), (2, 2)]
 
     def test_parallel_older_stripe_dropped(self):

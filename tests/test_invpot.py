@@ -34,6 +34,7 @@ from tgss.numkernel import (
     factorize_band_spd,
     norm,
 )
+from tgss.operator import InvalidOperatorError
 
 
 def stiffness(mesh):
@@ -320,6 +321,17 @@ class TestOperatorContract:
         op_vector = InversePotentialOperator(mesh, f=np.ones(mesh.n_nodes))
         c = 1.0 + true_coefficient(mesh)
         np.testing.assert_allclose(op_scalar.apply(c), op_vector.apply(c))
+
+    @pytest.mark.parametrize("f, message", [
+        (np.nan, "finite, got nan at node 0"),
+        (-np.inf, "finite, got -inf at node 0"),
+        (np.r_[np.ones(4), np.inf, np.ones(4)], "finite, got inf at node 4"),
+        (np.ones(8), r"shape \(8,\), the mesh has 9 nodes"),
+        (np.ones((9, 1)), r"shape \(9, 1\), the mesh has 9 nodes"),
+    ])
+    def test_bad_source_rejected(self, f, message):
+        with pytest.raises(InvalidOperatorError, match=message):
+            InversePotentialOperator(make_mesh(1, 8), f=f)
 
     def test_one_factorization_per_coefficient(self, monkeypatch):
         calls = []

@@ -81,6 +81,17 @@ class TestDiagonalOperator:
         with pytest.raises(InvalidOperatorError):
             DiagonalOperator(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("d, message", [
+        ([1.0, np.nan], r"finite, got d\[1\] = nan"),
+        ([-np.inf, 1.0], r"finite, got d\[0\] = -inf"),
+        (np.ones((2, 3)), r"1-D array, got shape \(2, 3\)"),
+        (np.ones((1, 1)), r"1-D array, got shape \(1, 1\)"),
+        ([], r"non-empty 1-D array, got shape \(0,\)"),
+    ])
+    def test_bad_diagonal_rejected(self, d, message):
+        with pytest.raises(InvalidOperatorError, match=message):
+            DiagonalOperator(np.array(d, dtype=float))
+
     def test_adjoint_consistency(self):
         rng = np.random.Generator(np.random.PCG64(21))
         op = DiagonalOperator(rng.uniform(0.5, 2.0, 8))

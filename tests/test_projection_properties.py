@@ -1,8 +1,8 @@
 """Property tests of the sequential stripe projection.
 
 The coefficient-space implementation in `geometry` is checked against the
-vector-space loop kept here as the reference: each stage re-projects the
-running point onto the intersection of the active boundary hyperplanes
+vector-space loop `reference.reference_projection`: each stage re-projects
+the running point onto the intersection of the active boundary hyperplanes
 with `project_hyperplane_intersection`.
 
 Directions have small-integer entries times a power of two, so every
@@ -24,61 +24,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tgss.geometry import (
-    DependentDirectionsError,
-    Stripe,
-    project_hyperplane_intersection,
-    sequential_stripe_projection,
-)
+from reference import length_scale, reference_projection
+from tgss.geometry import Stripe, sequential_stripe_projection
 from tgss.numkernel import dot, norm
 
 MAX_COND = 1e4
 MIN_TIE_MARGIN = 1e-8
 RTOL = 1e-10
-
-
-def reference_projection(z, stripes):
-    """The sequential projection as a loop of vector-space projections.
-
-    Returns (point, coefficients, first_step_point, n_dropped, skipped)
-    and two bounds on how far round-off can move them: the largest
-    condition number of an accepted Gram block and the smallest relative
-    distance of a side test from a tie.
-    """
-    planes = [stripes[0].upper()]
-    active = [0]
-    point, t = project_hyperplane_intersection(z, planes)
-    coeffs = np.zeros(len(stripes))
-    coeffs[0] = t[0]
-    first_step_point = point.copy()
-    n_dropped, skipped = 0, []
-    cond, margin = 1.0, np.inf
-    for i, s in enumerate(stripes[1:], start=1):
-        side = dot(s.u, point) - s.alpha
-        scale = norm(s.u) * length_scale(z, stripes, coeffs) + abs(s.alpha) + s.xi
-        margin = min(margin, abs(abs(side) - s.xi) / scale)
-        if -s.xi <= side <= s.xi:
-            skipped.append(i)
-            continue
-        boundary = s.upper() if side > s.xi else s.lower()
-        try:
-            new_point, t = project_hyperplane_intersection(point, planes + [boundary])
-        except DependentDirectionsError:
-            n_dropped += 1
-            skipped.append(i)
-            continue
-        planes.append(boundary)
-        active.append(i)
-        point = new_point
-        coeffs[active] += t
-        U = np.stack([p.u for p in planes])
-        cond = max(cond, np.linalg.cond(U @ U.T))
-    return point, coeffs, first_step_point, n_dropped, skipped, cond, margin
-
-
-def length_scale(z, stripes, coeffs):
-    """||z|| + sum_i |c_i| ||u_i||: the size of the terms summed into a point."""
-    return norm(z) + sum(abs(c) * norm(s.u) for c, s in zip(coeffs, stripes))
 
 
 @st.composite
