@@ -7,7 +7,6 @@ potential problem benchmark and a comparison harness.
 """
 
 from .numkernel import dot, norm, gaussian_vector
-from .geometry import Stripe
 from .operator import ForwardOperator, NoisyData, add_noise
 from .invpot import InversePotentialOperator, make_mesh, true_coefficient
 from .solvers import METHODS, SolveResult, SolverConfig, run
@@ -15,7 +14,6 @@ from .bench import BenchRecord, BenchSpec, relative_error, run_suite
 
 __all__ = [
     "dot", "norm", "gaussian_vector",
-    "Stripe",
     "ForwardOperator", "NoisyData", "add_noise",
     "InversePotentialOperator", "make_mesh", "true_coefficient",
     "METHODS", "SolveResult", "SolverConfig", "run",

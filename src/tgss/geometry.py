@@ -10,32 +10,29 @@ Every point the sequential projection visits lies in z + span{u_i}, so it
 works in coefficient space: it needs the m x m Gram matrix of the m
 stripe directions and their inner products with z, runs its side tests
 and Gram solves on m-vectors, and touches vectors of length n only for
-those inner products and one update of the final point.  A run keeps its
-stripes in a StripeRing, which holds the directions in per-run storage
-together with their Gram matrix: a new stripe adds only its own Gram row,
-so a projection step takes m inner products for that row and m - 1 for
-the older directions' <u_i, z>, the newest one's being known from the
+those inner products and one update of the final point.  The stripes are
+held in a StripeRing, the one stripe container, which keeps the
+directions in per-run storage together with their Gram matrix.  A new
+direction is always written into the ring's `slot()` and then pushed
+with its offset and half-width: it adds only its own Gram row, so a
+projection step takes m inner products for that row and m - 1 for the
+older directions' <u_i, z>, the newest one's being known from the
 stripe's construction.
 
-The projections in vector space, onto one hyperplane, halfspace or
-stripe, are not part of the library: tests/reference.py holds them as
-the reference the tests compare against.  project_hyperplane_intersection
-stays here, because the benchmark's tracer times it under this module's
-name.
+A direction whose squared norm is zero, even by underflow, is zero:
+StripeRing.push finds it from G_00 = ||u||^2, which it computes anyway.
 
-A direction whose squared norm is zero, even by underflow, is zero
-everywhere here: a Stripe tests ||u|| when it is built.
-A direction a run builds in the ring's own storage is pushed as its raw
-u, offset and half-width, not as a Stripe, and StripeRing.push finds it
-zero from G_00 = ||u||^2, which it computes anyway, not by a pass of its
-own over u.
+The projections in vector space, onto one hyperplane, halfspace or
+stripe, are not part of the library: tests/reference.py holds them, and
+a Stripe record to build test rings from, as the reference the tests
+compare against.  project_hyperplane_intersection stays here, because
+the benchmark's tracer times it under this module's name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -46,7 +43,6 @@ from .numkernel import (
     DimensionError,
     SingularSystemError,
     empty,
-    norm,
     solve_spd_dense,
     solve_spd_scalar,
 )
@@ -62,28 +58,6 @@ class DependentDirectionsError(RuntimeError):
 
 class ProjectionPreconditionError(RuntimeError):
     """Point fed to the sequential projection is not above its first stripe."""
-
-
-@dataclass(frozen=True)
-class Stripe:
-    """The set {x : |<u, x> - alpha| <= xi}, xi >= 0.
-
-    With xi = 0 this degenerates to the hyperplane H(u, alpha).
-    """
-
-    u: Vec
-    alpha: float
-    xi: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if norm(u) == 0.0:
-            raise InvalidStripeError("stripe direction must be nonzero")
-        if self.xi < 0:
-            raise InvalidStripeError(f"stripe half-width must be >= 0, got {self.xi}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "xi", float(self.xi))
 
 
 def project_hyperplane_intersection(x: Vec, planes: list) -> tuple[Vec, Vec]:
@@ -109,17 +83,6 @@ def project_hyperplane_intersection(x: Vec, planes: list) -> tuple[Vec, Vec]:
     except SingularSystemError as exc:
         raise DependentDirectionsError(str(exc)) from exc
     return np.asarray(x, dtype=float) - t @ U, t
-
-
-class StripeData(Protocol):
-    """What StripeRing.push reads from a stripe."""
-
-    u: Vec
-    alpha: float
-    xi: float
-
-
-_ZERO_DIRECTION = "stripe direction must be nonzero (||u||^2 = 0)"
 
 
 class StripeRing:
@@ -150,14 +113,6 @@ class StripeRing:
         self.gram = np.empty((capacity, capacity))
         self._rows: list[Vec] = []  # each stripe's row of `directions`, newest first
 
-    @classmethod
-    def of(cls, stripes: list[Stripe]) -> StripeRing:
-        """A ring holding copies of the stripes, stripes[0] newest."""
-        ring = cls(len(stripes), stripes[0].u.shape)
-        for s in reversed(stripes):
-            ring.push(s)
-        return ring
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -173,36 +128,22 @@ class StripeRing:
         """
         return self._free[-1] if self._free else self._rows[-1]
 
-    def push(self, stripe: StripeData) -> None:
-        """Make the stripe the newest, its direction held in `slot()`.
+    def push(self, alpha: float, xi: float) -> None:
+        """Make the direction written into `slot()` the newest stripe.
 
-        The stripe is a Stripe or anything with its u, alpha and xi, such
-        as a solver's StripeRecord, whose direction is not checked when it
-        is built.  A direction built elsewhere is tested and then copied
-        into the slot: when ||u||^2 = 0 the push raises InvalidStripeError
-        and leaves the ring as it was.  A zero direction built in the slot
-        raises as well; on a full ring the slot was the oldest stripe's
-        row, so that stripe leaves the ring and the others stay as they
-        were.
+        alpha and xi are the stripe's offset and half-width.  A direction
+        whose squared norm, its new Gram entry, is zero raises
+        InvalidStripeError.  On a full ring the slot was the oldest
+        stripe's row, so that stripe has left the ring; the others stay as
+        they were.
         """
-        src = stripe.u
-        if src.shape != self.directions.shape[1:]:
-            raise DimensionError(
-                f"stripe direction {src.shape} does not fit the ring's "
-                f"{self.directions.shape[1:]}")
         rows, free = self._rows, self._free
         u = self.slot()
-        if src is not u:
-            # Whether a sum of squares is zero does not depend on its order,
-            # so this test on the source stands for the one on the copy.
-            if np.dot(src, src) == 0.0:
-                raise InvalidStripeError(_ZERO_DIRECTION)
-            np.copyto(u, src)
         uu = np.dot(u, u)
         if not free:
             free.append(rows.pop())  # the oldest stripe leaves; u was its row
         if uu == 0.0:
-            raise InvalidStripeError(_ZERO_DIRECTION)
+            raise InvalidStripeError("stripe direction must be nonzero (||u||^2 = 0)")
         free.pop()
         m, G = len(rows), self.gram
         G[1:m + 1, 1:m + 1] = G[:m, :m]
@@ -211,8 +152,8 @@ class StripeRing:
         G[0, 0] = uu
         for j, v in enumerate(rows, start=1):
             G[0, j] = G[j, 0] = np.dot(u, v)
-        self.alpha[0] = stripe.alpha
-        self.xi[0] = stripe.xi
+        self.alpha[0] = alpha
+        self.xi[0] = xi
         rows.insert(0, u)
 
 
@@ -220,9 +161,11 @@ class StripeRing:
 class SequentialProjectionResult:
     """Outcome of sequential_stripe_projection.
 
-    point = z - sum_i coefficients[i] * u_i over the input stripes; the
-    skipped stripes have zero coefficients.  containment_slack is
-    max_i |<u_i, point> - alpha_i| - xi_i over all input stripes, a float
+    point = z - sum_i coefficients[i] * u_i over the ring's stripes; the
+    skipped stripes have zero coefficients.  first_coefficient is t_0 of
+    the first step, so that z - t_0 u_0 is z projected onto the newest
+    stripe's upper boundary.  containment_slack is
+    max_i |<u_i, point> - alpha_i| - xi_i over all the stripes, a float
     that is <= 0 when the point lies in every stripe.
     """
 
@@ -230,61 +173,42 @@ class SequentialProjectionResult:
     coefficients: Vec
     n_dropped: int
     skipped: list[int]
-    first_step: tuple[Vec, float, Vec]  # (z, t_0, u_0)
+    first_coefficient: float
     containment_slack: float
 
-    @property
-    def first_step_point(self) -> Vec:
-        """z - t_0 u_0: z projected onto the first stripe's upper boundary.
 
-        Computed when read, from the z and u_0 arrays the projection was
-        given: read it before a caller reuses either array.
-        """
-        z, t0, u0 = self.first_step
-        return z - t0 * u0
-
-
-def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
-                                 out: Vec | None = None,
+def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = None,
                                  uz0: float | None = None) -> SequentialProjectionResult:
-    """Ordered projection of z onto an intersection of stripes.
+    """Ordered projection of z onto the intersection of the ring's stripes.
 
-    The first stripe is the current one and z must lie strictly above it.
-    Step one projects z onto its upper boundary hyperplane.  Each further
+    The newest stripe is the current one and z must lie strictly above it.
+    Step one projects z onto its upper boundary hyperplane.  Each older
     stripe is then visited in order: if the running point is already
     inside, it contributes a zero coefficient; otherwise its violated
     boundary hyperplane joins the active set and the running point is
-    re-projected onto the intersection of all active boundaries.  A new
+    re-projected onto the intersection of all active boundaries.  A
     stripe whose boundary makes the Gram system singular is itself
     skipped: the active set stays as it was, the stripe keeps a zero
     coefficient, joins `skipped` and is counted in `n_dropped`.
 
     Every running point is z - sum_i c_i u_i, so the loop runs on the m
-    coefficients c alone: <u_i, point> = <u_i, z> - (G c)_i with the Gram
-    matrix G_ij = <u_i, u_j>, and a re-projection solves the active
-    sub-block of G.  The stripes come as a StripeRing, newest first, which
-    holds G already, or as a list, which is copied into a new ring (m
-    copies and m(m+3)/2 inner products of length n, m of them to test the
-    directions before they are copied).  The call itself
-    takes the inner products <u_i, z>, m - 1 of them when the caller
-    passes `uz0` = <u_0, z>, and one update of length n per active
-    direction to build the final point.  The first step is a scalar
-    division; only active sets of two or more directions go through
-    `solve_spd_dense`, on blocks of the ring's Gram matrix.  The
-    containment slack of the result is formed from the same
-    coefficients, with no further pass over vectors.  A list of stripes
-    with a direction whose squared norm is zero raises InvalidStripeError
-    when it is copied into the ring.
+    coefficients c alone: <u_i, point> = <u_i, z> - (G c)_i with the
+    ring's Gram matrix G_ij = <u_i, u_j>, and a re-projection solves the
+    active sub-block of G.  The call takes the inner products <u_i, z>,
+    m - 1 of them when the caller passes `uz0` = <u_0, z>, and one update
+    of length n per active direction to build the final point.  The first
+    step is a scalar division; only active sets of two or more directions
+    go through `solve_spd_dense`.  The containment slack of the result is
+    formed from the same coefficients, with no further pass over vectors.
 
     Returns the final point together with the aggregate coefficients t_i
-    (one per input stripe) such that point = z - sum_i t_i * u_i.  The
-    point is built in `out` where given, an array of z's shape that is not
-    z itself, and in a new array otherwise.
+    (one per stripe) such that point = z - sum_i t_i * u_i.  The point is
+    built in `out` where given, an array of z's shape that is not z
+    itself, and in a new array otherwise.
     """
-    if not len(stripes):
+    if not len(ring):
         raise DimensionError("need at least one stripe")
     z = np.asarray(z, dtype=float)
-    ring = stripes if isinstance(stripes, StripeRing) else StripeRing.of(stripes)
     if ring.directions.shape[1:] != z.shape:
         raise DimensionError(f"stripe directions do not match the point's shape {z.shape}")
     u = ring._rows
@@ -350,5 +274,4 @@ def sequential_stripe_projection(z: Vec, stripes: list[Stripe] | StripeRing,
     gaps = [abs(a - g - b) - x
             for a, g, b, x in zip(uz.tolist(), (G @ coeffs).tolist(), alpha, xi)]
     slack = math.nan if any(g != g for g in gaps) else max(gaps)
-    return SequentialProjectionResult(point, coeffs, n_dropped, skipped,
-                                      (z, t0, u[0]), slack)
+    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, t0, slack)

@@ -54,7 +54,7 @@ from .geometry import (
     StripeRing,
     sequential_stripe_projection,
 )
-from .numkernel import Vec, aligned, dot, empty, norm
+from .numkernel import DimensionError, Vec, aligned, dot, empty, norm
 from .operator import ForwardOperator, NoisyData
 
 
@@ -112,7 +112,8 @@ class SolverConfig:
     """Scalar hyperparameters shared by all methods.
 
     q_scale / i**q_power is the summable backtracking schedule.  Every
-    float field must be finite.
+    float field must be finite, and every int field an int or a numpy
+    integer, not a bool.
     """
 
     eta: float = 0.1
@@ -129,8 +130,12 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must be in [0, 1), got {self.eta}")
         if self.tau <= (1.0 + self.eta) / (1.0 - self.eta) or psi(self) <= 0.0:
@@ -194,8 +199,9 @@ class StripeRecord:
     """A stripe's direction, offset and half-width, and the residual it was built from.
 
     uz = <u, z>, the inner product of the direction with the point the
-    stripe was built at.  The direction is not tested for zero until the
-    record is pushed on a StripeRing, which sees that from ||u||^2.
+    stripe was built at.  The direction is not tested for zero until it
+    is pushed on the StripeRing it was built in, which sees that from
+    ||u||^2.
     """
 
     u: Vec
@@ -212,12 +218,17 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
 
     The residual, and with it its norm, may be passed in to reuse the
     forward evaluation done for the stopping test.  `out` is passed on to
-    the adjoint apply that computes the direction.
+    the adjoint apply that computes the direction, and the direction is
+    in `out` where one is given: a direction the operator returned in a
+    new array, as the ForwardOperator contract allows, is copied into it.
     """
     if r is None:
         r = op.apply(z) - data.y_delta
     rn = norm(r) if r_norm is None else r_norm
     u = op.adjoint_apply(z, r, out=out)
+    if out is not None and u is not out:
+        np.copyto(out, u)
+        u = out
     delta = data.delta_eff
     uz = dot(u, z)
     xi = (delta + cfg.eta * (rn + delta)) * rn
@@ -373,7 +384,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     diagnostic slacks of the coupling and stripe-containment conditions.
     A non-finite residual norm raises DivergenceError, and so does a
     stripe direction whose squared norm, the ring's new Gram entry, is
-    not finite.
+    not finite.  x0 and truth must have the operator's n entries and
+    data.y_delta its m entries; otherwise DimensionError is raised
+    before anything is allocated.
 
     The work vectors are allocated here, each on an ALIGN boundary: z, r
     and dx in the state, two x arrays that swap roles (x_{k+1} is built in
@@ -392,9 +405,14 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             f"unknown method {method!r}; accepted: {', '.join(METHOD_TABLE)}"
         )
     stripes, momentum = METHOD_TABLE[method]
+    x0 = np.asarray(x0, dtype=float)
+    for name, value, size in (("x0", x0, op.n), ("data.y_delta", data.y_delta, op.m),
+                              ("truth", truth, op.n)):
+        if value is not None and np.shape(value) != (size,):
+            raise DimensionError(
+                f"{name} has shape {np.shape(value)}; the operator needs ({size},)")
     delta = data.delta_eff
     data = replace(data, y_delta=aligned(data.y_delta))
-    x0 = np.asarray(x0, dtype=float)
     x_prev, x_cur = empty(x0.shape), empty(x0.shape)
     np.copyto(x_prev, x0)
     np.copyto(x_cur, x0)
@@ -448,7 +466,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         else:
             rec = build_stripe(op, z, data, cfg, r=r, r_norm=rn, out=ring.slot())
             try:
-                ring.push(rec)
+                ring.push(rec.alpha, rec.xi)
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -473,7 +491,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             row.n_dirs_used = len(ring) - len(proj.skipped)
             row.containment_slack = proj.containment_slack
             if record_points:
-                row.x_tilde = proj.first_step_point
+                row.x_tilde = z - proj.first_coefficient * ring.direction(0)
 
         if truth is not None:
             row.err = norm(np.subtract(x_next, truth, out=err_scratch))

@@ -5,7 +5,9 @@ stripe, in vector space, and the sequential stripe projection written as
 a loop of such projections (reference_projection), each stage
 re-projecting the running point onto the intersection of the active
 boundary hyperplanes.  The library runs the same projection in
-coefficient space on a StripeRing's Gram matrix.
+coefficient space on a StripeRing's Gram matrix; ring_of builds such a
+ring from a list of Stripe records, the way a run fills one: each
+direction is copied into the ring's slot and then pushed.
 
 Assembly: element matrices are summed through a COO matrix and converted
 to CSR, written out independently of invpot.P1Pattern and of the band
@@ -25,6 +27,7 @@ import scipy.sparse as sp
 from tgss.geometry import (
     DependentDirectionsError,
     InvalidStripeError,
+    StripeRing,
     project_hyperplane_intersection,
 )
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
@@ -44,6 +47,42 @@ class Hyperplane:
             raise InvalidStripeError("hyperplane direction must be nonzero")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "alpha", float(self.alpha))
+
+
+@dataclass(frozen=True)
+class Stripe:
+    """The set {x : |<u, x> - alpha| <= xi}, xi >= 0.
+
+    With xi = 0 this degenerates to the hyperplane H(u, alpha).
+    """
+
+    u: np.ndarray
+    alpha: float
+    xi: float
+
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float)
+        if norm(u) == 0.0:
+            raise InvalidStripeError("stripe direction must be nonzero")
+        if self.xi < 0:
+            raise InvalidStripeError(f"stripe half-width must be >= 0, got {self.xi}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "xi", float(self.xi))
+
+
+def push(ring, stripe):
+    """Copy the stripe's direction into the ring's slot and push it."""
+    np.copyto(ring.slot(), stripe.u)
+    ring.push(stripe.alpha, stripe.xi)
+
+
+def ring_of(stripes):
+    """A StripeRing holding copies of the stripes, stripes[0] newest."""
+    ring = StripeRing(len(stripes), stripes[0].u.shape)
+    for s in reversed(stripes):
+        push(ring, s)
+    return ring
 
 
 def upper(stripe):

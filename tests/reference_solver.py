@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from reference import reference_projection
-from tgss.geometry import Stripe
+from reference import Stripe, reference_projection
 from tgss.solvers import EXACT_DATA_FLOOR, DivergenceError, InvariantViolationError
 
 # name -> (stripe projection step?, momentum rule)

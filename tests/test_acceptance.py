@@ -10,9 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from reference import Hyperplane, project_halfspace, project_hyperplane, project_stripe
+from reference import (
+    Hyperplane,
+    Stripe,
+    project_halfspace,
+    project_hyperplane,
+    project_stripe,
+)
 from tgss.bench import BenchSpec, run_suite
-from tgss.geometry import Stripe, project_hyperplane_intersection
+from tgss.geometry import project_hyperplane_intersection
 from tgss.invpot import InversePotentialOperator, make_mesh
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise

@@ -1,23 +1,24 @@
 """Unit tests for the stripe geometry and its vector-space test reference.
 
-The hyperplane, halfspace and single-stripe projections are the test
-reference's (tests/reference.py); the tests of them here check the
-reference itself.
+The Stripe record and the hyperplane, halfspace and single-stripe
+projections are the test reference's (tests/reference.py); the tests of
+them here check the reference itself.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reference import (
     Hyperplane,
+    Stripe,
     StripeSide,
     classify,
     lower,
     project_halfspace,
     project_hyperplane,
     project_stripe,
+    push,
+    ring_of,
     upper,
 )
 from tgss import geometry
@@ -25,7 +26,6 @@ from tgss.geometry import (
     DependentDirectionsError,
     InvalidStripeError,
     ProjectionPreconditionError,
-    Stripe,
     StripeRing,
     project_hyperplane_intersection,
     sequential_stripe_projection,
@@ -45,7 +45,7 @@ class TestConstruction:
         Stripe(np.array([np.nan, 0.0]), 0.0, 1.0)
 
     def test_direction_whose_square_underflows_rejected(self):
-        # ||u||^2 underflows to 0, as in Hyperplane and StripeRing.push.
+        # ||u||^2 underflows to 0, as in StripeRing.push.
         u = np.array([1e-200, 0.0])
         with pytest.raises(InvalidStripeError):
             Stripe(u, 0.0, 1.0)
@@ -193,7 +193,7 @@ class TestSequentialStripeProjection:
     def test_single_stripe_reduces_to_stripe_projection(self):
         s = Stripe(np.array([1.0, 0.0]), 0.0, 0.5)
         z = np.array([2.0, 1.0])
-        res = sequential_stripe_projection(z, [s])
+        res = sequential_stripe_projection(z, ring_of([s]))
         np.testing.assert_allclose(res.point, [0.5, 1.0], atol=1e-14)
         np.testing.assert_allclose(res.coefficients, [1.5], atol=1e-14)
         np.testing.assert_allclose(res.point, project_stripe(z, s), atol=1e-14)
@@ -201,7 +201,7 @@ class TestSequentialStripeProjection:
     def test_second_stripe_already_satisfied_skipped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s2 = Stripe(np.array([0.0, 1.0]), 0.0, 10.0)  # wide: first step lands inside
-        res = sequential_stripe_projection(np.array([2.0, 1.0]), [s1, s2])
+        res = sequential_stripe_projection(np.array([2.0, 1.0]), ring_of([s1, s2]))
         np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
         assert res.coefficients[1] == 0.0
         assert res.skipped == [1]
@@ -209,7 +209,7 @@ class TestSequentialStripeProjection:
     def test_two_degenerate_stripes_reach_intersection(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s2 = Stripe(np.array([1.0, 1.0]), 0.0, 0.0)
-        res = sequential_stripe_projection(np.array([2.0, 2.0]), [s1, s2])
+        res = sequential_stripe_projection(np.array([2.0, 2.0]), ring_of([s1, s2]))
         np.testing.assert_allclose(res.point, [0.0, 0.0], atol=1e-12)
 
     def test_coefficients_reconstruct_point(self):
@@ -223,7 +223,7 @@ class TestSequentialStripeProjection:
             z = 4.0 * rng.standard_normal(n)
             if dot(stripes[0].u, z) <= stripes[0].alpha + stripes[0].xi:
                 continue
-            res = sequential_stripe_projection(z, stripes)
+            res = sequential_stripe_projection(z, ring_of(stripes))
             rebuilt = z - sum(t * s.u for t, s in zip(res.coefficients, stripes))
             np.testing.assert_allclose(res.point, rebuilt, atol=1e-10)
             checked += 1
@@ -239,7 +239,7 @@ class TestSequentialStripeProjection:
             z = 4.0 * rng.standard_normal(n)
             if dot(stripes[0].u, z) <= stripes[0].alpha + stripes[0].xi:
                 continue
-            res = sequential_stripe_projection(z, stripes)
+            res = sequential_stripe_projection(z, ring_of(stripes))
             for i, s in enumerate(stripes):
                 if i in res.skipped:
                     # Either dropped as dependent or already satisfied when
@@ -252,18 +252,18 @@ class TestSequentialStripeProjection:
         rng = np.random.Generator(np.random.PCG64(17))
         stripes = [Stripe(rng.standard_normal(6), 0.0, 0.1) for _ in range(3)]
         z = 10.0 * stripes[0].u
-        expected = sequential_stripe_projection(z, stripes)
+        expected = sequential_stripe_projection(z, ring_of(stripes))
         out = np.full(6, np.nan)
-        res = sequential_stripe_projection(z, stripes, out=out)
+        res = sequential_stripe_projection(z, ring_of(stripes), out=out)
         assert res.point is out
         assert out.tobytes() == expected.point.tobytes()
         np.testing.assert_array_equal(res.coefficients, expected.coefficients)
-        assert res.first_step_point.tobytes() == expected.first_step_point.tobytes()
+        assert res.first_coefficient == expected.first_coefficient
 
     def test_precondition_violation_raises(self):
         s = Stripe(np.array([1.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ProjectionPreconditionError):
-            sequential_stripe_projection(np.array([0.5, 0.0]), [s])
+            sequential_stripe_projection(np.array([0.5, 0.0]), ring_of([s]))
 
     def test_gram_solves_go_through_solve_spd_dense(self, monkeypatch):
         # The traced benchmark counts Gram solves under this name.
@@ -277,7 +277,7 @@ class TestSequentialStripeProjection:
         s0 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s1 = Stripe(np.array([1.0, 1.0]), 0.0, 0.5)
         z = np.array([2.0, 3.0])   # above s0; its projection [0, 3] is above s1
-        res = sequential_stripe_projection(z, [s0, s1])
+        res = sequential_stripe_projection(z, ring_of([s0, s1]))
         assert res.skipped == [] and calls == [(2, 2)]
         project_hyperplane_intersection(z, [upper(s0), upper(s1)])
         assert calls == [(2, 2), (2, 2)]
@@ -285,7 +285,7 @@ class TestSequentialStripeProjection:
     def test_parallel_older_stripe_dropped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s2 = Stripe(np.array([2.0, 0.0]), 5.0, 0.0)  # parallel to s1, incompatible
-        res = sequential_stripe_projection(np.array([2.0, 1.0]), [s1, s2])
+        res = sequential_stripe_projection(np.array([2.0, 1.0]), ring_of([s1, s2]))
         np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
         assert res.n_dropped == 1
 
@@ -301,7 +301,7 @@ class TestStripeRing:
         stripes = random_stripes(rng, 5, 7)
         ring = StripeRing(3, (7,))
         for s in stripes:
-            ring.push(s)
+            push(ring, s)
         assert len(ring) == 3
         for i, s in enumerate(reversed(stripes[2:])):
             assert ring.alpha[i] == s.alpha and ring.xi[i] == s.xi
@@ -316,7 +316,7 @@ class TestStripeRing:
         ring = StripeRing(3, (13,))
         assert all(row.ctypes.data % ALIGN == 0 for row in ring.directions)
         for s in random_stripes(rng, 4, 13):
-            ring.push(s)
+            push(ring, s)
             assert ring.slot().ctypes.data % ALIGN == 0
         assert all(ring.direction(i).ctypes.data % ALIGN == 0 for i in range(3))
 
@@ -327,14 +327,14 @@ class TestStripeRing:
             slot = ring.slot()
             oldest = ring.direction(len(ring) - 1) if len(ring) == 2 else None
             np.copyto(slot, s.u)
-            ring.push(Stripe(slot, s.alpha, s.xi))
+            ring.push(s.alpha, s.xi)
             assert ring.direction(0) is slot
             if oldest is not None:
                 # A full ring hands out its oldest stripe's row.
                 assert slot is oldest
 
     def test_carried_gram_matches_a_fresh_projection(self):
-        # A run's ring gives the same bits as a list of the same stripes.
+        # A run's ring gives the same bits as a fresh ring of the same stripes.
         rng = np.random.Generator(np.random.PCG64(23))
         ring = StripeRing(3, (6,))
         stripes = []
@@ -342,10 +342,10 @@ class TestStripeRing:
             u = rng.standard_normal(6)
             z = 5.0 * u + rng.standard_normal(6)
             s = Stripe(u, dot(u, z) - 3.0, 0.5)
-            ring.push(s)
+            push(ring, s)
             stripes = ([s] + stripes)[:3]
             a = sequential_stripe_projection(z, ring, uz0=dot(u, z))
-            b = sequential_stripe_projection(z, stripes)
+            b = sequential_stripe_projection(z, ring_of(stripes))
             assert a.point.tobytes() == b.point.tobytes()
             assert a.coefficients.tobytes() == b.coefficients.tobytes()
             assert a.skipped == b.skipped and a.n_dropped == b.n_dropped
@@ -357,7 +357,7 @@ class TestStripeRing:
             z = 10.0 * stripes[0].u + rng.standard_normal(8)
             if dot(stripes[0].u, z) <= stripes[0].alpha + stripes[0].xi:
                 continue
-            res = sequential_stripe_projection(z, stripes)
+            res = sequential_stripe_projection(z, ring_of(stripes))
             direct = max(abs(dot(s.u, res.point) - s.alpha) - s.xi for s in stripes)
             scale = max(norm(s.u) for s in stripes) * (norm(z) + norm(res.point))
             assert type(res.containment_slack) is float
@@ -370,35 +370,28 @@ class TestStripeRing:
         # elementwise symmetry test on the cheap path, with no tolerance.
         rng = np.random.Generator(np.random.PCG64(25 + capacity))
         ring = StripeRing(capacity, (9,))
-        for k in range(3 * capacity + 2):
-            s = random_stripes(rng, 1, 9)[0]
-            if k % 2:
-                slot = ring.slot()
-                np.copyto(slot, s.u)
-                s = Stripe(slot, s.alpha, s.xi)
-            ring.push(s)
+        for k, s in enumerate(random_stripes(rng, 3 * capacity + 2, 9)):
+            push(ring, s)
             m = len(ring)
             G = ring.gram[:m, :m]
             assert G.tobytes() == G.T.copy().tobytes(), k
 
     @pytest.mark.parametrize("filled", [0, 1, 3])
-    @pytest.mark.parametrize("in_slot", [False, True])
-    def test_zero_direction_rejected_without_changing_the_ring(self, filled, in_slot):
+    def test_zero_direction_rejected_without_changing_the_ring(self, filled):
         rng = np.random.Generator(np.random.PCG64(30 + filled))
         ring = StripeRing(3, (6,))
         for s in random_stripes(rng, filled, 6):
-            ring.push(s)
+            push(ring, s)
         m = len(ring)
         held = [ring.direction(i).copy() for i in range(m)]
         before = (ring.gram[:m, :m].copy(), ring.alpha[:m].copy(), ring.xi[:m].copy(),
                   [id(ring.direction(i)) for i in range(m)])
-        u = ring.slot() if in_slot else np.empty(6)
-        u[:] = 0.0
+        ring.slot()[:] = 0.0
         with pytest.raises(InvalidStripeError):
-            ring.push(SimpleNamespace(u=u, alpha=1.0, xi=0.5))
-        # Built in the slot of a full ring, the zero direction took the
-        # oldest stripe's row: that stripe has left.  Otherwise nothing moved.
-        kept = m - 1 if in_slot and m == 3 else m
+            ring.push(1.0, 0.5)
+        # On a full ring the zero direction took the oldest stripe's row:
+        # that stripe has left.  Otherwise nothing moved.
+        kept = m - 1 if m == 3 else m
         assert len(ring) == kept
         assert ring.gram[:kept, :kept].tobytes() == before[0][:kept, :kept].tobytes()
         assert ring.alpha[:kept].tobytes() == before[1][:kept].tobytes()
@@ -409,7 +402,7 @@ class TestStripeRing:
 
         # The ring stays consistent: the next pushes fill it as usual.
         for s in random_stripes(rng, 2, 6):
-            ring.push(s)
+            push(ring, s)
         n = len(ring)
         rows = [ring.direction(i) for i in range(n)]
         assert len({id(r) for r in rows}) == n
@@ -419,15 +412,15 @@ class TestStripeRing:
 
     def test_direction_whose_square_underflows_counts_as_zero(self):
         ring = StripeRing(2, (2,))
-        tiny = SimpleNamespace(u=np.array([1e-200, 0.0]), alpha=0.0, xi=1.0)
+        ring.slot()[:] = [1e-200, 0.0]
         with pytest.raises(InvalidStripeError):
-            ring.push(tiny)
+            ring.push(0.0, 1.0)
         assert len(ring) == 0
 
     def test_shape_mismatch_rejected(self):
         ring = StripeRing(2, (3,))
-        with pytest.raises(DimensionError):
-            ring.push(Stripe(np.ones(4), 0.0, 1.0))
-        ring.push(Stripe(np.ones(3), 0.0, 1.0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="at least one stripe"):
+            sequential_stripe_projection(np.full(3, 5.0), ring)
+        push(ring, Stripe(np.ones(3), 0.0, 1.0))
+        with pytest.raises(DimensionError, match="shape"):
             sequential_stripe_projection(np.full(4, 5.0), ring)

@@ -6,13 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference import Stripe, ring_of
 from tgss import solvers
-from tgss.geometry import (
-    InvalidStripeError,
-    Stripe,
-    sequential_stripe_projection,
-)
-from tgss.numkernel import ALIGN, dot, norm
+from tgss.geometry import InvalidStripeError, sequential_stripe_projection
+from tgss.numkernel import ALIGN, DimensionError, dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHOD_TABLE,
@@ -54,12 +51,19 @@ class TestSolverConfig:
         # tau exceeds (1+eta)/(1-eta), but psi rounds to 0
         {"eta": 0.29671477163201093, "tau": 1.843796399138237},
         {"i0": -1}, {"i0": -5},
+        # int fields take an int or a numpy integer, not a float or a bool
+        {"max_iters": 1e4}, {"n_directions": 2.0}, {"i0": 2.5}, {"j_max": True},
+        {"n_directions": np.float64(2.0)}, {"max_iters": "10"},
         *({name: value} for name in ("tau", "mu", "c_F", "nesterov_alpha", "q_scale",
                                      "q_power") for value in (math.inf, math.nan)),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(10), n_directions=np.int32(3))
+        assert (cfg.max_iters, cfg.n_directions) == (10, 3)
 
     def test_backtracking_schedule(self):
         cfg = SolverConfig(q_scale=4.0, q_power=1.1)
@@ -315,7 +319,7 @@ class TestRun:
         np.testing.assert_allclose(rec.u, z)
         assert rec.alpha == pytest.approx(0.0)
         assert rec.xi == 0.0
-        proj = sequential_stripe_projection(z, [Stripe(rec.u, rec.alpha, rec.xi)])
+        proj = sequential_stripe_projection(z, ring_of([Stripe(rec.u, rec.alpha, rec.xi)]))
         np.testing.assert_allclose(proj.point, [0.0, 0.0], atol=1e-15)
 
     def test_momentum_reduction_to_plain_gradient(self):
@@ -388,6 +392,32 @@ class TestRun:
         data = add_noise(np.array([1.0]), 0.0, 0)
         with pytest.raises(ConfigError):
             run("bogus", op, data, np.zeros(1), SolverConfig(eta=0.0, tau=2.0))
+
+    @pytest.mark.parametrize("wrong", ["x0", "y_delta", "truth"])
+    def test_shape_mismatch_rejected_before_the_first_apply(self, wrong):
+        # Each of these broadcasts against 8 unknowns if it is not checked.
+        class Counting(DiagonalOperator):
+            calls = 0
+
+            def apply(self, c, out=None):
+                Counting.calls += 1
+                return super().apply(c, out=out)
+
+        op = Counting(np.linspace(0.2, 1.0, 8))
+        truth = np.ones(8)
+        data = add_noise(op.apply(truth), 1e-2, 0)
+        Counting.calls = 0
+        x0 = np.zeros(8)
+        if wrong == "x0":
+            x0 = np.zeros(7)
+        elif wrong == "y_delta":
+            data = add_noise(data.y_delta[:1], 1e-2, 0)
+        else:
+            truth = truth[:1]
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with pytest.raises(DimensionError, match=wrong):
+            run("tgss-nes", op, data, x0, cfg, truth=truth)
+        assert Counting.calls == 0
 
     def test_trace_csv_rows(self):
         op = DiagonalOperator(np.array([0.5, 0.8]))
@@ -464,6 +494,35 @@ class TestRun:
         with pytest.raises(DivergenceError,
                            match=r"search direction norm\^2 nan is not finite at k=0"):
             run(method, op, data, np.zeros(2), cfg)
+
+
+class TestOperatorContract:
+    @pytest.mark.parametrize("n_directions", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["sesop", "tgss-nes", "tgss-dbts"])
+    def test_adjoint_that_ignores_out_gives_the_same_run(self, method, n_directions):
+        # An operator may return a new array instead of writing into `out`;
+        # build_stripe then copies the direction into the ring's slot.
+        class FreshAdjoint(DiagonalOperator):
+            def adjoint_apply(self, c, w, out=None):
+                return super().adjoint_apply(c, w)
+
+        rng = np.random.Generator(np.random.PCG64(53))
+        d = rng.uniform(0.1, 1.0, 40)
+        truth = rng.standard_normal(40)
+        data = add_noise(d * truth, 1e-3, 5)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, n_directions=n_directions)
+        a, b = (run(method, cls(d), data, np.zeros(40), cfg, truth=truth,
+                    record_points=True) for cls in (DiagonalOperator, FreshAdjoint))
+        assert (a.k_star, a.stopped_by) == (b.k_star, b.stopped_by)
+        assert a.k_star > n_directions
+        assert a.x_final.tobytes() == b.x_final.tobytes()
+        assert len(a.trace) == len(b.trace)
+        for row_a, row_b in zip(a.trace, b.trace):
+            for name in ("x_tilde", "z"):
+                assert getattr(row_a, name).tobytes() == getattr(row_b, name).tobytes()
+                setattr(row_a, name, None)
+                setattr(row_b, name, None)
+            assert repr(row_a) == repr(row_b)
 
 
 class TestDivergence:
