@@ -1,11 +1,14 @@
 """Minimal numerical kernel shared by every module.
 
-Vectors are plain 1-d float64 numpy arrays.  Dense symmetric positive
-definite systems (the small Gram systems of the projection steps) are
-solved by Cholesky factorization, dpotrf and dpotrs, in solve_spd_dense:
-every Gram block of two or more directions goes through it with all of
-its checks, and a non-positive pivot of the factorization raises.
-solve_spd_scalar is its 1 x 1 case in scalar arithmetic.  There is one
+Vectors are plain 1-d float64 numpy arrays.  solve_spd_dense solves a
+small dense symmetric positive definite system by Cholesky
+factorization, dpotrf and dpotrs, with all of its checks, and a
+non-positive pivot of the factorization raises; its caller is
+geometry.project_hyperplane_intersection.  The stripe projection solves
+its Gram systems in Python floats, growing one Cholesky factor
+by a bordered row per joining direction, and PIVOT_FLOOR is its test
+for a dependent direction.  solve_spd_scalar is the 1 x 1 case in scalar
+arithmetic, with the bits of dpotrf + dpotrs.  There is one
 sparse SPD path, factorize_band_spd: the caller writes the matrix into
 LAPACK lower band storage in its own node order, dpbtrf factorizes it in
 place and dpbtrs solves with the factor.  That costs O(n u^2) time and
@@ -60,9 +63,20 @@ from scipy.linalg import lapack
 
 Vec = np.ndarray
 
-# Size cap for the dense Gram solves.  The projection code uses at most a
-# handful of directions, 16 leaves generous headroom.
+# Size cap for the dense Gram solves and for the active set of a stripe
+# projection.  The projection code uses at most a handful of directions,
+# 16 leaves generous headroom.
 DENSE_CAP = 16
+
+# Relative pivot floor of the stripe projection's bordered Cholesky: a
+# direction joins the active set only when pivot^2 = G_ii - ||l||^2 exceeds
+# PIVOT_FLOOR G_ii, the squared sine of its angle to the span of the active
+# directions.  By round-off, exactly dependent integer pairs (u, c u) leave
+# at most 3.7e-16 and a third integer direction in the span of two 5.8e-16
+# (2 000 draws each, n = 2..40).  The smallest value a direction offered to
+# the active set reaches on perfbench's invpot2d-n48, lineardiag-20k and
+# invpot1d-trend specs (workload seeds 0-2, stripe methods) is 2.2e-3.
+PIVOT_FLOOR = 1e-10
 
 # Largest system check_direct_size lets through to factorize_band_spd: a
 # 256 x 256 mesh, whose band factor (u = 258) takes about 0.3 s and 137 MB.

@@ -24,9 +24,12 @@ method with zero momentum (land, sesop, tpg-zero, tgss-zero) always
 steps from z_k = x_k, so its run keeps no momentum difference dx: no dx
 array, and neither dx nor its norm is computed.  The projection methods
 keep their stripes in a `geometry.StripeRing`: each new direction is
-built in the ring's storage, and the ring holds the stripes' Gram matrix
-across iterations, so a step computes only the new direction's Gram row.
-Results handed to the caller are copies, never one of these work vectors.
+built in the ring's storage, and the ring holds the stripes' Gram rows,
+as lists of Python floats, across iterations, so a step computes only
+the new direction's Gram row.  The projection's work on these m-sized
+quantities runs in scalar arithmetic; numpy only touches vectors of the
+problem's size.  Results handed to the caller are copies, never one of
+these work vectors.
 
 Every path reads one noise level, data.delta_eff = ||y_delta - y||.
 
@@ -390,8 +393,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
 
     The work vectors are allocated here, each on an ALIGN boundary: z, r
     and dx in the state, two x arrays that swap roles (x_{k+1} is built in
-    the array of x_{k-1}), an error scratch vector, and for the projection
-    methods a StripeRing of n_directions stripes.  A zero-momentum method
+    the array of x_{k-1}), and for the projection methods a StripeRing of
+    n_directions stripes.  The error x_{k+1} - truth is formed in r, which
+    the step has finished with.  A zero-momentum method
     keeps no dx; its trace's coupling slack is the lambda = 0 value,
     -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth are read from
     aligned copies where they are not aligned already.  Each new direction
@@ -427,7 +431,6 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     if truth is not None:
         truth = aligned(truth)
         truth_norm = max(norm(truth), 1e-300)
-        err_scratch = empty(x0.shape)
 
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):
@@ -474,9 +477,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
                 ) from exc
-            if not math.isfinite(ring.gram[0, 0]):
+            if not math.isfinite(ring.gram[0][0]):
                 raise DivergenceError(
-                    f"search direction norm^2 {ring.gram[0, 0]} is not finite at k={k}"
+                    f"search direction norm^2 {ring.gram[0][0]} is not finite at k={k}"
                 )
             try:
                 proj = sequential_stripe_projection(z, ring, out=x_next, uz0=rec.uz)
@@ -494,7 +497,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 row.x_tilde = z - proj.first_coefficient * ring.direction(0)
 
         if truth is not None:
-            row.err = norm(np.subtract(x_next, truth, out=err_scratch))
+            # The residual was last read by this iteration's step, so its
+            # array holds x_{k+1} - x_dagger until the next trial.
+            row.err = norm(np.subtract(x_next, truth, out=state.r))
             row.re = row.err / truth_norm
         trace.append(row)
         state.advance(x_next)

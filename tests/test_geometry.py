@@ -21,7 +21,6 @@ from reference import (
     ring_of,
     upper,
 )
-from tgss import geometry
 from tgss.geometry import (
     DependentDirectionsError,
     InvalidStripeError,
@@ -30,7 +29,7 @@ from tgss.geometry import (
     project_hyperplane_intersection,
     sequential_stripe_projection,
 )
-from tgss.numkernel import ALIGN, DimensionError, dot, norm, solve_spd_dense
+from tgss.numkernel import ALIGN, DENSE_CAP, DimensionError, dot, norm, solve_spd_dense
 
 
 class TestConstruction:
@@ -265,22 +264,94 @@ class TestSequentialStripeProjection:
         with pytest.raises(ProjectionPreconditionError):
             sequential_stripe_projection(np.array([0.5, 0.0]), ring_of([s]))
 
-    def test_gram_solves_go_through_solve_spd_dense(self, monkeypatch):
-        # The traced benchmark counts Gram solves under this name.
-        calls = []
+    def test_coefficients_match_solve_spd_dense_on_the_active_block(self):
+        # The bordered Cholesky solves the normal equations of the final
+        # active set A: the point lies on every active boundary, so
+        # G[A, A] c_A = <u_A, z> - boundary_A, which dpotrf and dpotrs
+        # solve as well.
+        rng = np.random.Generator(np.random.PCG64(18))
+        sizes = set()
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            n = m + int(rng.integers(0, 6))
+            U = rng.standard_normal((m, n))
+            G = U @ U.T
+            if np.linalg.cond(G) > 1e3:
+                continue
+            stripes = [Stripe(u, rng.standard_normal(),
+                              (0.1 + abs(rng.standard_normal())) * norm(u)) for u in U]
+            z = 4.0 * rng.standard_normal(n)
+            if dot(U[0], z) <= stripes[0].alpha + stripes[0].xi:
+                continue
+            res = sequential_stripe_projection(z, ring_of(stripes))
+            assert res.n_dropped == 0
+            active = [i for i in range(m) if i not in res.skipped]
+            boundary = [stripes[i].alpha + np.copysign(stripes[i].xi,
+                                                       dot(U[i], res.point) - stripes[i].alpha)
+                        for i in active]
+            block = G[np.ix_(active, active)]
+            expected = solve_spd_dense(block, U[active] @ z - boundary)
+            scale = (np.abs(U @ z).max() + max(abs(s.alpha) + s.xi for s in stripes)
+                     + np.linalg.norm(block, 2) * np.linalg.norm(expected))
+            atol = 1e-13 * scale / np.linalg.eigvalsh(block)[0]
+            np.testing.assert_allclose([res.coefficients[i] for i in active], expected,
+                                       rtol=0.0, atol=atol)
+            assert all(res.coefficients[i] == 0.0 for i in res.skipped)
+            sizes.add(len(active))
+        assert sizes == {1, 2, 3, 4}
 
-        def counting(G, b):
-            calls.append(np.shape(G))
-            return solve_spd_dense(G, b)
+    def test_dependent_example_dropped(self):
+        # u2 = -2 u0 lies in the span of the active u0 and u1, and its
+        # stripe cannot be met together with u0's.  Left active, its
+        # Cholesky pivot would be round-off and the coefficients of order
+        # 1e15.
+        u0 = np.zeros(9)
+        u0[6:] = [1.0, 3.0, 3.0]
+        e8 = np.zeros(9)
+        e8[8] = 1.0
+        stripes = [Stripe(u0, -np.sqrt(19.0), 0.0), Stripe(e8, 0.0, 0.0),
+                   Stripe(-2.0 * u0, 0.0, 0.0)]
+        res = sequential_stripe_projection(np.zeros(9), ring_of(stripes))
+        assert res.skipped == [2] and res.n_dropped == 1
+        assert max(abs(c) for c in res.coefficients) < 2.0
+        for s in stripes[:2]:
+            assert abs(dot(s.u, res.point) - s.alpha) <= 1e-14
 
-        monkeypatch.setattr(geometry, "solve_spd_dense", counting)
-        s0 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
-        s1 = Stripe(np.array([1.0, 1.0]), 0.0, 0.5)
-        z = np.array([2.0, 3.0])   # above s0; its projection [0, 3] is above s1
-        res = sequential_stripe_projection(z, ring_of([s0, s1]))
-        assert res.skipped == [] and calls == [(2, 2)]
-        project_hyperplane_intersection(z, [upper(s0), upper(s1)])
-        assert calls == [(2, 2), (2, 2)]
+    @pytest.mark.parametrize("scale", [1.0, -2.0])
+    def test_exactly_dependent_integer_pairs_dropped(self, scale):
+        # (u, u) and (u, -2u) with integer entries: the pair's Gram block
+        # is exactly singular, and the second stripe is violated after the
+        # first step and cannot be met with the first stripe's boundary.
+        rng = np.random.Generator(np.random.PCG64(19))
+        for _ in range(500):
+            n = int(rng.integers(2, 41))
+            u = rng.integers(-3, 4, n).astype(float)
+            if not u.any():
+                continue
+            v = scale * u
+            z = rng.integers(-4, 5, n).astype(float)
+            first = Stripe(u, dot(u, z) - 1.0 - rng.random(), rng.random())
+            top = first.alpha + first.xi  # <u, point> after the first step
+            xi = rng.random()
+            gap = (xi + 0.1 + rng.random()) * rng.choice([-1.0, 1.0])
+            res = sequential_stripe_projection(
+                z, ring_of([first, Stripe(v, scale * top + gap, xi)]))
+            assert res.skipped == [1] and res.n_dropped == 1
+            assert res.coefficients[1] == 0.0
+            assert res.coefficients[0] == res.first_coefficient
+            assert abs(res.coefficients[0]) * norm(u) <= 3.0
+
+    def test_more_than_dense_cap_active_directions_raise(self):
+        # z violates every one of these orthogonal stripes: all join the
+        # active set, and the point lands on their upper boundaries.
+        def ring(n):
+            return ring_of([Stripe(row, 0.0, 1.0) for row in np.eye(n)])
+
+        res = sequential_stripe_projection(np.full(DENSE_CAP, 5.0), ring(DENSE_CAP))
+        assert res.skipped == []
+        np.testing.assert_array_equal(res.point, np.ones(DENSE_CAP))
+        with pytest.raises(DimensionError, match="DENSE_CAP"):
+            sequential_stripe_projection(np.full(DENSE_CAP + 1, 5.0), ring(DENSE_CAP + 1))
 
     def test_parallel_older_stripe_dropped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
@@ -288,6 +359,11 @@ class TestSequentialStripeProjection:
         res = sequential_stripe_projection(np.array([2.0, 1.0]), ring_of([s1, s2]))
         np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
         assert res.n_dropped == 1
+
+
+def bits(values):
+    """The bytes of a list of floats, or of a list of such lists, as float64."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def random_stripes(rng, count, n):
@@ -308,7 +384,10 @@ class TestStripeRing:
             assert ring.direction(i).tobytes() == s.u.tobytes()
             for j, t in enumerate(reversed(stripes[2:])):
                 # Each entry is one np.dot of the pair, in either order.
-                assert ring.gram[i, j] == np.dot(s.u, t.u)
+                assert ring.gram[i][j] == np.dot(s.u, t.u)
+        assert [len(row) for row in ring.gram] == [3, 3, 3]
+        held = ring.alpha + ring.xi + [g for row in ring.gram for g in row]
+        assert all(type(g) is float for g in held)
 
     def test_rows_start_on_a_cache_line(self):
         # 13 doubles are not a whole number of cache lines: the rows are padded.
@@ -347,7 +426,7 @@ class TestStripeRing:
             a = sequential_stripe_projection(z, ring, uz0=dot(u, z))
             b = sequential_stripe_projection(z, ring_of(stripes))
             assert a.point.tobytes() == b.point.tobytes()
-            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            assert bits(a.coefficients) == bits(b.coefficients)
             assert a.skipped == b.skipped and a.n_dropped == b.n_dropped
 
     def test_containment_slack_matches_inner_products(self):
@@ -365,15 +444,15 @@ class TestStripeRing:
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     def test_gram_exactly_symmetric_after_every_push(self, capacity):
-        # One inner product per pair fills both triangles, so every Gram
-        # block the projection hands to solve_spd_dense passes its
-        # elementwise symmetry test on the cheap path, with no tolerance.
+        # One inner product per pair fills both triangles, so the Gram
+        # rows the projection factors are symmetric with no tolerance.
         rng = np.random.Generator(np.random.PCG64(25 + capacity))
         ring = StripeRing(capacity, (9,))
         for k, s in enumerate(random_stripes(rng, 3 * capacity + 2, 9)):
             push(ring, s)
             m = len(ring)
-            G = ring.gram[:m, :m]
+            G = np.array(ring.gram)
+            assert G.shape == (m, m), k
             assert G.tobytes() == G.T.copy().tobytes(), k
 
     @pytest.mark.parametrize("filled", [0, 1, 3])
@@ -384,7 +463,7 @@ class TestStripeRing:
             push(ring, s)
         m = len(ring)
         held = [ring.direction(i).copy() for i in range(m)]
-        before = (ring.gram[:m, :m].copy(), ring.alpha[:m].copy(), ring.xi[:m].copy(),
+        before = ([row[:] for row in ring.gram], ring.alpha[:], ring.xi[:],
                   [id(ring.direction(i)) for i in range(m)])
         ring.slot()[:] = 0.0
         with pytest.raises(InvalidStripeError):
@@ -393,9 +472,9 @@ class TestStripeRing:
         # that stripe has left.  Otherwise nothing moved.
         kept = m - 1 if m == 3 else m
         assert len(ring) == kept
-        assert ring.gram[:kept, :kept].tobytes() == before[0][:kept, :kept].tobytes()
-        assert ring.alpha[:kept].tobytes() == before[1][:kept].tobytes()
-        assert ring.xi[:kept].tobytes() == before[2][:kept].tobytes()
+        assert bits(ring.gram) == bits([row[:kept] for row in before[0][:kept]])
+        assert bits(ring.alpha) == bits(before[1][:kept])
+        assert bits(ring.xi) == bits(before[2][:kept])
         assert [id(ring.direction(i)) for i in range(kept)] == before[3][:kept]
         for i in range(kept):
             assert ring.direction(i).tobytes() == held[i].tobytes()
@@ -408,7 +487,7 @@ class TestStripeRing:
         assert len({id(r) for r in rows}) == n
         for i in range(n):
             for j in range(n):
-                assert ring.gram[i, j] == np.dot(rows[i], rows[j])
+                assert ring.gram[i][j] == np.dot(rows[i], rows[j])
 
     def test_direction_whose_square_underflows_counts_as_zero(self):
         ring = StripeRing(2, (2,))

@@ -184,7 +184,7 @@ class TestSolveSpdDense:
 
 
 class TestSolveSpdSymmetric:
-    """solve_spd_dense on exactly symmetric blocks, as a StripeRing fills them."""
+    """solve_spd_dense on exactly symmetric blocks, one inner product per pair."""
 
     def test_block_view_of_a_larger_matrix(self):
         G = np.array([[4.0, 1.0, 9.0], [1.0, 3.0, 9.0], [9.0, 9.0, 9.0]])

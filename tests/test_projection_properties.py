@@ -6,18 +6,18 @@ the running point onto the intersection of the active boundary hyperplanes
 with `project_hyperplane_intersection`.
 
 Directions have small-integer entries times a power of two, so every
-Gram entry is exact and both implementations factor the same matrices:
-a Gram block that fails Cholesky in one fails it in the other.  Exactly
-parallel directions are scaled copies of an earlier direction, nearly
-parallel ones such copies with one entry moved.
+Gram entry is exact.  Exactly parallel directions are scaled copies of an
+earlier direction, nearly parallel ones such copies with one entry moved.
 
-The two implementations round differently, so their results agree only
-where round-off cannot change a decision or blow up: every Gram block the
-reference solved is well conditioned and no side test is within round-off
-of a tie.  An exactly dependent block that passes Cholesky on round-off
-gives coefficients of order 1/eps in either implementation; such
-examples are still checked for the properties that hold for each
-implementation alone.
+The two implementations round differently and test dependence
+differently: the library drops a direction whose bordered Cholesky pivot
+is at most PIVOT_FLOOR relative to its Gram diagonal, the reference only
+when dpotrf fails.  So their results agree only where round-off cannot
+change a decision or blow up: every Gram block the reference solved is
+well conditioned and no side test is within round-off of a tie.  An
+exactly dependent block that passes the reference's Cholesky on
+round-off gives it coefficients of order 1/eps; such examples are still
+checked for the properties that hold for the library on its own.
 """
 
 import numpy as np
@@ -78,7 +78,7 @@ def test_matches_vector_space_reference(problem):
     # Properties of the new implementation on its own.
     scale = length_scale(z, stripes, res.coefficients)
     for i, s in enumerate(stripes):
-        if i not in skipped:
+        if i not in res.skipped:
             off = abs(abs(dot(s.u, res.point) - s.alpha) - s.xi)
             assert off <= 1e-9 * (norm(s.u) * scale + abs(s.alpha) + s.xi), i
     u0 = stripes[0].u
