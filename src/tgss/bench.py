@@ -142,9 +142,17 @@ def solver_config(spec: BenchSpec, method: str | None = None) -> SolverConfig:
 
 
 def run_suite(spec: BenchSpec) -> list[BenchRecord]:
-    """Run every configured method on identical data per (delta, seed) group."""
+    """Run every configured method on identical data per (delta, seed) group.
+
+    The per-iteration relative error is formed only when the spec writes
+    traces (`trace_dir` set): `run` is given the truth then and no
+    otherwise, so an untraced suite's `wall_time_s` and `rate_t` time the
+    method alone.  The iterates, `k_star`, `stopped_by` and `re_final` are
+    the same either way.
+    """
     cfg = solver_config(spec)  # a bad option raises here, before any set-up
     op, truth, y_exact, x0 = make_problem(spec)
+    trace_truth = truth if spec.trace_dir is not None else None
     records: list[BenchRecord] = []
     for delta in spec.noise_levels:
         if spec.noise_scale == "norm":
@@ -159,7 +167,7 @@ def run_suite(spec: BenchSpec) -> list[BenchRecord]:
             group: list[BenchRecord] = []
             for method in spec.methods:
                 try:
-                    res = run(method, op, data, x0, cfg, truth=truth)
+                    res = run(method, op, data, x0, cfg, truth=trace_truth)
                     rec = BenchRecord(
                         method=method, delta=delta, seed=seed,
                         k_star=res.k_star, wall_time_s=res.wall_time,
@@ -198,15 +206,22 @@ def records_to_json(records: list[BenchRecord]) -> str:
     return json.dumps([r.to_json_dict() for r in records], indent=2, allow_nan=False)
 
 
-def emit(records: list[BenchRecord], out_base: str, formats=("csv",),
-         trace_dir: str | None = None) -> list[str]:
-    """Write record tables (and per-run traces) to files; returns the paths."""
+def emit(records: list[BenchRecord], spec: BenchSpec, formats=("csv",)) -> list[str]:
+    """Write the spec's files for its records; returns the paths.
+
+    The record tables go to `spec.out` plus one extension per format, and
+    one trace CSV per run goes to `spec.trace_dir`; each is skipped when
+    unset.  The records must come from `run_suite(spec)`: it computes the
+    per-iteration errors of the traces' `re` column only when `trace_dir`
+    is set, so records of a spec without one raise `MetricError` here
+    rather than write that column empty.
+    """
     import os
 
     paths = []
     ordered = sorted(records, key=lambda r: (r.delta, r.seed, r.method))
-    for fmt in formats:
-        path = f"{out_base}.{fmt}"
+    for fmt in formats if spec.out is not None else ():
+        path = f"{spec.out}.{fmt}"
         try:
             with open(path, "w") as fh:
                 if fmt == "csv":
@@ -218,13 +233,15 @@ def emit(records: list[BenchRecord], out_base: str, formats=("csv",),
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
         paths.append(path)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        for rec in ordered:
-            if rec.result is None:
-                continue
+    if spec.trace_dir is not None:
+        traced = [rec for rec in ordered if rec.result is not None]
+        if any(row.re is None for rec in traced for row in rec.result.trace):
+            raise MetricError("records without per-iteration errors: run the suite "
+                              "with the spec's trace_dir set")
+        os.makedirs(spec.trace_dir, exist_ok=True)
+        for rec in traced:
             name = f"trace_{rec.method}_d{rec.delta:g}_s{rec.seed}.csv"
-            path = os.path.join(trace_dir, name)
+            path = os.path.join(spec.trace_dir, name)
             with open(path, "w") as fh:
                 fh.write("\n".join(rec.result.trace_csv_rows()) + "\n")
             paths.append(path)

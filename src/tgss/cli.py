@@ -122,8 +122,9 @@ def cmd_run(args) -> int:
     spec = checked_spec(args)
     records = bench.run_suite(spec)
     formats = tuple(args.format) if args.format else ("csv",)
-    if spec.out:
-        for path in bench.emit(records, spec.out, formats, spec.trace_dir):
+    paths = bench.emit(records, spec, formats)
+    if spec.out is not None:
+        for path in paths:
             print(f"wrote {path}")
     else:
         print(bench.records_to_csv(records), end="")
@@ -144,8 +145,7 @@ def cmd_solve(args) -> int:
         print(f"error       : {rec.error}")
     print(f"re_final    : {rec.re_final:.6e}")
     print(f"wall_time_s : {rec.wall_time_s:.3f}")
-    if spec.out:
-        bench.emit(records, spec.out, ("csv",), spec.trace_dir)
+    bench.emit(records, spec, ("csv",))
     return 0 if not rec.stopped_by.startswith("error") else 1
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the comparison harness."""
 
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tgss.bench import (
     run_suite,
 )
 from tgss.numkernel import ALIGN
+from tgss.solvers import METHODS
 
 
 def strict_json(text):
@@ -152,6 +155,41 @@ class TestRunSuite:
             assert repr(ra.k_star) == repr(rb.k_star)
             assert repr(ra.re_final) == repr(rb.re_final)
 
+    def test_truth_passed_only_when_tracing(self, monkeypatch, tmp_path):
+        # The per-iteration error is work on the timed path: an untraced
+        # suite must not ask run for it.
+        from tgss import bench, solvers
+
+        calls = []
+
+        def run(*args, **kwargs):
+            calls.append(kwargs)
+            return solvers.run(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run", run)
+        run_suite(small_linear_spec(seeds=[0, 1]))
+        assert len(calls) == 4
+        assert all(kwargs.get("truth") is None for kwargs in calls)
+        calls.clear()
+        run_suite(small_linear_spec(seeds=[0, 1], trace_dir=str(tmp_path)))
+        assert len(calls) == 4
+        assert all(kwargs.get("truth") is not None for kwargs in calls)
+
+    def test_tracing_leaves_records_unchanged(self, tmp_path):
+        kwargs = dict(methods=list(METHODS), seeds=[0, 1], noise_levels=[1e-3, 1e-2])
+        untraced = run_suite(small_linear_spec(**kwargs))
+        traced = run_suite(small_linear_spec(trace_dir=str(tmp_path), **kwargs))
+        assert len(untraced) == len(traced) == 2 * 2 * len(METHODS)
+        for a, b in zip(untraced, traced):
+            assert (a.method, a.delta, a.seed) == (b.method, b.delta, b.seed)
+            assert a.k_star == b.k_star
+            assert a.stopped_by == b.stopped_by
+            assert repr(a.re_final) == repr(b.re_final)
+            assert a.result.x_final.tobytes() == b.result.x_final.tobytes()
+            assert len(a.result.trace) == len(b.result.trace) == a.k_star
+            assert all(row.re is None and row.err is None for row in a.result.trace)
+            assert all(math.isfinite(row.re) for row in b.result.trace)
+
     @staticmethod
     def _land_fails(monkeypatch):
         """Make every land run raise; the other methods run as usual."""
@@ -263,18 +301,32 @@ class TestSerialization:
         assert loaded["re_final"] == rec.re_final
 
     def test_emit_files(self, tmp_path):
-        records = self._records()
         out = str(tmp_path / "results")
-        trace = str(tmp_path / "traces")
-        paths = emit(records, out, ("csv", "json"), trace)
+        spec = small_linear_spec(out=out, trace_dir=str(tmp_path / "traces"))
+        records = run_suite(spec)
+        paths = emit(records, spec, ("csv", "json"))
         assert f"{out}.csv" in paths and f"{out}.json" in paths
         with open(f"{out}.csv") as fh:
             assert fh.readline().strip() == CSV_HEADER
         trace_paths = [p for p in paths if "trace_" in p]
         assert len(trace_paths) == len(records)
-        with open(trace_paths[0]) as fh:
-            assert fh.readline().startswith("k,residual_norm,lambda")
+        for path, rec in zip(trace_paths, sorted(records, key=lambda r: r.method)):
+            with open(path) as fh:
+                header, *rows = fh.read().splitlines()
+            assert header.startswith("k,residual_norm,lambda")
+            column = header.split(",").index("re")
+            assert len(rows) == rec.k_star > 0
+            assert all(row.split(",")[column] != "" for row in rows)
+
+    def test_emit_rejects_records_without_errors(self, tmp_path):
+        # Records of an untraced suite have no per-iteration errors; their
+        # traces are refused rather than written with an empty re column.
+        records = run_suite(small_linear_spec())
+        spec = small_linear_spec(trace_dir=str(tmp_path / "traces"))
+        with pytest.raises(MetricError, match="trace_dir"):
+            emit(records, spec)
+        assert not os.path.exists(spec.trace_dir)
 
     def test_emit_unknown_format(self, tmp_path):
         with pytest.raises(MetricError):
-            emit([], str(tmp_path / "x"), ("xml",))
+            emit([], small_linear_spec(out=str(tmp_path / "x")), ("xml",))

@@ -151,6 +151,30 @@ class TestCommands:
         files = os.listdir(trace)
         assert len(files) == 1 and files[0].startswith("trace_sesop")
 
+    @pytest.mark.parametrize("command,methods", [
+        ("run", ["land", "sesop"]),
+        ("solve", ["sesop"]),
+    ])
+    def test_trace_without_out(self, tmp_path, capsys, command, methods):
+        # --trace alone writes the traces; run still prints its table.
+        import os
+
+        trace = tmp_path / "traces"
+        flags = [f for m in methods for f in ("--method", m)]
+        code = main([command, *self.LINEAR, *flags, "--delta", "1e-3", "--seed", "0",
+                     "--trace", str(trace)])
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["traces"]
+        files = sorted(os.listdir(trace))
+        assert [f.split("_")[1] for f in files] == sorted(methods)
+        for name in files:
+            header, *rows = (trace / name).read_text().splitlines()
+            column = header.split(",").index("re")
+            assert rows and all(row.split(",")[column] != "" for row in rows)
+        out = capsys.readouterr().out
+        if command == "run":
+            assert out.startswith("method,delta,seed") and "wrote" not in out
+
     def test_unknown_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", *self.LINEAR, "--method", "bogus", "--method", "land"])
