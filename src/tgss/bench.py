@@ -214,30 +214,32 @@ def emit(records: list[BenchRecord], spec: BenchSpec, formats=("csv",)) -> list[
     unset.  The records must come from `run_suite(spec)`: it computes the
     per-iteration errors of the traces' `re` column only when `trace_dir`
     is set, so records of a spec without one raise `MetricError` here
-    rather than write that column empty.
+    rather than write that column empty.  An unknown format raises
+    `MetricError` too; both are found before any file is opened.
     """
     import os
 
     paths = []
     ordered = sorted(records, key=lambda r: (r.delta, r.seed, r.method))
-    for fmt in formats if spec.out is not None else ():
+    writers = {"csv": records_to_csv, "json": records_to_json}
+    formats = formats if spec.out is not None else ()
+    for fmt in formats:
+        if fmt not in writers:
+            raise MetricError(f"unknown format {fmt!r}")
+    traced = [rec for rec in ordered if rec.result is not None]
+    if spec.trace_dir is not None and any(
+            row.re is None for rec in traced for row in rec.result.trace):
+        raise MetricError("records without per-iteration errors: run the suite "
+                          "with the spec's trace_dir set")
+    for fmt in formats:
         path = f"{spec.out}.{fmt}"
         try:
             with open(path, "w") as fh:
-                if fmt == "csv":
-                    fh.write(records_to_csv(ordered))
-                elif fmt == "json":
-                    fh.write(records_to_json(ordered))
-                else:
-                    raise MetricError(f"unknown format {fmt!r}")
+                fh.write(writers[fmt](ordered))
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
         paths.append(path)
     if spec.trace_dir is not None:
-        traced = [rec for rec in ordered if rec.result is not None]
-        if any(row.re is None for rec in traced for row in rec.result.trace):
-            raise MetricError("records without per-iteration errors: run the suite "
-                              "with the spec's trace_dir set")
         os.makedirs(spec.trace_dir, exist_ok=True)
         for rec in traced:
             name = f"trace_{rec.method}_d{rec.delta:g}_s{rec.seed}.csv"

@@ -26,12 +26,15 @@ from the stripe's construction.
 A direction whose squared norm is zero, even by underflow, is zero:
 StripeRing.push finds it from G_00 = ||u||^2, which it computes anyway.
 
+Each joining direction costs one project_hyperplane_intersection and
+one numkernel.solve_spd_dense, both called through this module's
+globals, where the benchmark's tracer wraps them.
+
 The projections in vector space, onto one hyperplane, halfspace or
-stripe, are not part of the library: tests/reference.py holds them, and
-a Stripe record to build test rings from, as the reference the tests
-compare against.  project_hyperplane_intersection, the one caller of
-numkernel.solve_spd_dense, stays here, because the benchmark's tracer
-times both under this module's names.
+stripe or the intersection of several hyperplanes, are not part of the
+library: tests/reference.py holds them, with a LAPACK Gram solve and a
+Stripe record to build test rings from, as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from .numkernel import (
     PIVOT_FLOOR,
     Vec,
     DimensionError,
-    SingularSystemError,
     empty,
+    forward_substitution,
     solve_spd_dense,
-    solve_spd_scalar,
 )
 
 
@@ -65,31 +67,6 @@ class DependentDirectionsError(RuntimeError):
 
 class ProjectionPreconditionError(RuntimeError):
     """Point fed to the sequential projection is not above its first stripe."""
-
-
-def project_hyperplane_intersection(x: Vec, planes: list) -> tuple[Vec, Vec]:
-    """Project x onto the intersection of several hyperplanes {<u, .> = alpha}.
-
-    Each plane is anything with a direction u and an offset alpha.  Solves
-    the Gram normal equations G t = b with G_ij = <u_i, u_j> and
-    b_j = <u_j, x> - alpha_j, and returns (x - sum_i t_i u_i, t).
-
-    Raises
-    ------
-    DependentDirectionsError
-        When the Gram matrix is singular (linearly dependent directions).
-    """
-    if not planes:
-        raise DimensionError("need at least one hyperplane")
-    U = np.stack([p.u for p in planes])
-    alphas = np.array([p.alpha for p in planes])
-    G = U @ U.T
-    b = U @ np.asarray(x, dtype=float) - alphas
-    try:
-        t = solve_spd_dense(G, b)
-    except SingularSystemError as exc:
-        raise DependentDirectionsError(str(exc)) from exc
-    return np.asarray(x, dtype=float) - t @ U, t
 
 
 class StripeRing:
@@ -210,9 +187,12 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
     direction joins: l = L^-1 G[active, i] and pivot^2 = G_ii - ||l||^2.
     The direction is dependent when pivot^2 <= PIVOT_FLOOR G_ii, a
     non-finite pivot included; a trial set of more than DENSE_CAP
-    directions raises DimensionError.  A re-projection is one forward and
-    one back substitution with the grown factor.  The first step is the
-    1 x 1 case, solve_spd_scalar.
+    directions raises DimensionError.  A re-projection,
+    project_hyperplane_intersection, is one forward and one back
+    substitution with the grown factor.  The first step is the 1 x 1 case
+    in place: t_0 = (<u_0, z> - alpha_0 - xi_0) r r with r = 1/sqrt(G_00),
+    the bits LAPACK's dpotrf and dpotrs give; a G_00 that is not finite
+    and positive raises DependentDirectionsError.
 
     Vectors of length n are touched only for the inner products
     <u_i, z>, m - 1 of them when the caller passes `uz0` = <u_0, z>, and
@@ -242,15 +222,16 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
             "point is not strictly above the current stripe; "
             "the iteration should have stopped"
         )
-    try:
-        t0 = solve_spd_scalar(G[0][0], uz[0] - top)
-    except SingularSystemError as exc:
-        raise DependentDirectionsError(str(exc)) from exc
+    g00 = G[0][0]
+    if not (math.isfinite(g00) and g00 > 0.0):
+        raise DependentDirectionsError(f"Gram diagonal G_00 = {g00} is not finite and positive")
+    r = 1.0 / math.sqrt(g00)
+    t0 = (uz[0] - top) * r * r
     coeffs = [0.0] * m
     coeffs[0] = t0
     active = [0]
     boundary = [top]  # offsets of the active boundary hyperplanes
-    chol = [[math.sqrt(G[0][0])]]  # rows of the lower Cholesky factor of G[active, active]
+    chol = [[math.sqrt(g00)]]  # rows of the lower Cholesky factor of G[active, active]
     n_dropped = 0
     skipped: list[int] = []
 
@@ -267,7 +248,7 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
         if len(active) == DENSE_CAP:
             raise DimensionError(f"more than DENSE_CAP = {DENSE_CAP} active directions")
         # Bordered Cholesky: the new row of the factor of G[trial, trial].
-        row = _forward(chol, [Gi[j] for j in active])
+        row = forward_substitution(chol, [Gi[j] for j in active])
         pivot2 = Gi[i]
         for lq in row:
             pivot2 -= lq * lq
@@ -279,18 +260,7 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
         chol.append(row)
         active.append(i)
         boundary.append(b)
-        # Re-project: solve G[active, active] t = <u_A, point> - boundary_A
-        # by L y = rhs, then L^T t = y.
-        y = _forward(chol, [uz[j] - _row_dot(G[j], coeffs, active) - offset
-                            for j, offset in zip(active, boundary)])
-        k = len(active)
-        for p in range(k - 1, -1, -1):
-            acc = y[p]
-            for q in range(p + 1, k):
-                acc -= chol[q][p] * y[q]
-            y[p] = acc / chol[p][p]
-        for j, t in zip(active, y):
-            coeffs[j] += t
+        project_hyperplane_intersection(coeffs, chol, G, uz, active, boundary)
 
     if out is None:
         point = z.copy()
@@ -306,6 +276,21 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
     return SequentialProjectionResult(point, coeffs, n_dropped, skipped, t0, slack)
 
 
+def project_hyperplane_intersection(coeffs: list[float], chol: list[list[float]],
+                                    G: list[list[float]], uz: list[float],
+                                    active: list[int], boundary: list[float]) -> None:
+    """Re-project the point z - sum_i c_i u_i onto the active boundary hyperplanes.
+
+    Solves G[active, active] t = <u_A, point> - boundary, given the rows
+    `chol` of the factor of G[active, active] and uz = <u_i, z>, and adds
+    t to the active coefficients in place.
+    """
+    t = solve_spd_dense(chol, [uz[j] - _row_dot(G[j], coeffs, active) - offset
+                               for j, offset in zip(active, boundary)])
+    for j, tj in zip(active, t):
+        coeffs[j] += tj
+
+
 def _row_dot(g: list[float], c: list[float], active: list[int]) -> float:
     """sum_j g[j] c[j] over the active indices j, the others' c being zero."""
     acc = 0.0
@@ -313,12 +298,3 @@ def _row_dot(g: list[float], c: list[float], active: list[int]) -> float:
         acc += g[j] * c[j]
     return acc
 
-
-def _forward(chol: list[list[float]], b: list[float]) -> list[float]:
-    """L^-1 b by forward substitution, L given by the rows `chol` of its lower triangle."""
-    y: list[float] = []
-    for Lp, acc in zip(chol, b):
-        for Lpq, yq in zip(Lp, y):
-            acc -= Lpq * yq
-        y.append(acc / Lp[len(y)])
-    return y

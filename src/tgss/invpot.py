@@ -27,6 +27,9 @@ every later M(w) costs a few contiguous slice products per offset.  The
 scatter itself needs no sort: an element adds its local diagonal to its
 nodes and each of its local node pairs to the lower entry
 (max node, min node), at offset max - min, with one bincount per array.
+
+weighted_mass(pattern, w) is the one M(w) kernel.  Its callers look it
+up as a module global, where the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -195,13 +198,13 @@ class P1Pattern:
     input is element-major, so every entry sums the same element terms,
     in the same order, as a sort-based assembly of all (dim + 1)^2 local
     entries would; the local matrices are symmetric bit for bit, so
-    either of a pair's two entries can be read.  mass_data(w) computes
-    the pair for M(w) and matvec applies a pair, both with contiguous
-    slice products per offset.  A row sums its off-diagonal terms from
-    zero in a fixed order, the lower neighbours by decreasing offset and
-    then the upper ones by increasing offset (the order of the row-major
-    edge list), before the diagonal term is added; the off-diagonal of
-    M(w) is beta[r, p] w[p] + beta[r, p] w[p + d].
+    either of a pair's two entries can be read.  weighted_mass(pattern,
+    w) computes the pair for M(w) and matvec applies a pair, both with
+    contiguous slice products per offset.  A row sums its off-diagonal
+    terms from zero in a fixed order, the lower neighbours by decreasing
+    offset and then the upper ones by increasing offset (the order of the
+    row-major edge list), before the diagonal term is added; the
+    off-diagonal of M(w) is beta[r, p] w[p] + beta[r, p] w[p + d].
     """
 
     def __init__(self, mesh: Mesh):
@@ -231,20 +234,6 @@ class P1Pattern:
         self.beta = 0.5 * M1_lower
         self.g = M1_diagonal - self.matvec(np.zeros(n), self.beta, np.ones(n))
 
-    def mass_data(self, w: Vec) -> tuple[Vec, Vec]:
-        """(diagonal, lower) of weighted_mass(mesh, w)."""
-        lower = self.beta * w                 # beta[r, p] w[p], towards row p + d
-        ahead = np.zeros_like(lower)          # beta[r, p] w[p + d], towards row p
-        diagonal = np.zeros(self.n)
-        for r, d, m in reversed(self._spans):
-            diagonal[d:] += lower[r, :m]
-        for r, d, m in self._spans:
-            np.multiply(self.beta[r, :m], w[d:], out=ahead[r, :m])
-            diagonal[:m] += ahead[r, :m]
-        diagonal += self.g * w
-        lower += ahead
-        return diagonal, lower
-
     def matvec(self, diagonal: Vec, lower: Vec, x: Vec, out: Vec | None = None) -> Vec:
         """Product of the symmetric matrix (diagonal, lower) with x.
 
@@ -262,10 +251,10 @@ class P1Pattern:
 
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
-        return self.matvec(*self.mass_data(f_nodal), np.ones(self.n))
+        return self.matvec(*weighted_mass(self, f_nodal), np.ones(self.n))
 
 
-def weighted_mass(mesh: Mesh, w: Vec) -> tuple[Vec, Vec]:
+def weighted_mass(pattern: P1Pattern, w: Vec) -> tuple[Vec, Vec]:
     """Boundary-corrected mass matrix weighted by the interpolant of w.
 
     Entry (i, j) approximates the integral of w_h * phi_i * phi_j.
@@ -280,12 +269,20 @@ def weighted_mass(mesh: Mesh, w: Vec) -> tuple[Vec, Vec]:
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
 
-    Returns the matrix as the offset pair (diagonal, lower) of
-    P1Pattern.mass_data, from a pattern built on every call.  The
-    operator keeps one P1Pattern per mesh and calls mass_data; this name
-    stays only because perfbench's tracer wraps it.
+    Returns the matrix as the pattern's offset pair (diagonal, lower).
     """
-    return P1Pattern(mesh).mass_data(np.asarray(w, dtype=float))
+    beta = pattern.beta
+    lower = beta * w                      # beta[r, p] w[p], towards row p + d
+    ahead = np.zeros_like(lower)          # beta[r, p] w[p + d], towards row p
+    diagonal = np.zeros(pattern.n)
+    for r, d, m in reversed(pattern._spans):
+        diagonal[d:] += lower[r, :m]
+    for r, d, m in pattern._spans:
+        np.multiply(beta[r, :m], w[d:], out=ahead[r, :m])
+        diagonal[:m] += ahead[r, :m]
+    diagonal += pattern.g * w
+    lower += ahead
+    return diagonal, lower
 
 
 def check_admissible(c: Vec):
@@ -353,7 +350,7 @@ class InversePotentialOperator(ForwardOperator):
         # The band storage holds the cached factor; it is overwritten below.
         self._cache_key = self._cache = None
         pattern = self._pattern
-        diagonal, lower = pattern.mass_data(c)
+        diagonal, lower = weighted_mass(pattern, c)
         band = self._band
         band.fill(0.0)
         np.add(pattern.K_diagonal, diagonal, out=band[0])
@@ -364,7 +361,7 @@ class InversePotentialOperator(ForwardOperator):
         if not np.all(np.isfinite(u)):
             raise AdmissibilityError("state solve produced non-finite values")
         self._cache_key = key
-        self._cache = (solve, u, pattern.mass_data(u))
+        self._cache = (solve, u, weighted_mass(pattern, u))
         return self._cache
 
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:

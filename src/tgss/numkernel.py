@@ -1,20 +1,17 @@
 """Minimal numerical kernel shared by every module.
 
-Vectors are plain 1-d float64 numpy arrays.  solve_spd_dense solves a
-small dense symmetric positive definite system by Cholesky
-factorization, dpotrf and dpotrs, with all of its checks, and a
-non-positive pivot of the factorization raises; its caller is
-geometry.project_hyperplane_intersection.  The stripe projection solves
-its Gram systems in Python floats, growing one Cholesky factor
-by a bordered row per joining direction, and PIVOT_FLOOR is its test
-for a dependent direction.  solve_spd_scalar is the 1 x 1 case in scalar
-arithmetic, with the bits of dpotrf + dpotrs.  There is one
-sparse SPD path, factorize_band_spd: the caller writes the matrix into
-LAPACK lower band storage in its own node order, dpbtrf factorizes it in
-place and dpbtrs solves with the factor.  That costs O(n u^2) time and
-n (u + 1) floats for half-bandwidth u, and the factorization proves the
-matrix positive definite as it goes.  The lexicographic node numbering
-of an N x N tensor mesh gives u = N + 2.
+Vectors are plain 1-d float64 numpy arrays.  The stripe projection
+solves its Gram systems in Python floats, growing one Cholesky factor
+by a bordered row per joining direction: forward_substitution gives the
+new row, and solve_spd_dense solves with the grown factor, one forward
+and one back substitution.  PIVOT_FLOOR is the projection's test for a
+dependent direction.  There is one sparse SPD path,
+factorize_band_spd: the caller writes the matrix into LAPACK lower band
+storage in its own node order, dpbtrf factorizes it in place and dpbtrs
+solves with the factor.  That costs O(n u^2) time and n (u + 1) floats
+for half-bandwidth u, and the factorization proves the matrix positive
+definite as it goes.  The lexicographic node numbering of an N x N
+tensor mesh gives u = N + 2.
 
 Lower storage is the faster of the two conventions for one
 factorization and two solves per matrix, the set-up of an iteration.
@@ -90,14 +87,6 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes."""
 
 
-class SingularSystemError(RuntimeError):
-    """A supposedly SPD system turned out singular or indefinite.
-
-    For Gram systems this signals linearly dependent search directions;
-    callers are expected to drop a direction and retry.
-    """
-
-
 class SparseSolveError(RuntimeError):
     """Sparse SPD solve broke down (indefinite or badly assembled matrix)."""
 
@@ -149,70 +138,31 @@ def norm(x: Vec) -> float:
     return math.sqrt(x.dot(x))
 
 
-def solve_spd_dense(G: np.ndarray, b: Vec) -> Vec:
-    """Solve the small dense SPD system G t = b via Cholesky.
+def forward_substitution(chol: list[list[float]], b: list[float]) -> list[float]:
+    """L^-1 b, L given by the rows `chol` of its lower triangle, in Python floats."""
+    y: list[float] = []
+    for Lp, acc in zip(chol, b):
+        for Lpq, yq in zip(Lp, y):
+            acc -= Lpq * yq
+        y.append(acc / Lp[len(y)])
+    return y
 
-    LAPACK dpotrf factors G, dpotrs solves.  G must be finite and
-    symmetric to |G - G^T| <= atol + rtol |G^T| elementwise, with
-    rtol = 1e-12 and atol = 1e-14 max(1, max|G|).
 
-    Raises
-    ------
-    SingularSystemError
-        If G is not finite and symmetric, or not positive definite
-        (dependent directions).
-    DimensionError
-        On shape mismatch, or when the system is empty or exceeds
-        DENSE_CAP; LAPACK is not called.
+def solve_spd_dense(chol: list[list[float]], b: list[float]) -> list[float]:
+    """Solve G t = b for a small SPD G = L L^T given by its Cholesky factor.
+
+    L is given by the rows `chol` of its lower triangle, which hold
+    positive diagonals.  One forward substitution L y = b, then one back
+    substitution L^T t = y, in Python floats.
     """
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if G.shape != (n, n):
-        raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
-    if not 0 < n <= DENSE_CAP:
-        raise DimensionError(f"dense SPD solve takes 1 to {DENSE_CAP} unknowns, got {n}")
-    # On a block of a few entries loops over Python floats beat ufuncs.  The
-    # elementwise test holds at (i, j) and (j, i) exactly when it holds with
-    # the smaller of |G_ij| and |G_ji|; an exactly equal pair always passes.
-    rows = G.tolist()
-    if not all(math.isfinite(g) for row in rows for g in row):
-        raise SingularSystemError("matrix is not finite and symmetric")
-    for i in range(1, n):
-        for j in range(i):
-            a, c = rows[i][j], rows[j][i]
-            if a != c:
-                atol = 1e-14 * max(1.0, max(abs(g) for row in rows for g in row))
-                if not abs(a - c) <= atol + 1e-12 * min(abs(a), abs(c)):
-                    raise SingularSystemError("matrix is not finite and symmetric")
-    chol, info = lapack.dpotrf(G, lower=1)
-    if info > 0:
-        raise SingularSystemError(f"non-positive pivot in Cholesky at column {info}")
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    t, info = lapack.dpotrs(chol, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal value in argument {-info}")
-    return t
-
-
-def solve_spd_scalar(g: float, b: float) -> float:
-    """solve_spd_dense for a 1 x 1 system, in scalar arithmetic.
-
-    Makes the same checks and gives the same bits as dpotrf + dpotrs,
-    which form the factor l = sqrt(g) and multiply b twice by 1/l.
-
-    Raises
-    ------
-    SingularSystemError
-        If g is not finite or not positive.
-    """
-    if not math.isfinite(g):
-        raise SingularSystemError("matrix is not finite and symmetric")
-    if not g > 0.0:
-        raise SingularSystemError("non-positive pivot in Cholesky at column 1")
-    r = 1.0 / math.sqrt(g)
-    return b * r * r
+    y = forward_substitution(chol, b)
+    k = len(y)
+    for p in range(k - 1, -1, -1):
+        acc = y[p]
+        for q in range(p + 1, k):
+            acc -= chol[q][p] * y[q]
+        y[p] = acc / chol[p][p]
+    return y
 
 
 def check_direct_size(n: int) -> None:

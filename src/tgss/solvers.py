@@ -39,7 +39,9 @@ names in this module's namespace, by name: `build_stripe`, `dbts_select`
 `sequential_stripe_projection`, `norm`, `dot`, and `discrepancy_met`,
 which `run` calls once per iteration to time the host.  The code here
 must keep calling them through these module globals: a renamed or
-locally bound one escapes the tracer without any error.
+locally bound one escapes the tracer without any error.  The same holds
+for the kernels it wraps in other modules: `invpot.weighted_mass`,
+`geometry.project_hyperplane_intersection` and `geometry.solve_spd_dense`.
 """
 
 from __future__ import annotations

@@ -4,10 +4,15 @@ Geometry: the projections of a point onto one hyperplane, halfspace or
 stripe, in vector space, and the sequential stripe projection written as
 a loop of such projections (reference_projection), each stage
 re-projecting the running point onto the intersection of the active
-boundary hyperplanes.  The library runs the same projection in
-coefficient space on a StripeRing's Gram matrix; ring_of builds such a
-ring from a list of Stripe records, the way a run fills one: each
-direction is copied into the ring's slot and then pushed.
+boundary hyperplanes (project_hyperplane_intersection).  That
+re-projection solves its Gram normal equations with solve_spd_dense,
+LAPACK's dpotrf and dpotrs behind checks that the matrix is finite and
+symmetric, not with the library's scalar Cholesky, so that the
+reference stays independent of the code it checks.  The library runs
+the same projection in coefficient space on a StripeRing's Gram matrix;
+ring_of builds such a ring from a list of Stripe records, the way a run
+fills one: each direction is copied into the ring's slot and then
+pushed.
 
 Assembly: element matrices are summed through a COO matrix and converted
 to CSR, written out independently of invpot.P1Pattern and of the band
@@ -19,19 +24,24 @@ pair (diagonal, lower) into a CSR matrix to compare against.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from tgss.geometry import (
     DependentDirectionsError,
     InvalidStripeError,
     StripeRing,
-    project_hyperplane_intersection,
 )
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
-from tgss.numkernel import dot, norm
+from tgss.numkernel import DENSE_CAP, DimensionError, dot, norm
+
+
+class SingularSystemError(RuntimeError):
+    """A supposedly SPD system turned out singular, indefinite or not symmetric."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,78 @@ def project_stripe(x, stripe):
     if side is StripeSide.ABOVE:
         return project_hyperplane(x, upper(stripe))
     return project_hyperplane(x, lower(stripe))
+
+
+def solve_spd_dense(G, b):
+    """Solve the small dense SPD system G t = b via Cholesky.
+
+    LAPACK dpotrf factors G, dpotrs solves.  G must be finite and
+    symmetric to |G - G^T| <= atol + rtol |G^T| elementwise, with
+    rtol = 1e-12 and atol = 1e-14 max(1, max|G|).
+
+    Raises
+    ------
+    SingularSystemError
+        If G is not finite and symmetric, or not positive definite
+        (dependent directions).
+    DimensionError
+        On shape mismatch, or when the system is empty or exceeds
+        DENSE_CAP; LAPACK is not called.
+    """
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if G.shape != (n, n):
+        raise DimensionError(f"Gram matrix {G.shape} does not match rhs of length {n}")
+    if not 0 < n <= DENSE_CAP:
+        raise DimensionError(f"dense SPD solve takes 1 to {DENSE_CAP} unknowns, got {n}")
+    # On a block of a few entries loops over Python floats beat ufuncs.  The
+    # elementwise test holds at (i, j) and (j, i) exactly when it holds with
+    # the smaller of |G_ij| and |G_ji|; an exactly equal pair always passes.
+    rows = G.tolist()
+    if not all(math.isfinite(g) for row in rows for g in row):
+        raise SingularSystemError("matrix is not finite and symmetric")
+    for i in range(1, n):
+        for j in range(i):
+            a, c = rows[i][j], rows[j][i]
+            if a != c:
+                atol = 1e-14 * max(1.0, max(abs(g) for row in rows for g in row))
+                if not abs(a - c) <= atol + 1e-12 * min(abs(a), abs(c)):
+                    raise SingularSystemError("matrix is not finite and symmetric")
+    chol, info = lapack.dpotrf(G, lower=1)
+    if info > 0:
+        raise SingularSystemError(f"non-positive pivot in Cholesky at column {info}")
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    t, info = lapack.dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return t
+
+
+def project_hyperplane_intersection(x, planes):
+    """Project x onto the intersection of several hyperplanes {<u, .> = alpha}.
+
+    Each plane is anything with a direction u and an offset alpha.  Solves
+    the Gram normal equations G t = b with G_ij = <u_i, u_j> and
+    b_j = <u_j, x> - alpha_j, and returns (x - sum_i t_i u_i, t).
+
+    Raises
+    ------
+    DependentDirectionsError
+        When the Gram matrix is singular (linearly dependent directions).
+    """
+    if not planes:
+        raise DimensionError("need at least one hyperplane")
+    U = np.stack([p.u for p in planes])
+    alphas = np.array([p.alpha for p in planes])
+    G = U @ U.T
+    b = U @ np.asarray(x, dtype=float) - alphas
+    try:
+        t = solve_spd_dense(G, b)
+    except SingularSystemError as exc:
+        raise DependentDirectionsError(str(exc)) from exc
+    return np.asarray(x, dtype=float) - t @ U, t
 
 
 def reference_projection(z, stripes):
@@ -253,9 +335,9 @@ def reference_pattern(mesh):
 
     The keys row n + col of all local entries are sorted by np.unique,
     and each array is a bincount over the keys' positions, element-major.
-    The result is a P1Pattern with these arrays (and the offset spans its
-    methods read) set directly, so its mass_data, matvec and load are the
-    pattern's own methods on these arrays.
+    The result is a P1Pattern with these arrays (and the offset spans
+    weighted_mass and its methods read) set directly, so weighted_mass,
+    matvec and load run the library's own code on these arrays.
     """
     n, k = mesh.n_nodes, mesh.dim + 1
     rows = np.repeat(mesh.elements, k, axis=1).ravel()
@@ -294,5 +376,12 @@ def csr(pattern, diagonal, lower):
 
 
 def assert_matrix_close(actual, expected, rtol=1e-14):
+    """max |actual - expected| <= rtol max |expected| plus a few subnormal ulps.
+
+    The absolute floor admits round-off among subnormal entries, where no
+    relative bound can hold: with weights of 2.2e-311 an entry of
+    1.85e-311 is one subnormal ulp, 5e-324, off the reference.
+    """
     actual, expected = actual.toarray(), expected.toarray()
-    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+    floor = 4 * np.finfo(float).smallest_subnormal
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max() + floor

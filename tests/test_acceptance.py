@@ -15,10 +15,10 @@ from reference import (
     Stripe,
     project_halfspace,
     project_hyperplane,
+    project_hyperplane_intersection,
     project_stripe,
 )
 from tgss.bench import BenchSpec, run_suite
-from tgss.geometry import project_hyperplane_intersection
 from tgss.invpot import InversePotentialOperator, make_mesh
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise

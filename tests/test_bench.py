@@ -328,5 +328,7 @@ class TestSerialization:
         assert not os.path.exists(spec.trace_dir)
 
     def test_emit_unknown_format(self, tmp_path):
-        with pytest.raises(MetricError):
-            emit([], small_linear_spec(out=str(tmp_path / "x")), ("xml",))
+        # Every format is checked before any file is opened.
+        with pytest.raises(MetricError, match="xml"):
+            emit([], small_linear_spec(out=str(tmp_path / "x")), ("csv", "xml"))
+        assert list(tmp_path.iterdir()) == []

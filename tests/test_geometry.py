@@ -1,8 +1,9 @@
 """Unit tests for the stripe geometry and its vector-space test reference.
 
-The Stripe record and the hyperplane, halfspace and single-stripe
-projections are the test reference's (tests/reference.py); the tests of
-them here check the reference itself.
+The Stripe record, the hyperplane, halfspace and single-stripe
+projections and the projection onto an intersection of hyperplanes are
+the test reference's (tests/reference.py); the tests of them here check
+the reference itself.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from reference import (
     lower,
     project_halfspace,
     project_hyperplane,
+    project_hyperplane_intersection,
     project_stripe,
     push,
     ring_of,
+    solve_spd_dense,
     upper,
 )
 from tgss.geometry import (
@@ -26,10 +29,9 @@ from tgss.geometry import (
     InvalidStripeError,
     ProjectionPreconditionError,
     StripeRing,
-    project_hyperplane_intersection,
     sequential_stripe_projection,
 )
-from tgss.numkernel import ALIGN, DENSE_CAP, DimensionError, dot, norm, solve_spd_dense
+from tgss.numkernel import ALIGN, DENSE_CAP, DimensionError, dot, norm
 
 
 class TestConstruction:
@@ -263,6 +265,26 @@ class TestSequentialStripeProjection:
         s = Stripe(np.array([1.0, 0.0]), 0.0, 1.0)
         with pytest.raises(ProjectionPreconditionError):
             sequential_stripe_projection(np.array([0.5, 0.0]), ring_of([s]))
+
+    def test_first_step_has_the_bits_of_lapack(self):
+        # b / G_00 rounds differently from dpotrf + dpotrs in many of these
+        # draws; b (1/sqrt G_00)(1/sqrt G_00) must match every one.
+        rng = np.random.Generator(np.random.PCG64(31))
+        ring, z = StripeRing(1, (1,)), np.zeros(1)
+        for u, b in zip(np.exp(rng.uniform(-20.0, 20.0, 2000)),
+                        np.exp(rng.uniform(-40.0, 40.0, 2000))):
+            ring.slot()[0] = u
+            ring.push(0.0, 0.0)
+            res = sequential_stripe_projection(z, ring, uz0=float(b))
+            expected = solve_spd_dense(np.array([ring.gram[0]]), np.array([b]))[0]
+            assert res.first_coefficient == expected
+
+    @pytest.mark.parametrize("entry", [1e200, np.nan])
+    def test_non_finite_first_gram_diagonal_raises(self, entry):
+        with np.errstate(over="ignore"):  # ||u||^2 = inf
+            ring = ring_of([Stripe(np.array([entry, 1.0]), 0.0, 0.0)])
+        with pytest.raises(DependentDirectionsError, match="not finite and positive"):
+            sequential_stripe_projection(np.array([1.0, 1.0]), ring)
 
     def test_coefficients_match_solve_spd_dense_on_the_active_block(self):
         # The bordered Cholesky solves the normal equations of the final

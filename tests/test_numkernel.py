@@ -7,22 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import SingularSystemError
+from reference import solve_spd_dense as reference_solve
 from tgss.numkernel import (
     ALIGN,
     DENSE_CAP,
     DIRECT_LIMIT,
     DimensionError,
-    SingularSystemError,
     SparseSolveError,
     aligned,
     check_direct_size,
     dot,
     empty,
     factorize_band_spd,
+    forward_substitution,
     gaussian_vector,
     norm,
     solve_spd_dense,
-    solve_spd_scalar,
 )
 
 
@@ -124,19 +125,21 @@ class TestNorm:
 
 
 class TestSolveSpdDense:
+    """The reference LAPACK solve the projection tests compare against."""
+
     def test_identity(self):
         b = np.array([3.0, -1.0])
-        np.testing.assert_allclose(solve_spd_dense(np.eye(2), b), b)
+        np.testing.assert_allclose(reference_solve(np.eye(2), b), b)
 
     def test_diagonal(self):
         G = np.diag([2.0, 4.0])
         np.testing.assert_allclose(
-            solve_spd_dense(G, np.array([2.0, 8.0])), [1.0, 2.0]
+            reference_solve(G, np.array([2.0, 8.0])), [1.0, 2.0]
         )
 
     def test_two_by_two(self):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        t = solve_spd_dense(G, np.array([3.0, 3.0]))
+        t = reference_solve(G, np.array([3.0, 3.0]))
         np.testing.assert_allclose(t, [1.0, 1.0], atol=1e-14)
         # verify by multiplying back
         np.testing.assert_allclose(G @ t, [3.0, 3.0], atol=1e-14)
@@ -148,49 +151,49 @@ class TestSolveSpdDense:
             B = rng.standard_normal((n, n))
             G = B @ B.T + n * np.eye(n)
             b = rng.standard_normal(n)
-            t = solve_spd_dense(G, b)
+            t = reference_solve(G, b)
             res = norm(G @ t - b)
             assert res <= 1e-10 * (norm(G.ravel()) * norm(t) + norm(b))
 
     def test_rejects_indefinite(self):
         G = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(SingularSystemError):
-            solve_spd_dense(G, np.array([1.0, 1.0]))
+            reference_solve(G, np.array([1.0, 1.0]))
 
     def test_rejects_nonsymmetric(self):
         G = np.array([[2.0, 1.0], [0.0, 2.0]])
         with pytest.raises(SingularSystemError):
-            solve_spd_dense(G, np.array([1.0, 1.0]))
+            reference_solve(G, np.array([1.0, 1.0]))
 
     def test_rejects_oversized_system(self):
         n = DENSE_CAP + 1
         with pytest.raises(DimensionError):
-            solve_spd_dense(np.eye(n), np.ones(n))
+            reference_solve(np.eye(n), np.ones(n))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_spd_dense(np.eye(3), np.ones(2))
+            reference_solve(np.eye(3), np.ones(2))
 
     def test_rejects_empty_system(self):
         with pytest.raises(DimensionError, match="got 0"):
-            solve_spd_dense(np.zeros((0, 0)), np.zeros(0))
+            reference_solve(np.zeros((0, 0)), np.zeros(0))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # A symmetric pair of infinities passes an isclose-style test.
         G = np.array([[2.0, bad], [bad, 2.0]])
         with pytest.raises(SingularSystemError, match="not finite and symmetric"):
-            solve_spd_dense(G, np.array([1.0, 1.0]))
+            reference_solve(G, np.array([1.0, 1.0]))
 
 
 class TestSolveSpdSymmetric:
-    """solve_spd_dense on exactly symmetric blocks, one inner product per pair."""
+    """The reference solve on exactly symmetric blocks, one inner product per pair."""
 
     def test_block_view_of_a_larger_matrix(self):
         G = np.array([[4.0, 1.0, 9.0], [1.0, 3.0, 9.0], [9.0, 9.0, 9.0]])
         b = np.array([1.0, 2.0])
-        assert (solve_spd_dense(G[:2, :2], b).tobytes()
-                == solve_spd_dense(np.ascontiguousarray(G[:2, :2]), b).tobytes())
+        assert (reference_solve(G[:2, :2], b).tobytes()
+                == reference_solve(np.ascontiguousarray(G[:2, :2]), b).tobytes())
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
@@ -198,23 +201,23 @@ class TestSolveSpdSymmetric:
         G = np.array([[2.0, 0.5], [0.5, 2.0]])
         G[where] = G[where[::-1]] = bad
         with pytest.raises(SingularSystemError, match="not finite and symmetric"):
-            solve_spd_dense(G, np.array([1.0, 1.0]))
+            reference_solve(G, np.array([1.0, 1.0]))
 
     def test_finite_entries_whose_sum_overflows_are_solved(self):
         G = np.array([[1e308, 0.0], [0.0, 1e308]])
-        t = solve_spd_dense(G, np.array([1e308, 2e307]))
+        t = reference_solve(G, np.array([1e308, 2e307]))
         np.testing.assert_allclose(t, [1.0, 0.2], rtol=1e-15)
 
     def test_rejects_indefinite_and_oversized(self):
         with pytest.raises(SingularSystemError, match="non-positive pivot"):
-            solve_spd_dense(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+            reference_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
         n = DENSE_CAP + 1
         with pytest.raises(DimensionError):
-            solve_spd_dense(np.eye(n), np.ones(n))
+            reference_solve(np.eye(n), np.ones(n))
 
 
 def numpy_rule_accepts(G):
-    """The elementwise test solve_spd_dense makes, in numpy ufuncs."""
+    """The elementwise test the reference solve makes, in numpy ufuncs."""
     absG = np.abs(G)
     gmax = float(absG.max())  # NaN if any entry is NaN
     atol = 1e-14 * max(1.0, gmax)
@@ -250,7 +253,7 @@ def near_symmetric(draw):
 def test_accepts_exactly_what_the_numpy_rule_accepts(G):
     b = np.ones(G.shape[0])
     try:
-        solve_spd_dense(G, b)
+        reference_solve(G, b)
         accepted = True
     except SingularSystemError as exc:
         # A rejection after the checks comes from dpotrf's pivots.
@@ -258,24 +261,22 @@ def test_accepts_exactly_what_the_numpy_rule_accepts(G):
     assert accepted == numpy_rule_accepts(G)
 
 
-class TestSolveSpdScalar:
-    def test_same_bits_as_lapack(self):
-        # b / g rounds differently from dpotrf + dpotrs in many of
-        # these draws; b (1/sqrt g)(1/sqrt g) must match every one.
-        rng = np.random.Generator(np.random.PCG64(31))
-        g = np.exp(rng.uniform(-40.0, 40.0, 2000))
-        b = rng.standard_normal(2000) * np.exp(rng.uniform(-40.0, 40.0, 2000))
-        for gi, bi in zip(g, b):
-            expected = solve_spd_dense(np.array([[gi]]), np.array([bi]))[0]
-            assert solve_spd_scalar(float(gi), float(bi)) == expected
+class TestSolveSpdDenseWithFactor:
+    """The library's Gram solve, given the rows of a Cholesky factor."""
 
-    @pytest.mark.parametrize("g", [0.0, -1.0, -0.0, np.inf, -np.inf, np.nan])
-    def test_same_checks_as_lapack(self, g):
-        with pytest.raises(SingularSystemError) as dense:
-            solve_spd_dense(np.array([[g]]), np.array([1.0]))
-        with pytest.raises(SingularSystemError) as scalar:
-            solve_spd_scalar(g, 1.0)
-        assert str(scalar.value) == str(dense.value)
+    def test_residual_bound_random_factors(self):
+        rng = np.random.Generator(np.random.PCG64(41))
+        for n in range(1, DENSE_CAP + 1):
+            for _ in range(20):
+                L = np.tril(rng.standard_normal((n, n)), -1)
+                L[np.diag_indices(n)] = 0.5 + np.abs(rng.standard_normal(n))
+                chol = [L[p, :p + 1].tolist() for p in range(n)]
+                G = L @ L.T
+                b = rng.standard_normal(n)
+                t = np.array(solve_spd_dense(chol, b.tolist()))
+                assert norm(G @ t - b) <= 1e-12 * (norm(G.ravel()) * norm(t) + norm(b))
+                y = np.array(forward_substitution(chol, b.tolist()))
+                assert norm(L @ y - b) <= 1e-12 * (norm(L.ravel()) * norm(y) + norm(b))
 
 
 def lower_band(A, u):

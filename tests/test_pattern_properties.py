@@ -1,9 +1,9 @@
-"""Property tests of the offset-form kernels of invpot.P1Pattern.
+"""Property tests of the offset-form kernels on invpot.P1Pattern.
 
 On generated 1-D and 2-D meshes and weights with negative entries,
-mass_data(w) must give the COO reference assembly's M(w), and matvec
-must give the product of the same matrix as a scipy CSR matrix, for
-M(w) and for the state matrix K + M(w).  Both must also give the same
+weighted_mass(pattern, w) must give the COO reference assembly's M(w),
+and matvec must give the product of the same matrix as a scipy CSR
+matrix, for M(w) and for the state matrix K + M(w).  Both must also give the same
 bits as the edge form kept here as the reference, a gather and a
 bincount over the directed edges in row-major order, from the
 pattern's own beta and g: the offset form adds the same products in
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import assert_matrix_close, csr, reference_mass
-from tgss.invpot import P1Pattern, make_mesh
+from tgss.invpot import P1Pattern, make_mesh, weighted_mass
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -64,7 +64,7 @@ def edge_matvec(pattern, diagonal, lower, x):
 def test_same_bits_as_edge_form(problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = pattern.mass_data(w)
+    diagonal, lower = weighted_mass(pattern, w)
     expected_diagonal, expected_lower = edge_mass_data(pattern, w)
     assert np.array_equal(diagonal, expected_diagonal)
     assert np.array_equal(lower, expected_lower)
@@ -77,7 +77,7 @@ def test_same_bits_as_edge_form(problem):
 def test_mass_data_matches_reference(problem):
     mesh, w, _ = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = pattern.mass_data(w)
+    diagonal, lower = weighted_mass(pattern, w)
     assert lower.shape == (pattern.offsets.size, mesh.n_nodes)
     assert_matrix_close(csr(pattern, diagonal, lower), reference_mass(mesh, w))
 
@@ -87,7 +87,7 @@ def test_mass_data_matches_reference(problem):
 def test_matvec_matches_csr_product(problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = pattern.mass_data(w)
+    diagonal, lower = weighted_mass(pattern, w)
     for pair in ((diagonal, lower),
                  (pattern.K_diagonal + diagonal, pattern.K_lower + lower)):
         A = csr(pattern, *pair)
