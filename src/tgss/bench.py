@@ -17,7 +17,7 @@ import numpy as np
 from . import invpot
 from .numkernel import Vec, empty, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
-from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, run
+from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, is_int, run
 
 # The fields of a BenchRecord that its CSV row and JSON object hold, in order.
 RECORD_FIELDS = ("method", "delta", "seed", "k_star", "wall_time_s", "re_final",
@@ -58,6 +58,12 @@ class BenchSpec:
         mesh_n, max_iters = PROBLEM_DEFAULTS[self.problem]
         if self.mesh_n is None:
             self.mesh_n = mesh_n
+        named = [("mesh_n", self.mesh_n), ("problem_seed", self.problem_seed)]
+        for name, value in named + [("seed", seed) for seed in self.seeds]:
+            if not is_int(value):
+                raise MetricError(f"{name} must be an integer, got {value!r}")
+        self.mesh_n, self.problem_seed = int(self.mesh_n), int(self.problem_seed)
+        self.seeds = [int(seed) for seed in self.seeds]
         smallest = 1 if self.problem == "linear-diag" else 2
         if self.mesh_n < smallest:
             raise MetricError(f"{self.problem} needs mesh_n >= {smallest}, got {self.mesh_n}")

@@ -23,13 +23,14 @@ truth vectors the iteration reads, start on a 64-byte boundary
 method with zero momentum (land, sesop, tpg-zero, tgss-zero) always
 steps from z_k = x_k, so its run keeps no momentum difference dx: no dx
 array, and neither dx nor its norm is computed.  The projection methods
-keep their stripes in a `geometry.StripeRing`: each new direction is
-built in the ring's storage, and the ring holds the stripes' Gram rows,
-as lists of Python floats, across iterations, so a step computes only
-the new direction's Gram row.  The projection's work on these m-sized
-quantities runs in scalar arithmetic; numpy only touches vectors of the
-problem's size.  Results handed to the caller are copies, never one of
-these work vectors.
+keep their stripes in a `geometry.StripeRing`, their only stripe
+record: `build_stripe` builds each new direction in the ring's storage
+and pushes the stripe, and the ring holds the stripes' offsets,
+half-widths and Gram rows, as lists of Python floats, across
+iterations, so a step computes only the new direction's Gram row.
+The projection's work on these m-sized quantities runs in scalar
+arithmetic; numpy only touches vectors of the problem's size.  Results
+handed to the caller are copies, never one of these work vectors.
 
 Every path reads one noise level, data.delta_eff = ||y_delta - y||.
 
@@ -112,13 +113,19 @@ class InvariantViolationError(RuntimeError):
     """
 
 
+def is_int(value) -> bool:
+    """The rule for an integer option: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverConfig:
     """Scalar hyperparameters shared by all methods.
 
     q_scale / i**q_power is the summable backtracking schedule.  Every
     float field must be finite, and every int field an int or a numpy
-    integer, not a bool.
+    integer, not a bool.  The fields are stored as Python floats and ints,
+    so that no numpy scalar reaches a trace.
     """
 
     eta: float = 0.1
@@ -136,11 +143,14 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float":
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+                setattr(self, f.name, float(value))
+            else:
+                if not is_int(value):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                setattr(self, f.name, int(value))
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must be in [0, 1), got {self.eta}")
         if self.tau <= (1.0 + self.eta) / (1.0 - self.eta) or psi(self) <= 0.0:
@@ -199,45 +209,27 @@ def coupling_holds(lam: float, dx_norm: float, r_norm: float, coupling_scale: fl
     return lam * (lam + 1.0) * dx_norm ** 2 <= coupling_scale * r_norm ** 2
 
 
-@dataclass
-class StripeRecord:
-    """A stripe's direction, offset and half-width, and the residual it was built from.
-
-    uz = <u, z>, the inner product of the direction with the point the
-    stripe was built at.  The direction is not tested for zero until it
-    is pushed on the StripeRing it was built in, which sees that from
-    ||u||^2.
-    """
-
-    u: Vec
-    alpha: float
-    xi: float
-    r_norm: float
-    uz: float
-
-
 def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig,
-                 r: Vec | None = None, r_norm: float | None = None,
-                 out: Vec | None = None) -> StripeRecord:
-    """Residual stripe at z: direction F'(z)* w, offset and width from ||w||.
+                 r: Vec, r_norm: float, ring: StripeRing) -> float:
+    """Push the residual stripe at z onto the ring and return <u, z>.
 
-    The residual, and with it its norm, may be passed in to reuse the
-    forward evaluation done for the stopping test.  `out` is passed on to
-    the adjoint apply that computes the direction, and the direction is
-    in `out` where one is given: a direction the operator returned in a
-    new array, as the ForwardOperator contract allows, is copied into it.
+    r = F(z) - y_delta and r_norm = ||r|| come from the forward
+    evaluation done for the stopping test.  The direction u = F'(z)* r is
+    built in ring.slot(): a direction the operator returned in a new
+    array, as the ForwardOperator contract allows, is copied into it.
+    The stripe's offset is <u, z> - ||r||^2 and its half-width
+    (delta + eta (||r|| + delta)) ||r||.  A zero direction raises
+    InvalidStripeError from the push.
     """
-    if r is None:
-        r = op.apply(z) - data.y_delta
-    rn = norm(r) if r_norm is None else r_norm
+    out = ring.slot()
     u = op.adjoint_apply(z, r, out=out)
-    if out is not None and u is not out:
+    if u is not out:
         np.copyto(out, u)
-        u = out
     delta = data.delta_eff
-    uz = dot(u, z)
-    xi = (delta + cfg.eta * (rn + delta)) * rn
-    return StripeRecord(u, uz - rn * rn, xi, rn, uz)
+    uz = dot(out, z)
+    xi = (delta + cfg.eta * (r_norm + delta)) * r_norm
+    ring.push(uz - r_norm * r_norm, xi)
+    return uz
 
 
 @dataclass
@@ -318,15 +310,12 @@ class SolveResult:
     dropped_directions: int = 0
 
     def trace_csv_rows(self):
-        header = "k,residual_norm,lambda,n_dirs_used,re,coupling_slack,containment_slack"
-        rows = [header]
+        """The header and one row per iteration; a None cell is empty."""
+        rows = ["k,residual_norm,lambda,n_dirs_used,re,coupling_slack,containment_slack"]
         for t in self.trace:
-            rows.append(
-                f"{t.k},{t.residual_norm!r},{t.lam!r},{t.n_dirs_used},"
-                f"{'' if t.re is None else repr(t.re)},"
-                f"{'' if t.coupling_slack is None else repr(t.coupling_slack)},"
-                f"{'' if t.containment_slack is None else repr(t.containment_slack)}"
-            )
+            values = (t.k, t.residual_norm, t.lam, t.n_dirs_used, t.re,
+                      t.coupling_slack, t.containment_slack)
+            rows.append(",".join("" if v is None else repr(v) for v in values))
         return rows
 
 
@@ -400,11 +389,12 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     the step has finished with.  A zero-momentum method
     keeps no dx; its trace's coupling slack is the lambda = 0 value,
     -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth are read from
-    aligned copies where they are not aligned already.  Each new direction
-    is built in the ring's oldest row, whose stripe leaves the ring as the
-    new one joins, and the ring's Gram matrix carries over from one
-    iteration to the next.  The trace's containment slack comes from the
-    projection's coefficients, not from further inner products.
+    aligned copies where they are not aligned already.  build_stripe
+    builds each new direction in the ring's oldest row, whose stripe
+    leaves the ring as build_stripe pushes the new one, and returns the
+    <u, z> the projection reuses; the ring's Gram matrix carries over
+    from one iteration to the next.  The trace's containment slack comes
+    from the projection's coefficients, not from further inner products.
     """
     if method not in METHOD_TABLE:
         raise ConfigError(
@@ -469,9 +459,8 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             step = op.adjoint_apply(z, r, out=x_next)
             x_next = np.subtract(z, step, out=x_next)
         else:
-            rec = build_stripe(op, z, data, cfg, r=r, r_norm=rn, out=ring.slot())
             try:
-                ring.push(rec.alpha, rec.xi)
+                uz = build_stripe(op, z, data, cfg, r, rn, ring)
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -484,7 +473,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                     f"search direction norm^2 {ring.gram[0][0]} is not finite at k={k}"
                 )
             try:
-                proj = sequential_stripe_projection(z, ring, out=x_next, uz0=rec.uz)
+                proj = sequential_stripe_projection(z, ring, out=x_next, uz0=uz)
             except ProjectionPreconditionError as exc:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "

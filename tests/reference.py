@@ -12,7 +12,8 @@ reference stays independent of the code it checks.  The library runs
 the same projection in coefficient space on a StripeRing's Gram matrix;
 ring_of builds such a ring from a list of Stripe records, the way a run
 fills one: each direction is copied into the ring's slot and then
-pushed.
+pushed.  stripe_at reads the residual stripe a run builds at a point
+back from a one-stripe ring as a Stripe.
 
 Assembly: element matrices are summed through a COO matrix and converted
 to CSR, written out independently of invpot.P1Pattern and of the band
@@ -38,6 +39,7 @@ from tgss.geometry import (
 )
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
 from tgss.numkernel import DENSE_CAP, DimensionError, dot, norm
+from tgss.solvers import build_stripe
 
 
 class SingularSystemError(RuntimeError):
@@ -93,6 +95,18 @@ def ring_of(stripes):
     for s in reversed(stripes):
         push(ring, s)
     return ring
+
+
+def stripe_at(op, z, data, cfg):
+    """The residual stripe solvers.build_stripe builds at z, as a Stripe.
+
+    The stripe is pushed on a one-stripe ring, from the residual and its
+    norm the way a run computes them, and read back from the ring.
+    """
+    r = op.apply(z) - data.y_delta
+    ring = StripeRing(1, z.shape)
+    build_stripe(op, z, data, cfg, r, norm(r), ring)
+    return Stripe(ring.direction(0).copy(), ring.alpha[0], ring.xi[0])
 
 
 def upper(stripe):

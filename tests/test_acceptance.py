@@ -17,12 +17,13 @@ from reference import (
     project_hyperplane,
     project_hyperplane_intersection,
     project_stripe,
+    stripe_at,
 )
 from tgss.bench import BenchSpec, run_suite
 from tgss.invpot import InversePotentialOperator, make_mesh
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise
-from tgss.solvers import SolverConfig, build_stripe, run
+from tgss.solvers import SolverConfig, run
 
 
 # --------------------------------------------------------------------------
@@ -193,15 +194,15 @@ def test_criterion_4_linear_operator_theory():
         prev_err = norm(x0 - truth)
         for row in res.trace:
             # solution containment in the stripe built at z
-            rec = build_stripe(op, row.z, data, cfg)
-            slack = abs(dot(rec.u, truth) - rec.alpha) - rec.xi
+            s = stripe_at(op, row.z, data, cfg)
+            slack = abs(dot(s.u, truth) - s.alpha) - s.xi
             assert slack <= 1e-12, (method, row.k, slack)
 
             # residual descent estimate for the projection step
             if row.x_tilde is not None:
-                rn = rec.r_norm
+                rn = row.residual_norm
                 bound = (norm(truth - row.z) ** 2
-                         - (rn * (rn - delta) / norm(rec.u)) ** 2 + 1e-9)
+                         - (rn * (rn - delta) / norm(s.u)) ** 2 + 1e-9)
                 assert norm(truth - row.x_tilde) ** 2 <= bound, (method, row.k)
 
             # monotone error decrease under the coupling-controlled weights

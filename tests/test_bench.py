@@ -83,11 +83,26 @@ class TestBenchSpec:
         dict(noise_levels=[float("inf")]),
         dict(seeds=[0, -1]),
         dict(problem_seed=-1),
+        # mesh_n and the seeds take an int or a numpy integer, not a float or a bool
+        dict(problem="linear-diag", mesh_n=2.5), dict(mesh_n=True), dict(mesh_n="8"),
+        dict(seeds=[1.5]), dict(seeds=[0, True]), dict(seeds=[np.float64(1.0)]),
+        dict(problem_seed=7.0), dict(problem_seed=False),
     ], ids=["negative-delta", "nan-delta", "inf-delta", "negative-seed",
-            "negative-problem-seed"])
+            "negative-problem-seed", "float-mesh", "bool-mesh", "str-mesh",
+            "float-seed", "bool-seed", "numpy-float-seed", "float-problem-seed",
+            "bool-problem-seed"])
     def test_bad_noise_level_or_seed_rejected(self, kwargs):
         with pytest.raises(MetricError, match="must be"):
             BenchSpec(**kwargs)
+
+    def test_numpy_integer_mesh_and_seeds_stored_as_ints(self):
+        # A numpy integer seed would reach the records and break their JSON.
+        spec = small_linear_spec(mesh_n=np.int64(12), seeds=[np.int32(0)],
+                                 problem_seed=np.uint16(5), methods=["land"])
+        assert (spec.mesh_n, spec.seeds, spec.problem_seed) == (12, [0], 5)
+        assert {type(v) for v in (spec.mesh_n, *spec.seeds, spec.problem_seed)} == {int}
+        [record] = strict_json(records_to_json(run_suite(spec)))
+        assert record["seed"] == 0
 
     def test_zero_noise_and_seeds_accepted(self):
         BenchSpec(noise_levels=[0.0], seeds=[0], problem_seed=0)
@@ -282,6 +297,26 @@ class TestSerialization:
         for name, cell in zip(CSV_HEADER.split(","), cells):
             if name not in ("method", "stopped_by"):
                 float(cell)
+
+    def test_numpy_config_written_as_plain_numbers_in_traces(self, tmp_path):
+        # A config swept with numpy (np.logspace, np.arange) holds numpy
+        # scalars; no trace cell may carry their repr ("np.float64(...)").
+        config = {"eta": np.float64(0.0), "tau": np.logspace(0.0, 1.0, 3)[1],
+                  "c_F": np.float64(1.0), "nesterov_alpha": np.float64(3.0),
+                  "i0": np.int64(2), "max_iters": np.int64(20000)}
+        spec = small_linear_spec(methods=["tgss-nes", "tgss-dbts", "tgss-coupling"],
+                                 config=config, trace_dir=str(tmp_path))
+        paths = emit(run_suite(spec), spec)
+        assert len(paths) == 3
+        for path in paths:
+            with open(path) as fh:
+                header, *rows = fh.read().splitlines()
+            assert rows, path
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(header.split(","))
+                for cell in cells:
+                    float(cell)
 
     def test_json_round_trip(self):
         records = self._records()

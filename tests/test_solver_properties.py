@@ -13,7 +13,7 @@ generated problems:
 Containment is checked from first principles, not from the trace's own
 `containment_slack`: the iterates are rebuilt from the recorded z_k and
 lambda_k as x_k = (z_k + lambda_k x_{k-1}) / (1 + lambda_k), the stripes
-are rebuilt with `build_stripe` at their recorded z, and the inner
+are rebuilt with `reference.stripe_at` at their recorded z, and the inner
 products are plain `np.dot`s.
 """
 
@@ -23,8 +23,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import stripe_at
 from tgss.operator import DiagonalOperator, add_noise
-from tgss.solvers import SolverConfig, build_stripe, run
+from tgss.solvers import SolverConfig, run
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 PROJECTION_METHODS = ("sesop", "tgss-nes", "tgss-dbts")
@@ -67,7 +68,7 @@ def check_containment(problem, method, n_directions):
     # before it; its result x_{k+1} is rebuilt from row k + 1.
     for k, x_next in enumerate(xs[1:]):
         for j in range(max(0, k - n_directions + 1), k + 1):
-            s = build_stripe(op, res.trace[j].z, data, cfg)
+            s = stripe_at(op, res.trace[j].z, data, cfg)
             tol = 1e-9 * (np.linalg.norm(s.u) * np.linalg.norm(x_next)
                           + abs(s.alpha) + s.xi)
             assert abs(np.dot(s.u, x_next) - s.alpha) <= s.xi + tol, (method, k, j)
