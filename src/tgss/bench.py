@@ -17,7 +17,7 @@ import numpy as np
 from . import invpot
 from .numkernel import Vec, empty, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
-from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, is_int, run
+from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, is_int, is_real, run
 
 # The fields of a BenchRecord that its CSV row and JSON object hold, in order.
 RECORD_FIELDS = ("method", "delta", "seed", "k_star", "wall_time_s", "re_final",
@@ -55,6 +55,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise MetricError(f"unknown problem {self.problem!r}")
+        for name in ("noise_levels", "seeds", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise MetricError(f"{name} must be a list or tuple, got {value!r}")
         mesh_n, max_iters = PROBLEM_DEFAULTS[self.problem]
         if self.mesh_n is None:
             self.mesh_n = mesh_n
@@ -71,11 +75,13 @@ class BenchSpec:
         if self.noise_scale not in ("component", "norm"):
             raise MetricError(f"unknown noise_scale {self.noise_scale!r}")
         for method in self.methods:
-            if method not in METHOD_TABLE:
+            if not isinstance(method, str) or method not in METHOD_TABLE:
                 raise MetricError(f"unknown method {method!r}")
         if not self.methods or not self.noise_levels or not self.seeds:
             raise MetricError("need at least one method, noise level and seed")
         for delta in self.noise_levels:
+            if not is_real(delta):
+                raise MetricError(f"noise level must be a real number, got {delta!r}")
             if not (delta >= 0.0 and math.isfinite(delta)):
                 raise MetricError(f"noise level must be finite and >= 0, got {delta}")
         self.noise_levels = [float(delta) for delta in self.noise_levels]

@@ -45,28 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .numkernel import (
-    ALIGN,
-    DENSE_CAP,
-    PIVOT_FLOOR,
-    Vec,
-    DimensionError,
-    empty,
-    forward_substitution,
-    solve_spd_dense,
-)
+from .numkernel import ALIGN, PIVOT_FLOOR, Vec, empty, forward_substitution, solve_spd_dense
 
 
 class InvalidStripeError(ValueError):
     """Zero direction vector or negative half-width."""
-
-
-class DependentDirectionsError(RuntimeError):
-    """Gram system for an intersection projection was singular."""
-
-
-class ProjectionPreconditionError(RuntimeError):
-    """Point fed to the sequential projection is not above its first stripe."""
 
 
 class StripeRing:
@@ -166,19 +149,20 @@ class SequentialProjectionResult:
     containment_slack: float
 
 
-def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = None,
-                                 uz0: float | None = None) -> SequentialProjectionResult:
+def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec,
+                                 uz0: float) -> SequentialProjectionResult:
     """Ordered projection of z onto the intersection of the ring's stripes.
 
-    The newest stripe is the current one and z must lie strictly above it.
-    Step one projects z onto its upper boundary hyperplane.  Each older
-    stripe is then visited in order: if the running point is already
-    inside, it contributes a zero coefficient; otherwise its violated
-    boundary hyperplane joins the active set and the running point is
-    re-projected onto the intersection of all active boundaries.  A
-    stripe whose direction is numerically dependent on the active ones is
-    itself skipped: the active set stays as it was, the stripe keeps a
-    zero coefficient, joins `skipped` and is counted in `n_dropped`.
+    The newest stripe is the current one, and z lies strictly above it:
+    uz0 = <u_0, z> > alpha_0 + xi_0.  Step one projects z onto its upper
+    boundary hyperplane.  Each older stripe is then visited in order: if
+    the running point is already inside, it contributes a zero
+    coefficient; otherwise its violated boundary hyperplane joins the
+    active set and the running point is re-projected onto the
+    intersection of all active boundaries.  A stripe whose direction is
+    numerically dependent on the active ones is itself skipped: the
+    active set stays as it was, the stripe keeps a zero coefficient,
+    joins `skipped` and is counted in `n_dropped`.
 
     Every running point is z - sum_i c_i u_i, so the loop runs on the m
     coefficients c alone, in Python floats: <u_i, point> = <u_i, z> -
@@ -186,45 +170,36 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
     Cholesky factor L of the active Gram block grows by one row as a
     direction joins: l = L^-1 G[active, i] and pivot^2 = G_ii - ||l||^2.
     The direction is dependent when pivot^2 <= PIVOT_FLOOR G_ii, a
-    non-finite pivot included; a trial set of more than DENSE_CAP
-    directions raises DimensionError.  A re-projection,
-    project_hyperplane_intersection, is one forward and one back
-    substitution with the grown factor.  The first step is the 1 x 1 case
-    in place: t_0 = (<u_0, z> - alpha_0 - xi_0) r r with r = 1/sqrt(G_00),
-    the bits LAPACK's dpotrf and dpotrs give; a G_00 that is not finite
-    and positive raises DependentDirectionsError.
+    non-finite pivot included.  The active set has no size limit.  A
+    re-projection, project_hyperplane_intersection, is one forward and
+    one back substitution with the grown factor.  The first step is the
+    1 x 1 case in place: t_0 = (<u_0, z> - alpha_0 - xi_0) r r with
+    r = 1/sqrt(G_00), the bits LAPACK's dpotrf and dpotrs give.
 
-    Vectors of length n are touched only for the inner products
-    <u_i, z>, m - 1 of them when the caller passes `uz0` = <u_0, z>, and
-    to build the final point, a copy of z and one daxpy per active
-    direction.  The containment slack of the result is formed from the
-    same coefficients, with no further pass over vectors.
+    The caller, solvers.run, establishes what the projection relies on
+    and checks none of it here: z is a float array of the directions'
+    shape, the ring holds at least one stripe, G_00 is finite and
+    positive (StripeRing.push rejects zero, run a non-finite value), and
+    z lies above the newest stripe.
+
+    Vectors of length n are touched only for the m - 1 inner products
+    <u_i, z> of the older directions, and to build the final point in
+    `out`, an array of z's shape that is not z itself: a copy of z and
+    one daxpy per active direction.  The containment slack of the result
+    is formed from the same coefficients, with no further pass over
+    vectors.
 
     Returns the final point together with the aggregate coefficients t_i
-    (one per stripe) such that point = z - sum_i t_i * u_i.  The point is
-    built in `out` where given, an array of z's shape that is not z
-    itself, and in a new array otherwise.
+    (one per stripe) such that point = z - sum_i t_i * u_i.
     """
-    if not len(ring):
-        raise DimensionError("need at least one stripe")
-    z = np.asarray(z, dtype=float)
-    if ring.directions.shape[1:] != z.shape:
-        raise DimensionError(f"stripe directions do not match the point's shape {z.shape}")
     u, G, alpha, xi = ring._rows, ring.gram, ring.alpha, ring.xi
     m = len(u)
-    uz = [float(np.dot(u[0], z)) if uz0 is None else uz0]
+    uz = [uz0]
     for v in u[1:]:
         uz.append(float(np.dot(v, z)))
 
     top = alpha[0] + xi[0]
-    if uz[0] <= top:
-        raise ProjectionPreconditionError(
-            "point is not strictly above the current stripe; "
-            "the iteration should have stopped"
-        )
     g00 = G[0][0]
-    if not (math.isfinite(g00) and g00 > 0.0):
-        raise DependentDirectionsError(f"Gram diagonal G_00 = {g00} is not finite and positive")
     r = 1.0 / math.sqrt(g00)
     t0 = (uz[0] - top) * r * r
     coeffs = [0.0] * m
@@ -245,8 +220,6 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
         else:
             skipped.append(i)
             continue
-        if len(active) == DENSE_CAP:
-            raise DimensionError(f"more than DENSE_CAP = {DENSE_CAP} active directions")
         # Bordered Cholesky: the new row of the factor of G[trial, trial].
         row = forward_substitution(chol, [Gi[j] for j in active])
         pivot2 = Gi[i]
@@ -262,11 +235,8 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec | None = Non
         boundary.append(b)
         project_hyperplane_intersection(coeffs, chol, G, uz, active, boundary)
 
-    if out is None:
-        point = z.copy()
-    else:
-        point = out
-        np.copyto(point, z)
+    point = out
+    np.copyto(point, z)
     for j in active:
         point = daxpy(u[j], point, a=-coeffs[j])
     # |<u_i, point> - alpha_i| - xi_i from the coefficients; a NaN wins, as in np.max.

@@ -4,13 +4,13 @@ Vectors are plain 1-d float64 numpy arrays.  The stripe projection
 solves its Gram systems in Python floats, growing one Cholesky factor
 by a bordered row per joining direction: forward_substitution gives the
 new row, and solve_spd_dense solves with the grown factor, one forward
-and one back substitution.  PIVOT_FLOOR is the projection's test for a
-dependent direction.  There is one sparse SPD path,
-factorize_band_spd: the caller writes the matrix into LAPACK lower band
-storage in its own node order, dpbtrf factorizes it in place and dpbtrs
-solves with the factor.  That costs O(n u^2) time and n (u + 1) floats
-for half-bandwidth u, and the factorization proves the matrix positive
-definite as it goes.  The lexicographic node numbering of an N x N
+and one back substitution; neither has a size limit.  PIVOT_FLOOR is
+the projection's test for a dependent direction.  There is one sparse
+SPD path, factorize_band_spd: the caller writes the matrix into LAPACK
+lower band storage in its own node order, dpbtrf factorizes it in place
+and dpbtrs solves with the factor.  That costs O(n u^2) time and
+n (u + 1) floats for half-bandwidth u, and the factorization proves the
+matrix positive definite as it goes.  The lexicographic node numbering of an N x N
 tensor mesh gives u = N + 2.
 
 Lower storage is the faster of the two conventions for one
@@ -59,11 +59,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 Vec = np.ndarray
-
-# Size cap for the dense Gram solves and for the active set of a stripe
-# projection.  The projection code uses at most a handful of directions,
-# 16 leaves generous headroom.
-DENSE_CAP = 16
 
 # Relative pivot floor of the stripe projection's bordered Cholesky: a
 # direction joins the active set only when pivot^2 = G_ii - ||l||^2 exceeds

@@ -54,12 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    InvalidStripeError,
-    ProjectionPreconditionError,
-    StripeRing,
-    sequential_stripe_projection,
-)
+from .geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
 from .numkernel import DimensionError, Vec, aligned, dot, empty, norm
 from .operator import ForwardOperator, NoisyData
 
@@ -118,14 +113,21 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """The rule for a real option: an int, a float or a numpy number, not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass
 class SolverConfig:
     """Scalar hyperparameters shared by all methods.
 
     q_scale / i**q_power is the summable backtracking schedule.  Every
-    float field must be finite, and every int field an int or a numpy
-    integer, not a bool.  The fields are stored as Python floats and ints,
-    so that no numpy scalar reaches a trace.
+    float field must be a finite real number (`is_real`), and every int
+    field an integer (`is_int`); neither takes a bool.  The fields are
+    stored as Python floats and ints, so that no numpy scalar reaches a
+    trace.
     """
 
     eta: float = 0.1
@@ -144,6 +146,8 @@ class SolverConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
+                if not is_real(value):
+                    raise ConfigError(f"{f.name} must be a real number, got {value!r}")
                 if not math.isfinite(value):
                     raise ConfigError(f"{f.name} must be finite, got {value}")
                 setattr(self, f.name, float(value))
@@ -378,9 +382,13 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     diagnostic slacks of the coupling and stripe-containment conditions.
     A non-finite residual norm raises DivergenceError, and so does a
     stripe direction whose squared norm, the ring's new Gram entry, is
-    not finite.  x0 and truth must have the operator's n entries and
-    data.y_delta its m entries; otherwise DimensionError is raised
-    before anything is allocated.
+    not finite.  A zero stripe direction, and an iterate z_k that does
+    not lie strictly above its own stripe, <u, z_k> <= alpha + xi, raise
+    InvariantViolationError.  x0 and truth must have the operator's n
+    entries and data.y_delta its m entries; otherwise DimensionError is
+    raised before anything is allocated.  These checks are all of the
+    stripe projection's preconditions, which it does not check again:
+    run is its one caller.
 
     The work vectors are allocated here, each on an ALIGN boundary: z, r
     and dx in the state, two x arrays that swap roles (x_{k+1} is built in
@@ -472,14 +480,13 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise DivergenceError(
                     f"search direction norm^2 {ring.gram[0][0]} is not finite at k={k}"
                 )
-            try:
-                proj = sequential_stripe_projection(z, ring, out=x_next, uz0=uz)
-            except ProjectionPreconditionError as exc:
+            if uz <= ring.alpha[0] + ring.xi[0]:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "
                     f"(residual {rn:.3e}, tau*delta {cfg.tau * delta:.3e}); "
                     "eta or tau likely misconfigured"
-                ) from exc
+                )
+            proj = sequential_stripe_projection(z, ring, x_next, uz)
             x_next = proj.point
             dropped += proj.n_dropped
             row.n_dirs_used = len(ring) - len(proj.skipped)

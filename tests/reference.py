@@ -12,8 +12,9 @@ reference stays independent of the code it checks.  The library runs
 the same projection in coefficient space on a StripeRing's Gram matrix;
 ring_of builds such a ring from a list of Stripe records, the way a run
 fills one: each direction is copied into the ring's slot and then
-pushed.  stripe_at reads the residual stripe a run builds at a point
-back from a one-stripe ring as a Stripe.
+pushed, and project calls the library's projection on it with the
+arguments a run passes.  stripe_at reads the residual stripe a run
+builds at a point back from a one-stripe ring as a Stripe.
 
 Assembly: element matrices are summed through a COO matrix and converted
 to CSR, written out independently of invpot.P1Pattern and of the band
@@ -32,18 +33,21 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from tgss.geometry import (
-    DependentDirectionsError,
-    InvalidStripeError,
-    StripeRing,
-)
+from tgss.geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
-from tgss.numkernel import DENSE_CAP, DimensionError, dot, norm
+from tgss.numkernel import DimensionError, dot, norm
 from tgss.solvers import build_stripe
+
+# Size cap of the reference's dense LAPACK solve.
+DENSE_CAP = 16
 
 
 class SingularSystemError(RuntimeError):
     """A supposedly SPD system turned out singular, indefinite or not symmetric."""
+
+
+class DependentDirectionsError(RuntimeError):
+    """Gram system for an intersection projection was singular."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,16 @@ def ring_of(stripes):
     for s in reversed(stripes):
         push(ring, s)
     return ring
+
+
+def project(z, ring, out=None):
+    """sequential_stripe_projection of z onto the ring's stripes.
+
+    <u_0, z> is computed here, and the point is built in `out` or, where
+    none is given, in a new array.
+    """
+    out = np.empty_like(z) if out is None else out
+    return sequential_stripe_projection(z, ring, out, float(np.dot(ring.direction(0), z)))
 
 
 def stripe_at(op, z, data, cfg):

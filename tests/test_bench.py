@@ -72,6 +72,8 @@ class TestBenchSpec:
     def test_unknown_method_rejected_before_any_solve(self):
         with pytest.raises(MetricError, match="bogus"):
             BenchSpec(methods=["land", "bogus"])
+        with pytest.raises(MetricError, match="unknown method"):
+            BenchSpec(methods=[["land"]])
 
     def test_empty_methods(self):
         with pytest.raises(MetricError):
@@ -87,13 +89,23 @@ class TestBenchSpec:
         dict(problem="linear-diag", mesh_n=2.5), dict(mesh_n=True), dict(mesh_n="8"),
         dict(seeds=[1.5]), dict(seeds=[0, True]), dict(seeds=[np.float64(1.0)]),
         dict(problem_seed=7.0), dict(problem_seed=False),
+        # the list fields take a list or a tuple, and a noise level a real number
+        dict(seeds=0), dict(noise_levels=1e-3), dict(methods="land"),
+        dict(seeds=range(2)), dict(noise_levels=np.array([1e-3])),
+        dict(noise_levels=["1e-3"]), dict(noise_levels=[True]), dict(noise_levels=[None]),
     ], ids=["negative-delta", "nan-delta", "inf-delta", "negative-seed",
             "negative-problem-seed", "float-mesh", "bool-mesh", "str-mesh",
             "float-seed", "bool-seed", "numpy-float-seed", "float-problem-seed",
-            "bool-problem-seed"])
+            "bool-problem-seed", "int-seeds", "float-noise-levels", "str-methods",
+            "range-seeds", "array-noise-levels", "str-noise-level", "bool-noise-level",
+            "none-noise-level"])
     def test_bad_noise_level_or_seed_rejected(self, kwargs):
         with pytest.raises(MetricError, match="must be"):
             BenchSpec(**kwargs)
+
+    def test_list_fields_take_tuples(self):
+        spec = BenchSpec(noise_levels=(1e-3, 0), seeds=(0, 1), methods=("land",))
+        assert spec.noise_levels == [1e-3, 0.0] and spec.seeds == [0, 1]
 
     def test_numpy_integer_mesh_and_seeds_stored_as_ints(self):
         # A numpy integer seed would reach the records and break their JSON.

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import SingularSystemError
+from reference import DENSE_CAP, SingularSystemError
 from reference import solve_spd_dense as reference_solve
 from tgss.numkernel import (
     ALIGN,
-    DENSE_CAP,
     DIRECT_LIMIT,
     DimensionError,
     SparseSolveError,

