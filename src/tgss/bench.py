@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import invpot
 from .numkernel import Vec, empty, norm
 from .operator import DiagonalOperator, ForwardOperator, add_noise
-from .solvers import METHOD_TABLE, METHODS, SolveResult, SolverConfig, is_int, is_real, run
+from .solvers import (METHOD_TABLE, METHODS, ConfigError, SolveResult, SolverConfig, is_int,
+                      is_real, run)
 
 # The fields of a BenchRecord that its CSV row and JSON object hold, in order.
 RECORD_FIELDS = ("method", "delta", "seed", "k_star", "wall_time_s", "re_final",
@@ -71,7 +73,14 @@ class BenchSpec:
         smallest = 1 if self.problem == "linear-diag" else 2
         if self.mesh_n < smallest:
             raise MetricError(f"{self.problem} needs mesh_n >= {smallest}, got {self.mesh_n}")
+        if not isinstance(self.config, Mapping):
+            raise MetricError(f"config must be a mapping, got {self.config!r}")
+        options = {f.name for f in fields(SolverConfig)}
+        for key in self.config:
+            if key not in options:
+                raise ConfigError(f"unknown solver option {key!r}")
         self.config = {"max_iters": max_iters, **self.config}
+        SolverConfig(**self.config)  # a bad value raises ConfigError naming it
         if self.noise_scale not in ("component", "norm"):
             raise MetricError(f"unknown noise_scale {self.noise_scale!r}")
         for method in self.methods:
@@ -162,7 +171,7 @@ def run_suite(spec: BenchSpec) -> list[BenchRecord]:
     method alone.  The iterates, `k_star`, `stopped_by` and `re_final` are
     the same either way.
     """
-    cfg = solver_config(spec)  # a bad option raises here, before any set-up
+    cfg = solver_config(spec)
     op, truth, y_exact, x0 = make_problem(spec)
     trace_truth = truth if spec.trace_dir is not None else None
     records: list[BenchRecord] = []

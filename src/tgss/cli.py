@@ -112,7 +112,6 @@ def checked_spec(args) -> bench.BenchSpec:
     """The spec of a run; a bad option value is a usage error (exit 2)."""
     try:
         spec = build_specs(args)
-        bench.solver_config(spec)
     except ValueError as exc:  # ConfigError and MetricError are ValueErrors
         args.usage_error(str(exc))
     return spec

@@ -10,18 +10,20 @@ Every point the sequential projection visits lies in z + span{u_i}, so it
 works in coefficient space: it needs the m x m Gram matrix of the m
 stripe directions and their inner products with z, and runs its side
 tests, right-hand sides and Gram solves on these m-sized quantities as
-Python floats.  numpy touches only vectors of length n: the inner
-products and the update of the final point.  The active set's Gram
-solves share one Cholesky factor, which grows by a bordered row as a
-direction joins; a direction whose pivot falls to PIVOT_FLOOR of its
-Gram diagonal is dependent and dropped.  The stripes are held in a
+Python floats.  numpy touches only vectors of length n: the Gram rows'
+inner products and the update of the final point, built in z's own
+array.  The active set's Gram solves share one Cholesky factor, which
+grows by a bordered row as a direction joins; a direction whose pivot
+falls to PIVOT_FLOOR of its Gram diagonal is dependent and dropped.
+The stripes are held in a
 StripeRing, the one stripe container, which keeps the directions in
 per-run storage together with their Gram rows, offsets and half-widths
 as lists.  A new direction is always written into the ring's `slot()`
 and then pushed with its offset and half-width: it adds only its own
-Gram row, so a projection step takes m inner products for that row and
-m - 1 for the older directions' <u_i, z>, the newest one's being known
-from the stripe's construction.
+Gram row, m inner products.  The projection takes every <u_i, z> from
+its caller and hands back every <u_i, point>, formed from the Gram rows
+and coefficients, so a caller whose next z is this point (a method with
+zero momentum) never takes an older direction's inner product with z.
 
 A direction whose squared norm is zero, even by underflow, is zero:
 StripeRing.push finds it from G_00 = ||u||^2, which it computes anyway.
@@ -133,12 +135,14 @@ class StripeRing:
 class SequentialProjectionResult:
     """Outcome of sequential_stripe_projection.
 
-    point = z - sum_i coefficients[i] * u_i over the ring's stripes; the
-    coefficients are Python floats, and the skipped stripes' are zero.
-    first_coefficient is t_0 of the first step, so that z - t_0 u_0 is z
-    projected onto the newest stripe's upper boundary.
-    containment_slack is max_i |<u_i, point> - alpha_i| - xi_i over all
-    the stripes, a float that is <= 0 when the point lies in every stripe.
+    point = z - sum_i coefficients[i] * u_i over the ring's stripes, built
+    in z's array; the coefficients are Python floats, and the skipped
+    stripes' are zero.  first_coefficient is t_0 of the first step, so
+    that z - t_0 u_0 is z projected onto the newest stripe's upper
+    boundary.  u_point[i] = <u_i, z> - (G c)_i is <u_i, point> for every
+    stripe, formed from the coefficients.  containment_slack is
+    max_i |u_point[i] - alpha_i| - xi_i over all the stripes, a float that
+    is <= 0 when the point lies in every stripe.
     """
 
     point: Vec
@@ -146,15 +150,17 @@ class SequentialProjectionResult:
     n_dropped: int
     skipped: list[int]
     first_coefficient: float
+    u_point: list[float]
     containment_slack: float
 
 
-def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec,
-                                 uz0: float) -> SequentialProjectionResult:
-    """Ordered projection of z onto the intersection of the ring's stripes.
+def sequential_stripe_projection(z: Vec, ring: StripeRing,
+                                 uz: list[float]) -> SequentialProjectionResult:
+    """Ordered projection of z onto the intersection of the ring's stripes, in place.
 
-    The newest stripe is the current one, and z lies strictly above it:
-    uz0 = <u_0, z> > alpha_0 + xi_0.  Step one projects z onto its upper
+    uz[i] = <u_i, z> for each of the ring's stripes, newest first.  The
+    newest stripe is the current one, and z lies strictly above it:
+    uz[0] > alpha_0 + xi_0.  Step one projects z onto its upper
     boundary hyperplane.  Each older stripe is then visited in order: if
     the running point is already inside, it contributes a zero
     coefficient; otherwise its violated boundary hyperplane joins the
@@ -177,27 +183,22 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec,
     r = 1/sqrt(G_00), the bits LAPACK's dpotrf and dpotrs give.
 
     The caller, solvers.run, establishes what the projection relies on
-    and checks none of it here: z is a float array of the directions'
-    shape, the ring holds at least one stripe, G_00 is finite and
-    positive (StripeRing.push rejects zero, run a non-finite value), and
-    z lies above the newest stripe.
+    and checks none of it here: z is a contiguous float array of the
+    directions' shape that the caller lets it overwrite, uz holds one
+    value per stripe, the ring holds at least one stripe, G_00 is finite
+    and positive (StripeRing.push rejects zero, run a non-finite value),
+    and z lies above the newest stripe.
 
-    Vectors of length n are touched only for the m - 1 inner products
-    <u_i, z> of the older directions, and to build the final point in
-    `out`, an array of z's shape that is not z itself: a copy of z and
-    one daxpy per active direction.  The containment slack of the result
-    is formed from the same coefficients, with no further pass over
-    vectors.
+    Vectors of length n are touched only to build the final point in z's
+    own array, one daxpy per active direction and no copy.  Its inner
+    products with the directions, u_point, and the containment slack are
+    formed from the same coefficients, with no pass over vectors.
 
     Returns the final point together with the aggregate coefficients t_i
     (one per stripe) such that point = z - sum_i t_i * u_i.
     """
     u, G, alpha, xi = ring._rows, ring.gram, ring.alpha, ring.xi
     m = len(u)
-    uz = [uz0]
-    for v in u[1:]:
-        uz.append(float(np.dot(v, z)))
-
     top = alpha[0] + xi[0]
     g00 = G[0][0]
     r = 1.0 / math.sqrt(g00)
@@ -235,15 +236,14 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing, out: Vec,
         boundary.append(b)
         project_hyperplane_intersection(coeffs, chol, G, uz, active, boundary)
 
-    point = out
-    np.copyto(point, z)
+    point = z
     for j in active:
         point = daxpy(u[j], point, a=-coeffs[j])
-    # |<u_i, point> - alpha_i| - xi_i from the coefficients; a NaN wins, as in np.max.
-    gaps = [abs(uz[i] - _row_dot(G[i], coeffs, active) - alpha[i]) - xi[i]
-            for i in range(m)]
+    u_point = [uz[i] - _row_dot(G[i], coeffs, active) for i in range(m)]
+    # |<u_i, point> - alpha_i| - xi_i; a NaN wins, as in np.max.
+    gaps = [abs(p - a) - x for p, a, x in zip(u_point, alpha, xi)]
     slack = math.nan if any(g != g for g in gaps) else max(gaps)
-    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, t0, slack)
+    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, t0, u_point, slack)
 
 
 def project_hyperplane_intersection(coeffs: list[float], chol: list[list[float]],

@@ -16,13 +16,16 @@ The projection methods confine x_{k+1} to the intersection of stripes
 built from the current and recent residuals.
 
 A run allocates its vectors of the problem's size once, before the first
-iteration, and the iteration writes into them: the operator applies and
-the stripe projection get them as `out`.  All of them, and the data and
-truth vectors the iteration reads, start on a 64-byte boundary
-(numkernel.ALIGN), where numpy's vector loops run at full width.  A
-method with zero momentum (land, sesop, tpg-zero, tgss-zero) always
-steps from z_k = x_k, so its run keeps no momentum difference dx: no dx
-array, and neither dx nor its norm is computed.  The projection methods
+iteration, and the iteration writes into them: the operator applies get
+them as `out`, and the stripe projection builds x_{k+1} in the array of
+z_k.  All of them, and the data and truth vectors the iteration reads,
+start on a 64-byte boundary (numkernel.ALIGN), where numpy's vector
+loops run at full width.  A method with zero momentum (land, sesop,
+tpg-zero, tgss-zero) always steps from z_k = x_k, so its run keeps no
+momentum difference dx: no dx array, and neither dx nor its norm is
+computed; its stripe step takes the older stripes' <u_i, z_k> =
+<u_i, x_k> from the previous projection's u_point, with no inner
+product.  The projection methods
 keep their stripes in a `geometry.StripeRing`, their only stripe
 record: `build_stripe` builds each new direction in the ring's storage
 and pushes the stripe, and the ring holds the stripes' offsets,
@@ -246,6 +249,12 @@ class IterationState:
     read for dx alone, so between two advances its array is free.  A
     state built with keep_dx=False, for a method whose lambda_k is always
     0, has no dx array and keeps dx_norm at 0.  r and dx are ALIGN-aligned.
+
+    x_{k+1} is built in one of the state's arrays, and advance rotates
+    them: a gradient step builds it in x_prev's array; a stripe step builds
+    it in z_cur's, which becomes x_cur while the freed x_prev array becomes
+    the next z_cur; and a stripe step of a state without dx builds it in
+    x_cur's own array, so nothing rotates and x_prev goes stale unread.
     """
 
     x_prev: Vec
@@ -266,7 +275,10 @@ class IterationState:
 
     def advance(self, x_next: Vec) -> None:
         """Step to x_next; dx and its norm are computed here, once per iteration."""
-        self.x_prev, self.x_cur = self.x_cur, x_next
+        if x_next is self.z_cur:
+            self.z_cur = self.x_prev
+        if x_next is not self.x_cur:
+            self.x_prev, self.x_cur = self.x_cur, x_next
         if self.keep_dx:
             self._difference()
 
@@ -391,18 +403,24 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     run is its one caller.
 
     The work vectors are allocated here, each on an ALIGN boundary: z, r
-    and dx in the state, two x arrays that swap roles (x_{k+1} is built in
-    the array of x_{k-1}), and for the projection methods a StripeRing of
-    n_directions stripes.  The error x_{k+1} - truth is formed in r, which
-    the step has finished with.  A zero-momentum method
-    keeps no dx; its trace's coupling slack is the lambda = 0 value,
-    -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth are read from
-    aligned copies where they are not aligned already.  build_stripe
-    builds each new direction in the ring's oldest row, whose stripe
-    leaves the ring as build_stripe pushes the new one, and returns the
-    <u, z> the projection reuses; the ring's Gram matrix carries over
-    from one iteration to the next.  The trace's containment slack comes
-    from the projection's coefficients, not from further inner products.
+    and dx in the state, two x arrays, and for the projection methods a
+    StripeRing of n_directions stripes.  The arrays rotate as
+    IterationState describes: a gradient step builds x_{k+1} in the array
+    of x_{k-1}, and the stripe projection builds it in z_k's own array,
+    with no copy.  Only a momentum method whose z_k is x_k itself (lambda_k
+    = 0) first copies x_k into z_cur, since dx still reads x_k.  The error
+    x_{k+1} - truth is formed in r, which the step has finished with.  A
+    zero-momentum method keeps no dx; its trace's coupling slack is the
+    lambda = 0 value, -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth
+    are read from aligned copies where they are not aligned already.
+    build_stripe builds each new direction in the ring's oldest row, whose
+    stripe leaves the ring as build_stripe pushes the new one, and returns
+    <u_0, z>; the ring's Gram matrix carries over from one iteration to
+    the next.  The older stripes' <u_i, z> are np.dot's for a momentum
+    method and, for a zero-momentum one, whose z_k is the previous
+    projection's point, that projection's u_point, carried with no pass
+    over vectors.  The trace's containment slack comes from the
+    projection's coefficients, not from further inner products.
     """
     if method not in METHOD_TABLE:
         raise ConfigError(
@@ -428,6 +446,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     coupling_scale = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
     trace: list[TraceRow] = []
     dropped = 0
+    u_point: list[float] = []  # <u_i, x_k> of the previous projection's stripes
     if truth is not None:
         truth = aligned(truth)
         truth_norm = max(norm(truth), 1e-300)
@@ -461,14 +480,13 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         if record_points:
             row.z = z.copy()
 
-        # x_{k-1} was read for dx alone, so x_{k+1} is built in its array.
-        x_next = state.x_prev
         if not stripes:
-            step = op.adjoint_apply(z, r, out=x_next)
-            x_next = np.subtract(z, step, out=x_next)
+            # x_{k-1} was read for dx alone, so x_{k+1} is built in its array.
+            step = op.adjoint_apply(z, r, out=state.x_prev)
+            x_next = np.subtract(z, step, out=state.x_prev)
         else:
             try:
-                uz = build_stripe(op, z, data, cfg, r, rn, ring)
+                uz0 = build_stripe(op, z, data, cfg, r, rn, ring)
             except InvalidStripeError as exc:
                 # The width is nonnegative by construction, so the direction
                 # vanished; with a nonzero residual that breaks the cone
@@ -480,19 +498,31 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 raise DivergenceError(
                     f"search direction norm^2 {ring.gram[0][0]} is not finite at k={k}"
                 )
-            if uz <= ring.alpha[0] + ring.xi[0]:
+            if uz0 <= ring.alpha[0] + ring.xi[0]:
                 raise InvariantViolationError(
                     f"iterate not above its own stripe at k={k} "
                     f"(residual {rn:.3e}, tau*delta {cfg.tau * delta:.3e}); "
                     "eta or tau likely misconfigured"
                 )
-            proj = sequential_stripe_projection(z, ring, x_next, uz)
-            x_next = proj.point
+            if momentum == "zero":
+                # z_k = x_k, and the older stripes were the previous
+                # projection's, one place further back in the ring.
+                uz = [uz0, *u_point[:len(ring) - 1]]
+            else:
+                if z is state.x_cur:
+                    # dx still reads x_k: the point is built in a copy.
+                    np.copyto(state.z_cur, z)
+                    z = state.z_cur
+                uz = [uz0]
+                for i in range(1, len(ring)):
+                    uz.append(float(np.dot(ring.direction(i), z)))
+            proj = sequential_stripe_projection(z, ring, uz)
+            x_next, u_point = proj.point, proj.u_point
             dropped += proj.n_dropped
             row.n_dirs_used = len(ring) - len(proj.skipped)
             row.containment_slack = proj.containment_slack
             if record_points:
-                row.x_tilde = z - proj.first_coefficient * ring.direction(0)
+                row.x_tilde = row.z - proj.first_coefficient * ring.direction(0)
 
         if truth is not None:
             # The residual was last read by this iteration's step, so its

@@ -101,14 +101,14 @@ def ring_of(stripes):
     return ring
 
 
-def project(z, ring, out=None):
-    """sequential_stripe_projection of z onto the ring's stripes.
+def project(z, ring):
+    """sequential_stripe_projection of z onto the ring's stripes, z left as it is.
 
-    <u_0, z> is computed here, and the point is built in `out` or, where
-    none is given, in a new array.
+    Every <u_i, z> is an np.dot computed here, and the point is built in a
+    copy of z.
     """
-    out = np.empty_like(z) if out is None else out
-    return sequential_stripe_projection(z, ring, out, float(np.dot(ring.direction(0), z)))
+    uz = [float(np.dot(ring.direction(i), z)) for i in range(len(ring))]
+    return sequential_stripe_projection(np.array(z, dtype=float), ring, uz)
 
 
 def stripe_at(op, z, data, cfg):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tgss.bench import (
     run_suite,
 )
 from tgss.numkernel import ALIGN
-from tgss.solvers import METHODS
+from tgss.solvers import METHODS, ConfigError
 
 
 def strict_json(text):
@@ -115,6 +116,28 @@ class TestBenchSpec:
         assert {type(v) for v in (spec.mesh_n, *spec.seeds, spec.problem_seed)} == {int}
         [record] = strict_json(records_to_json(run_suite(spec)))
         assert record["seed"] == 0
+
+    @pytest.mark.parametrize("config", [[("tau", 3.0)], "tau=3", None],
+                             ids=["pairs", "string", "none"])
+    def test_config_not_a_mapping_rejected(self, config):
+        with pytest.raises(MetricError, match="config must be a mapping"):
+            BenchSpec(config=config)
+
+    @pytest.mark.parametrize("config, name", [
+        ({"bogus": 1}, "bogus"), ({1: 2.0}, "1"), ({"tau": 0.5}, "tau"),
+        ({"eta": 1.5}, "eta"), ({"n_directions": 2.5}, "n_directions"),
+        ({"mu": "2"}, "mu"),
+    ], ids=["unknown-key", "int-key", "small-tau", "large-eta", "float-int-field",
+            "str-value"])
+    def test_bad_config_rejected_when_built(self, config, name):
+        # The SolverConfig is built with the spec, so a bad option fails
+        # before any problem is set up, named in a ConfigError.
+        with pytest.raises(ConfigError, match=name):
+            BenchSpec(problem="linear-diag", config=config)
+
+    def test_config_takes_any_mapping(self):
+        spec = BenchSpec(config=types.MappingProxyType({"tau": 3.5}))
+        assert type(spec.config) is dict and spec.config["tau"] == 3.5
 
     def test_zero_noise_and_seeds_accepted(self):
         BenchSpec(noise_levels=[0.0], seeds=[0], problem_seed=0)

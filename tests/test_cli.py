@@ -321,6 +321,8 @@ class TestSolverSchema:
     FIELDS = dataclasses.fields(SolverConfig)
     TYPES = {"float": float, "int": int}
     VALUES = {float: ("7.25", "8.5"), int: ("7", "8")}
+    # BenchSpec builds the SolverConfig, so each value must be valid: eta < 1.
+    FIELD_VALUES = {"eta": ("0.25", "0.3")}
     BENCH_FLAGS = {
         "-h", "--help", "--config", "--problem", "--mesh-n", "--delta", "--seed",
         "--method", "--problem-seed", "--noise-scale", "--out", "--trace", "--format",
@@ -333,7 +335,7 @@ class TestSolverSchema:
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_file_key_and_flag_reach_config(self, f, tmp_path):
         typ = self.TYPES[f.type]
-        in_file, on_flag = self.VALUES[typ]
+        in_file, on_flag = self.FIELD_VALUES.get(f.name, self.VALUES[typ])
         path = tmp_path / "cfg.txt"
         path.write_text(f"solver.{f.name} = {in_file}\n")
 

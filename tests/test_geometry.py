@@ -245,15 +245,17 @@ class TestSequentialStripeProjection:
                 assert abs(dot(s.u, res.point) - s.alpha) <= s.xi + 1e-9
             checked += 1
 
-    def test_point_built_in_out(self):
+    def test_point_built_in_z(self):
+        # The point overwrites z's own array: no copy, no new array.
         rng = np.random.Generator(np.random.PCG64(17))
         stripes = [Stripe(rng.standard_normal(6), 0.0, 0.1) for _ in range(3)]
         z = 10.0 * stripes[0].u
         expected = project(z, ring_of(stripes))
-        out = np.full(6, np.nan)
-        res = project(z, ring_of(stripes), out=out)
-        assert res.point is out
-        assert out.tobytes() == expected.point.tobytes()
+        ring = ring_of(stripes)
+        w = z.copy()
+        res = sequential_stripe_projection(w, ring, [dot(s.u, z) for s in stripes])
+        assert res.point is w
+        assert w.tobytes() == expected.point.tobytes()
         np.testing.assert_array_equal(res.coefficients, expected.coefficients)
         assert res.first_coefficient == expected.first_coefficient
 
@@ -261,12 +263,12 @@ class TestSequentialStripeProjection:
         # b / G_00 rounds differently from dpotrf + dpotrs in many of these
         # draws; b (1/sqrt G_00)(1/sqrt G_00) must match every one.
         rng = np.random.Generator(np.random.PCG64(31))
-        ring, z = StripeRing(1, (1,)), np.zeros(1)
+        ring = StripeRing(1, (1,))
         for u, b in zip(np.exp(rng.uniform(-20.0, 20.0, 2000)),
                         np.exp(rng.uniform(-40.0, 40.0, 2000))):
             ring.slot()[0] = u
             ring.push(0.0, 0.0)
-            res = sequential_stripe_projection(z, ring, np.empty(1), float(b))
+            res = sequential_stripe_projection(np.zeros(1), ring, [float(b)])
             expected = solve_spd_dense(np.array([ring.gram[0]]), np.array([b]))[0]
             assert res.first_coefficient == expected
 
@@ -427,7 +429,8 @@ class TestStripeRing:
             s = Stripe(u, dot(u, z) - 3.0, 0.5)
             push(ring, s)
             stripes = ([s] + stripes)[:3]
-            a = sequential_stripe_projection(z, ring, np.empty(6), dot(u, z))
+            uz = [dot(ring.direction(i), z) for i in range(len(ring))]
+            a = sequential_stripe_projection(z.copy(), ring, uz)
             b = project(z, ring_of(stripes))
             assert a.point.tobytes() == b.point.tobytes()
             assert bits(a.coefficients) == bits(b.coefficients)
@@ -445,6 +448,10 @@ class TestStripeRing:
             scale = max(norm(s.u) for s in stripes) * (norm(z) + norm(res.point))
             assert type(res.containment_slack) is float
             assert abs(res.containment_slack - direct) <= 1e-12 * scale
+            # u_point, <u_i, point> from the coefficients, which the slack uses.
+            for s, up in zip(stripes, res.u_point, strict=True):
+                assert type(up) is float
+                assert abs(up - dot(s.u, res.point)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     def test_gram_exactly_symmetric_after_every_push(self, capacity):

@@ -319,6 +319,58 @@ class TestRun:
         assert res.trace_csv_rows() == plain.trace_csv_rows()
         assert res.x_final.tobytes() == plain.x_final.tobytes()
 
+    @staticmethod
+    def _stripe_problem(kind):
+        if kind == "diagonal":
+            rng = np.random.Generator(np.random.PCG64(47))
+            op = DiagonalOperator(rng.uniform(0.1, 1.0, 40))
+            data = add_noise(op.apply(rng.standard_normal(40)), 1e-3, 3)
+            return op, data, np.zeros(40), dict(eta=0.0, tau=2.0, c_F=op.c_F)
+        mesh = make_mesh(1, 32)
+        op = InversePotentialOperator(mesh)
+        data = add_noise(op.apply(true_coefficient(mesh)), 1e-3, 0)
+        return op, data, np.ones(mesh.n_nodes), {}
+
+    @pytest.mark.parametrize("n_directions", [2, 3, 8])
+    @pytest.mark.parametrize("kind", ["diagonal", "invpot1d"])
+    @pytest.mark.parametrize("method",
+                             ["sesop", "tgss-zero", "tgss-nes", "tgss-dbts", "tgss-coupling"])
+    def test_projection_gets_inner_products_with_z(self, monkeypatch, method, kind,
+                                                   n_directions):
+        # A zero-momentum run carries the older stripes' <u_i, z> from the
+        # previous projection, which agree with direct dots up to round-off;
+        # a momentum run passes np.dot's own values.  Either way the point
+        # is built in z.  With the default config, invpot1d at 3 or more
+        # directions raises AdmissibilityError partway, as on the coarse
+        # mesh of TestCoarseInversePotential: the projections made until
+        # then are checked.
+        op, data, x0, options = self._stripe_problem(kind)
+        cfg = SolverConfig(n_directions=n_directions, **options)
+        original = solvers.sequential_stripe_projection
+        carried = []
+
+        def spy(z, ring, uz):
+            assert len(uz) == len(ring)
+            direct = [float(np.dot(ring.direction(i), z)) for i in range(len(ring))]
+            scale = [norm(ring.direction(i)) * norm(z) for i in range(len(ring))]
+            res = original(z, ring, uz)
+            assert res.point is z
+            assert uz[0] == direct[0]
+            if METHOD_TABLE[method].momentum == "zero":
+                for i in range(1, len(ring)):
+                    assert abs(uz[i] - direct[i]) <= 1e-12 * scale[i], (i, uz, direct)
+            else:
+                assert uz == direct
+            carried.extend(uz[1:])
+            return res
+
+        monkeypatch.setattr(solvers, "sequential_stripe_projection", spy)
+        try:
+            run(method, op, data, x0, cfg)
+        except AdmissibilityError:
+            assert kind == "invpot1d" and n_directions > 2
+        assert len(carried) >= 3
+
     def test_one_step_exact_solve_all_methods(self):
         op = DiagonalOperator(np.array([1.0, 1.0, 1.0]))
         y = np.array([2.0, -1.0, 0.5])
