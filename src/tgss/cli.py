@@ -39,25 +39,46 @@ BENCH_KEYS = _config_keys(bench.BenchSpec)
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``section.key = value`` lines; '#' starts a comment."""
+    """Flat ``section.key = value`` lines; '#' starts a comment.
+
+    Returns dotted key -> value string.  Each key and value is checked
+    here, so every error is a ValueError that names the file: one that
+    cannot be read as UTF-8 text by its path, a bad line by path:line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read config file {path}: {reason}") from exc
     out: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            out[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (s.strip() for s in line.split("=", 1))
+        try:
+            _typed(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        out[key] = value
     return out
 
 
-def _typed(section: str, key: str, value):
-    table = SOLVER_KEYS if section == "solver" else BENCH_KEYS
+def _typed(dotted: str, value: str) -> tuple[str, str, object]:
+    """(section, key, value as the key's type) of one config file entry."""
+    section, _, key = dotted.partition(".")
+    table = {"solver": SOLVER_KEYS, "bench": BENCH_KEYS}.get(section)
+    if table is None:
+        raise ValueError(f"unknown config section {section!r}")
     if key not in table:
-        raise ValueError(f"unknown config key {section}.{key}")
-    return table[key](value)
+        raise ValueError(f"unknown config key {dotted}")
+    try:
+        return section, key, table[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{dotted} = {value}: {exc}") from exc
 
 
 def build_specs(args) -> bench.BenchSpec:
@@ -65,13 +86,8 @@ def build_specs(args) -> bench.BenchSpec:
     solver_overrides = {}
     bench_overrides = {}
     for dotted, value in file_cfg.items():
-        section, _, key = dotted.partition(".")
-        if section == "solver":
-            solver_overrides[key] = _typed("solver", key, value)
-        elif section == "bench":
-            bench_overrides[key] = _typed("bench", key, value)
-        else:
-            raise ValueError(f"unknown config section {section!r}")
+        section, key, typed = _typed(dotted, value)
+        (solver_overrides if section == "solver" else bench_overrides)[key] = typed
 
     for key in SOLVER_KEYS:
         value = getattr(args, key)

@@ -30,7 +30,9 @@ StripeRing.push finds it from G_00 = ||u||^2, which it computes anyway.
 
 Each joining direction costs one project_hyperplane_intersection and
 one numkernel.solve_spd_dense, both called through this module's
-globals, where the benchmark's tracer wraps them.
+globals, where the benchmark's tracer wraps them.  The final point is
+built by one call of the global `daxpy` per active direction, a = -c_i,
+where tests/reference.py reads the coefficients the result omits.
 
 The projections in vector space, onto one hyperplane, halfspace or
 stripe or the intersection of several hyperplanes, are not part of the
@@ -133,23 +135,21 @@ class StripeRing:
 
 @dataclass
 class SequentialProjectionResult:
-    """Outcome of sequential_stripe_projection.
+    """Outcome of sequential_stripe_projection: what solvers.run reads.
 
-    point = z - sum_i coefficients[i] * u_i over the ring's stripes, built
-    in z's array; the coefficients are Python floats, and the skipped
-    stripes' are zero.  first_coefficient is t_0 of the first step, so
-    that z - t_0 u_0 is z projected onto the newest stripe's upper
-    boundary.  u_point[i] = <u_i, z> - (G c)_i is <u_i, point> for every
-    stripe, formed from the coefficients.  containment_slack is
-    max_i |u_point[i] - alpha_i| - xi_i over all the stripes, a float that
-    is <= 0 when the point lies in every stripe.
+    point = z - sum_i c_i u_i over the ring's stripes, built in z's
+    array; the skipped stripes' c_i are zero.  skipped lists the stripes
+    that kept a zero coefficient, in ring order, and n_dropped counts
+    those of them dropped as dependent.  u_point[i] = <u_i, z> - (G c)_i
+    is <u_i, point> for every stripe, a Python float formed from the
+    coefficients.  containment_slack is max_i |u_point[i] - alpha_i| -
+    xi_i over all the stripes, a float that is <= 0 when the point lies
+    in every stripe.
     """
 
     point: Vec
-    coefficients: list[float]
     n_dropped: int
     skipped: list[int]
-    first_coefficient: float
     u_point: list[float]
     containment_slack: float
 
@@ -194,17 +194,15 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
     products with the directions, u_point, and the containment slack are
     formed from the same coefficients, with no pass over vectors.
 
-    Returns the final point together with the aggregate coefficients t_i
-    (one per stripe) such that point = z - sum_i t_i * u_i.
+    Returns a SequentialProjectionResult; the coefficients stay inside.
     """
     u, G, alpha, xi = ring._rows, ring.gram, ring.alpha, ring.xi
     m = len(u)
     top = alpha[0] + xi[0]
     g00 = G[0][0]
     r = 1.0 / math.sqrt(g00)
-    t0 = (uz[0] - top) * r * r
     coeffs = [0.0] * m
-    coeffs[0] = t0
+    coeffs[0] = (uz[0] - top) * r * r
     active = [0]
     boundary = [top]  # offsets of the active boundary hyperplanes
     chol = [[math.sqrt(g00)]]  # rows of the lower Cholesky factor of G[active, active]
@@ -243,7 +241,7 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
     # |<u_i, point> - alpha_i| - xi_i; a NaN wins, as in np.max.
     gaps = [abs(p - a) - x for p, a, x in zip(u_point, alpha, xi)]
     slack = math.nan if any(g != g for g in gaps) else max(gaps)
-    return SequentialProjectionResult(point, coeffs, n_dropped, skipped, t0, u_point, slack)
+    return SequentialProjectionResult(point, n_dropped, skipped, u_point, slack)
 
 
 def project_hyperplane_intersection(coeffs: list[float], chol: list[list[float]],

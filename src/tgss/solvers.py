@@ -32,8 +32,9 @@ and pushes the stripe, and the ring holds the stripes' offsets,
 half-widths and Gram rows, as lists of Python floats, across
 iterations, so a step computes only the new direction's Gram row.
 The projection's work on these m-sized quantities runs in scalar
-arithmetic; numpy only touches vectors of the problem's size.  Results
-handed to the caller are copies, never one of these work vectors.
+arithmetic; numpy only touches vectors of the problem's size.  The one
+vector handed to the caller, the final iterate, is a copy, never one of
+these work vectors; the trace holds scalars only.
 
 Every path reads one noise level, data.delta_eff = ||y_delta - y||.
 
@@ -304,6 +305,8 @@ def _trial(state: IterationState, lam: float, op: ForwardOperator, data: NoisyDa
 
 @dataclass
 class TraceRow:
+    """One iteration of a run: exactly the columns of its trace CSV."""
+
     k: int
     residual_norm: float
     lam: float
@@ -311,9 +314,6 @@ class TraceRow:
     re: float | None = None
     coupling_slack: float | None = None
     containment_slack: float | None = None
-    err: float | None = None
-    x_tilde: Vec | None = None
-    z: Vec | None = None
 
 
 @dataclass
@@ -384,14 +384,16 @@ def _select_lambda_z(momentum: str, state: IterationState, op, data, cfg, coupli
 
 
 def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
-        cfg: SolverConfig, truth: Vec | None = None,
-        record_points: bool = False) -> SolveResult:
+        cfg: SolverConfig, truth: Vec | None = None) -> SolveResult:
     """Run one method until the discrepancy principle fires or budgets run out.
 
     The stopping test is evaluated at the extrapolated point z_k before
     stepping, and the returned final iterate is that accepted point.  The
-    trace records per-iteration residual norms, momentum weights and the
-    diagnostic slacks of the coupling and stripe-containment conditions.
+    trace has a row per iteration that did not stop, with exactly the
+    trace CSV's columns and no vector: residual norm, momentum weight,
+    directions used, the relative error of x_{k+1} when truth is given,
+    and the coupling and stripe-containment slacks.  Each such iteration
+    applies the adjoint once, at z_k.
     A non-finite residual norm raises DivergenceError, and so does a
     stripe direction whose squared norm, the ring's new Gram entry, is
     not finite.  A zero stripe direction, and an iterate z_k that does
@@ -420,7 +422,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     method and, for a zero-momentum one, whose z_k is the previous
     projection's point, that projection's u_point, carried with no pass
     over vectors.  The trace's containment slack comes from the
-    projection's coefficients, not from further inner products.
+    projection's u_point, not from further inner products.
     """
     if method not in METHOD_TABLE:
         raise ConfigError(
@@ -477,8 +479,6 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         row.coupling_slack = (
             lam * (lam + 1.0) * state.dx_norm ** 2 - coupling_scale * rn ** 2
         )
-        if record_points:
-            row.z = z.copy()
 
         if not stripes:
             # x_{k-1} was read for dx alone, so x_{k+1} is built in its array.
@@ -521,14 +521,11 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             dropped += proj.n_dropped
             row.n_dirs_used = len(ring) - len(proj.skipped)
             row.containment_slack = proj.containment_slack
-            if record_points:
-                row.x_tilde = row.z - proj.first_coefficient * ring.direction(0)
 
         if truth is not None:
             # The residual was last read by this iteration's step, so its
             # array holds x_{k+1} - x_dagger until the next trial.
-            row.err = norm(np.subtract(x_next, truth, out=state.r))
-            row.re = row.err / truth_norm
+            row.re = norm(np.subtract(x_next, truth, out=state.r)) / truth_norm
         trace.append(row)
         state.advance(x_next)
 

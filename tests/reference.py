@@ -13,8 +13,17 @@ the same projection in coefficient space on a StripeRing's Gram matrix;
 ring_of builds such a ring from a list of Stripe records, the way a run
 fills one: each direction is copied into the ring's slot and then
 pushed, and project calls the library's projection on it with the
-arguments a run passes.  stripe_at reads the residual stripe a run
-builds at a point back from a one-stripe ring as a Stripe.
+arguments a run passes.  The projection hands back no coefficients;
+`coefficients` reads them from the daxpy calls that build its point.
+stripe_at reads the residual stripe a run builds at a point back from a
+one-stripe ring as a Stripe.
+
+Runs: a run keeps no vector but its final iterate.  PointRecorder wraps
+an operator and copies the point of every adjoint_apply, which a run
+makes exactly once per iteration that does not stop, at z_k; run_recording
+returns a run's result together with these points.  The first step of a
+projection from z_k, x~_k, is z_k projected onto the upper boundary of
+stripe_at(z_k).
 
 Assembly: element matrices are summed through a COO matrix and converted
 to CSR, written out independently of invpot.P1Pattern and of the band
@@ -25,18 +34,23 @@ for the pattern's sort-free pair scatter.  csr turns a pattern's offset
 pair (diagonal, lower) into a CSR matrix to compare against.
 """
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.linalg.blas import daxpy
 
+from tgss import geometry
 from tgss.geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
 from tgss.numkernel import DimensionError, dot, norm
-from tgss.solvers import build_stripe
+from tgss.operator import ForwardOperator
+from tgss.solvers import build_stripe, run
 
 # Size cap of the reference's dense LAPACK solve.
 DENSE_CAP = 16
@@ -109,6 +123,62 @@ def project(z, ring):
     """
     uz = [float(np.dot(ring.direction(i), z)) for i in range(len(ring))]
     return sequential_stripe_projection(np.array(z, dtype=float), ring, uz)
+
+
+@contextlib.contextmanager
+def coefficients(ring):
+    """The coefficients c_i of a projection on `ring` run within the block.
+
+    sequential_stripe_projection builds its point = z - sum_i c_i u_i with
+    one geometry.daxpy per active direction, a = -c_i.  Within the block
+    these calls are read: the yielded list, one entry per stripe newest
+    first, holds -a, the bits of c_i, for each active direction and 0.0
+    for the others.  Run one projection per block.
+    """
+    rows = [ring.direction(i) for i in range(len(ring))]
+    c = [0.0] * len(rows)
+
+    def recording(x, y, a):
+        c[next(i for i, row in enumerate(rows) if row is x)] = -a
+        return daxpy(x, y, a=a)
+
+    with mock.patch.object(geometry, "daxpy", recording):
+        yield c
+
+
+class PointRecorder(ForwardOperator):
+    """An operator that copies the point of every adjoint_apply into `points`.
+
+    Everything is passed on to the wrapped operator unchanged, `out`
+    included, so a run on the recorder is bit for bit the run on the
+    operator itself.
+    """
+
+    def __init__(self, op):
+        self.op, self.n, self.m = op, op.n, op.m
+        self.points = []
+
+    def apply(self, c, out=None):
+        return self.op.apply(c, out=out)
+
+    def derivative_apply(self, c, q):
+        return self.op.derivative_apply(c, q)
+
+    def adjoint_apply(self, c, w, out=None):
+        self.points.append(np.array(c, dtype=float))
+        return self.op.adjoint_apply(c, w, out=out)
+
+
+def run_recording(method, op, data, x0, cfg, truth=None):
+    """solvers.run on a PointRecorder of op: (result, points).
+
+    points[k] is the z_k of trace row k: every iteration that does not
+    stop applies the adjoint once, at z_k.
+    """
+    recorder = PointRecorder(op)
+    res = run(method, recorder, data, x0, cfg, truth=truth)
+    assert len(recorder.points) == len(res.trace), method
+    return res, recorder.points
 
 
 def stripe_at(op, z, data, cfg):

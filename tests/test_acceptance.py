@@ -17,13 +17,15 @@ from reference import (
     project_hyperplane,
     project_hyperplane_intersection,
     project_stripe,
+    run_recording,
     stripe_at,
+    upper,
 )
 from tgss.bench import BenchSpec, run_suite
 from tgss.invpot import InversePotentialOperator, make_mesh
 from tgss.numkernel import dot, norm
 from tgss.operator import DiagonalOperator, add_noise
-from tgss.solvers import SolverConfig, run
+from tgss.solvers import METHOD_TABLE, SolverConfig
 
 
 # --------------------------------------------------------------------------
@@ -187,28 +189,31 @@ def test_criterion_4_linear_operator_theory():
 
     for method in ("tpg-coupling", "tpg-dbts", "sesop",
                    "tgss-coupling", "tgss-dbts", "tgss-nes"):
-        res = run(method, op, data, x0, cfg, truth=truth, record_points=True)
+        res, points = run_recording(method, op, data, x0, cfg, truth=truth)
         assert res.stopped_by == "discrepancy", method
 
         monotone_expected = method.endswith(("coupling", "dbts")) or method == "sesop"
-        prev_err = norm(x0 - truth)
-        for row in res.trace:
+        prev_re = norm(x0 - truth) / norm(truth)
+        for row, z in zip(res.trace, points):
             # solution containment in the stripe built at z
-            s = stripe_at(op, row.z, data, cfg)
+            s = stripe_at(op, z, data, cfg)
             slack = abs(dot(s.u, truth) - s.alpha) - s.xi
             assert slack <= 1e-12, (method, row.k, slack)
 
-            # residual descent estimate for the projection step
-            if row.x_tilde is not None:
+            # residual descent estimate for the projection step, whose
+            # first step x~ projects z onto the stripe's upper boundary
+            if METHOD_TABLE[method].stripes:
+                x_tilde = project_hyperplane(z, upper(s))
                 rn = row.residual_norm
-                bound = (norm(truth - row.z) ** 2
+                bound = (norm(truth - z) ** 2
                          - (rn * (rn - delta) / norm(s.u)) ** 2 + 1e-9)
-                assert norm(truth - row.x_tilde) ** 2 <= bound, (method, row.k)
+                assert norm(truth - x_tilde) ** 2 <= bound, (method, row.k)
 
-            # monotone error decrease under the coupling-controlled weights
+            # monotone error decrease under the coupling-controlled weights,
+            # in units of ||x_dagger||
             if monotone_expected:
-                assert row.err <= prev_err + 1e-12 * norm(truth), (method, row.k)
-                prev_err = row.err
+                assert row.re <= prev_re + 1e-12, (method, row.k)
+                prev_re = row.re
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"linear theory checks took {elapsed:.2f}s"
@@ -230,19 +235,13 @@ def test_criterion_5_reduction_equivalences():
                            n_directions=1)
         x0 = np.zeros(n)
 
-        a = run("tgss-zero", op, data, x0, cfg, record_points=True)
-        b = run("sesop", op, data, x0, cfg, record_points=True)
-        assert a.k_star == b.k_star
-        assert norm(a.x_final - b.x_final) <= 1e-12
-        for ra, rb in zip(a.trace, b.trace):
-            assert norm(ra.z - rb.z) <= 1e-12
-
-        c = run("tpg-zero", op, data, x0, cfg, record_points=True)
-        d = run("land", op, data, x0, cfg, record_points=True)
-        assert c.k_star == d.k_star
-        assert norm(c.x_final - d.x_final) <= 1e-12
-        for rc, rd in zip(c.trace, d.trace):
-            assert norm(rc.z - rd.z) <= 1e-12
+        for general, paper in (("tgss-zero", "sesop"), ("tpg-zero", "land")):
+            a, a_points = run_recording(general, op, data, x0, cfg)
+            b, b_points = run_recording(paper, op, data, x0, cfg)
+            assert a.k_star == b.k_star
+            assert norm(a.x_final - b.x_final) <= 1e-12
+            for za, zb in zip(a_points, b_points):
+                assert norm(za - zb) <= 1e-12
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"reduction equivalences took {elapsed:.2f}s"

@@ -236,6 +236,40 @@ class TestCommands:
         assert captured.out == ""
         assert "tau=1.0 must exceed" in captured.err
 
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("binary", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_unreadable_config_file_is_usage_error(self, kind, reason, tmp_path, capsys):
+        path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+                "binary": tmp_path / "binary.cfg"}[kind]
+        (tmp_path / "binary.cfg").write_bytes(b"solver.tau = 3\xff\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "land", "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot read config file {path}: {reason}" in captured.err
+
+    @pytest.mark.parametrize("line, message", [
+        ("solver.tau = abc",
+         "solver.tau = abc: could not convert string to float: 'abc'"),
+        ("bench.mesh_n = 1.5",
+         "bench.mesh_n = 1.5: invalid literal for int() with base 10: '1.5'"),
+        ("solver.bogus = 1", "unknown config key solver.bogus"),
+        ("nosection = 1", "unknown config section 'nosection'"),
+    ])
+    def test_bad_config_line_names_its_place(self, line, message, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# comment\nsolver.tau = 3.0\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.LINEAR, "--method", "land", "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:3: {message}" in captured.err
+
 
 class TestBenchSchema:
     """Every BenchSpec field with a plain default is a bench key with a flag."""

@@ -15,6 +15,7 @@ from reference import (
     Stripe,
     StripeSide,
     classify,
+    coefficients,
     lower,
     project,
     project_halfspace,
@@ -190,17 +191,21 @@ class TestSequentialStripeProjection:
     def test_single_stripe_reduces_to_stripe_projection(self):
         s = Stripe(np.array([1.0, 0.0]), 0.0, 0.5)
         z = np.array([2.0, 1.0])
-        res = project(z, ring_of([s]))
+        ring = ring_of([s])
+        with coefficients(ring) as c:
+            res = project(z, ring)
         np.testing.assert_allclose(res.point, [0.5, 1.0], atol=1e-14)
-        np.testing.assert_allclose(res.coefficients, [1.5], atol=1e-14)
+        np.testing.assert_allclose(c, [1.5], atol=1e-14)
         np.testing.assert_allclose(res.point, project_stripe(z, s), atol=1e-14)
 
     def test_second_stripe_already_satisfied_skipped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
         s2 = Stripe(np.array([0.0, 1.0]), 0.0, 10.0)  # wide: first step lands inside
-        res = project(np.array([2.0, 1.0]), ring_of([s1, s2]))
+        ring = ring_of([s1, s2])
+        with coefficients(ring) as c:
+            res = project(np.array([2.0, 1.0]), ring)
         np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-14)
-        assert res.coefficients[1] == 0.0
+        assert c[1] == 0.0
         assert res.skipped == [1]
 
     def test_two_degenerate_stripes_reach_intersection(self):
@@ -220,8 +225,10 @@ class TestSequentialStripeProjection:
             z = 4.0 * rng.standard_normal(n)
             if dot(stripes[0].u, z) <= stripes[0].alpha + stripes[0].xi:
                 continue
-            res = project(z, ring_of(stripes))
-            rebuilt = z - sum(t * s.u for t, s in zip(res.coefficients, stripes))
+            ring = ring_of(stripes)
+            with coefficients(ring) as c:
+                res = project(z, ring)
+            rebuilt = z - sum(t * s.u for t, s in zip(c, stripes))
             np.testing.assert_allclose(res.point, rebuilt, atol=1e-10)
             checked += 1
 
@@ -256,8 +263,6 @@ class TestSequentialStripeProjection:
         res = sequential_stripe_projection(w, ring, [dot(s.u, z) for s in stripes])
         assert res.point is w
         assert w.tobytes() == expected.point.tobytes()
-        np.testing.assert_array_equal(res.coefficients, expected.coefficients)
-        assert res.first_coefficient == expected.first_coefficient
 
     def test_first_step_has_the_bits_of_lapack(self):
         # b / G_00 rounds differently from dpotrf + dpotrs in many of these
@@ -268,9 +273,10 @@ class TestSequentialStripeProjection:
                         np.exp(rng.uniform(-40.0, 40.0, 2000))):
             ring.slot()[0] = u
             ring.push(0.0, 0.0)
-            res = sequential_stripe_projection(np.zeros(1), ring, [float(b)])
+            with coefficients(ring) as c:
+                sequential_stripe_projection(np.zeros(1), ring, [float(b)])
             expected = solve_spd_dense(np.array([ring.gram[0]]), np.array([b]))[0]
-            assert res.first_coefficient == expected
+            assert c[0] == expected
 
     def test_coefficients_match_solve_spd_dense_on_the_active_block(self):
         # The bordered Cholesky solves the normal equations of the final
@@ -291,7 +297,9 @@ class TestSequentialStripeProjection:
             z = 4.0 * rng.standard_normal(n)
             if dot(U[0], z) <= stripes[0].alpha + stripes[0].xi:
                 continue
-            res = project(z, ring_of(stripes))
+            ring = ring_of(stripes)
+            with coefficients(ring) as c:
+                res = project(z, ring)
             assert res.n_dropped == 0
             active = [i for i in range(m) if i not in res.skipped]
             boundary = [stripes[i].alpha + np.copysign(stripes[i].xi,
@@ -302,9 +310,9 @@ class TestSequentialStripeProjection:
             scale = (np.abs(U @ z).max() + max(abs(s.alpha) + s.xi for s in stripes)
                      + np.linalg.norm(block, 2) * np.linalg.norm(expected))
             atol = 1e-13 * scale / np.linalg.eigvalsh(block)[0]
-            np.testing.assert_allclose([res.coefficients[i] for i in active], expected,
+            np.testing.assert_allclose([c[i] for i in active], expected,
                                        rtol=0.0, atol=atol)
-            assert all(res.coefficients[i] == 0.0 for i in res.skipped)
+            assert all(c[i] == 0.0 for i in res.skipped)
             sizes.add(len(active))
         assert sizes == {1, 2, 3, 4}
 
@@ -319,9 +327,11 @@ class TestSequentialStripeProjection:
         e8[8] = 1.0
         stripes = [Stripe(u0, -np.sqrt(19.0), 0.0), Stripe(e8, 0.0, 0.0),
                    Stripe(-2.0 * u0, 0.0, 0.0)]
-        res = project(np.zeros(9), ring_of(stripes))
+        ring = ring_of(stripes)
+        with coefficients(ring) as c:
+            res = project(np.zeros(9), ring)
         assert res.skipped == [2] and res.n_dropped == 1
-        assert max(abs(c) for c in res.coefficients) < 2.0
+        assert max(abs(t) for t in c) < 2.0
         for s in stripes[:2]:
             assert abs(dot(s.u, res.point) - s.alpha) <= 1e-14
 
@@ -342,22 +352,28 @@ class TestSequentialStripeProjection:
             top = first.alpha + first.xi  # <u, point> after the first step
             xi = rng.random()
             gap = (xi + 0.1 + rng.random()) * rng.choice([-1.0, 1.0])
-            res = project(
-                z, ring_of([first, Stripe(v, scale * top + gap, xi)]))
+            ring = ring_of([first, Stripe(v, scale * top + gap, xi)])
+            with coefficients(ring) as c:
+                res = project(z, ring)
+            # The first step alone: the projection on the first stripe.
+            first_ring = ring_of([first])
+            with coefficients(first_ring) as c_first:
+                project(z, first_ring)
             assert res.skipped == [1] and res.n_dropped == 1
-            assert res.coefficients[1] == 0.0
-            assert res.coefficients[0] == res.first_coefficient
-            assert abs(res.coefficients[0]) * norm(u) <= 3.0
+            assert c[1] == 0.0
+            assert c[0] == c_first[0]
+            assert abs(c[0]) * norm(u) <= 3.0
 
     def test_twenty_violated_orthogonal_stripes_all_join(self):
         # z violates every one of these orthogonal stripes: all join the
         # active set, which has no size limit, and the point lands on
         # their upper boundaries.
         ring = ring_of([Stripe(row, 0.0, 1.0) for row in np.eye(20)])
-        res = project(np.full(20, 5.0), ring)
+        with coefficients(ring) as c:
+            res = project(np.full(20, 5.0), ring)
         assert res.skipped == [] and res.n_dropped == 0
         np.testing.assert_array_equal(res.point, np.ones(20))
-        assert res.coefficients == [4.0] * 20
+        assert c == [4.0] * 20
 
     def test_parallel_older_stripe_dropped(self):
         s1 = Stripe(np.array([1.0, 0.0]), 0.0, 0.0)
@@ -430,10 +446,13 @@ class TestStripeRing:
             push(ring, s)
             stripes = ([s] + stripes)[:3]
             uz = [dot(ring.direction(i), z) for i in range(len(ring))]
-            a = sequential_stripe_projection(z.copy(), ring, uz)
-            b = project(z, ring_of(stripes))
+            with coefficients(ring) as c_a:
+                a = sequential_stripe_projection(z.copy(), ring, uz)
+            fresh = ring_of(stripes)
+            with coefficients(fresh) as c_b:
+                b = project(z, fresh)
             assert a.point.tobytes() == b.point.tobytes()
-            assert bits(a.coefficients) == bits(b.coefficients)
+            assert bits(c_a) == bits(c_b)
             assert a.skipped == b.skipped and a.n_dropped == b.n_dropped
 
     def test_containment_slack_matches_inner_products(self):

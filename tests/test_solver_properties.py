@@ -11,10 +11,12 @@ generated problems:
   and for the coupling and backtracking momentum weights.
 
 Containment is checked from first principles, not from the trace's own
-`containment_slack`: the iterates are rebuilt from the recorded z_k and
-lambda_k as x_k = (z_k + lambda_k x_{k-1}) / (1 + lambda_k), the stripes
-are rebuilt with `reference.stripe_at` at their recorded z, and the inner
-products are plain `np.dot`s.
+`containment_slack`: the points z_k are recorded by
+`reference.run_recording`, the iterates are rebuilt from them and the
+trace's lambda_k as x_k = (z_k + lambda_k x_{k-1}) / (1 + lambda_k), the
+stripes are rebuilt with `reference.stripe_at` at their z_k, and the
+inner products are plain `np.dot`s.  The errors are the trace's relative
+errors re, in units of ||x^dagger||.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import stripe_at
+from reference import run_recording, stripe_at
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import SolverConfig, run
 
@@ -48,12 +50,12 @@ def linear_config(op, n_directions):
                         n_directions=n_directions)
 
 
-def rebuilt_iterates(x0, trace):
+def rebuilt_iterates(x0, trace, points):
     """x_0, ..., x_K from the recorded z_k and lambda_k, K = len(trace) - 1."""
     xs = []
     prev = x0
-    for row in trace:
-        prev = (row.z + row.lam * prev) / (1.0 + row.lam)
+    for row, z in zip(trace, points):
+        prev = (z + row.lam * prev) / (1.0 + row.lam)
         xs.append(prev)
     return xs
 
@@ -62,13 +64,13 @@ def check_containment(problem, method, n_directions):
     op, truth, data = problem
     cfg = linear_config(op, n_directions)
     x0 = np.zeros(op.n)
-    res = run(method, op, data, x0, cfg, record_points=True)
-    xs = rebuilt_iterates(x0, res.trace)
+    res, points = run_recording(method, op, data, x0, cfg)
+    xs = rebuilt_iterates(x0, res.trace, points)
     # Row k's stripes were built at z_k and the n_directions - 1 points
     # before it; its result x_{k+1} is rebuilt from row k + 1.
     for k, x_next in enumerate(xs[1:]):
         for j in range(max(0, k - n_directions + 1), k + 1):
-            s = stripe_at(op, res.trace[j].z, data, cfg)
+            s = stripe_at(op, points[j], data, cfg)
             tol = 1e-9 * (np.linalg.norm(s.u) * np.linalg.norm(x_next)
                           + abs(s.alpha) + s.xi)
             assert abs(np.dot(s.u, x_next) - s.alpha) <= s.xi + tol, (method, k, j)
@@ -101,7 +103,9 @@ def test_error_decreases_monotonically(problem, method, n_directions):
     cfg = linear_config(op, n_directions)
     x0 = np.zeros(op.n)
     res = run(method, op, data, x0, cfg, truth=truth)
-    tol = 1e-12 * np.linalg.norm(truth)
-    errs = [np.linalg.norm(x0 - truth)] + [row.err for row in res.trace]
+    # ||x_{k+1} - x^dagger|| <= ||x_k - x^dagger|| + 1e-12 ||x^dagger||,
+    # divided by ||x^dagger|| as run divides re, floored at 1e-300.
+    truth_norm = max(np.linalg.norm(truth), 1e-300)
+    errs = [np.linalg.norm(x0 - truth) / truth_norm] + [row.re for row in res.trace]
     for k, (prev, cur) in enumerate(zip(errs, errs[1:])):
-        assert cur <= prev + tol, (method, k, prev, cur)
+        assert cur <= prev + 1e-12, (method, k, prev, cur)

@@ -5,7 +5,10 @@ the two must agree on k_star, stopped_by, the dropped direction count,
 and the exception type and iteration of a run that raises.  The final
 iterate and every trace column must agree within RTOL, relative to the
 size of the terms each value is formed from: ||y_delta|| for residual
-norms, the vectors' own norms for points and errors.
+norms, the vectors' own norms for points and errors.  The run's points
+z_k are recorded by `reference.run_recording` around the operator, its
+errors are re ||x_dagger||, and its first projection steps x~_k are z_k
+projected onto the upper boundary of `reference.stripe_at(z_k)`.
 
 The two implementations round differently (coefficient space on a
 StripeRing against vector-space projections, in-place work vectors
@@ -28,6 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import project_hyperplane, run_recording, stripe_at, upper
 from reference_solver import REFERENCE_METHODS, reference_run
 from tgss import solvers
 from tgss.invpot import InversePotentialOperator, make_mesh, true_coefficient
@@ -67,7 +71,8 @@ def inverse_potential_problems(draw):
 
 
 def run_or_raise(method, op, data, x0, cfg, truth):
-    """(solvers.run's result, None), or (None, (exception type, k)) if it raised."""
+    """(solvers.run's result and its points z_k, None), or (None, (exception
+    type, k)) if it raised."""
     entered = []
     select = solvers._select_lambda_z
 
@@ -77,8 +82,7 @@ def run_or_raise(method, op, data, x0, cfg, truth):
 
     with mock.patch.object(solvers, "_select_lambda_z", recording):
         try:
-            return solvers.run(method, op, data, x0, cfg, truth=truth,
-                               record_points=True), None
+            return run_recording(method, op, data, x0, cfg, truth), None
         except Exception as exc:
             return None, (type(exc), entered[-1])
 
@@ -97,10 +101,11 @@ def check_against_reference(method, problem):
     assume(ref.discrepancy_margin > MIN_TIE_MARGIN and ref.coupling_margin > MIN_TIE_MARGIN
            and ref.side_margin > MIN_TIE_MARGIN and ref.gram_cond <= MAX_COND
            and ref.dropped == 0)
-    res, error = run_or_raise(method, op, data, x0, cfg, truth)
+    recorded, error = run_or_raise(method, op, data, x0, cfg, truth)
     assert error == ref.error
     if error is not None:
         return
+    res, points = recorded
     assert (res.k_star, res.stopped_by) == (ref.k_star, ref.stopped_by)
     assert res.dropped_directions == ref.dropped
     assert vectors_close(res.x_final, ref.x_final)
@@ -108,7 +113,8 @@ def check_against_reference(method, problem):
     y_norm = np.linalg.norm(data.y_delta)
     coupling_scale = solvers.psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
     assert len(res.trace) == len(ref.trace)
-    for row, want in zip(res.trace, ref.trace):
+    truth_norm = np.linalg.norm(truth)
+    for row, z, want in zip(res.trace, points, ref.trace):
         k = row.k
         assert (k, row.n_dirs_used) == (want["k"], want["n_dirs_used"])
         assert close(row.residual_norm, want["residual_norm"], y_norm), k
@@ -118,16 +124,17 @@ def check_against_reference(method, problem):
         r_term = coupling_scale * want["residual_norm"] ** 2
         assert close(row.coupling_slack, want["coupling_slack"],
                      abs(want["coupling_slack"]) + 2.0 * r_term), k
-        assert vectors_close(row.z, want["z"]), k
-        err_scale = np.linalg.norm(want["z"]) + np.linalg.norm(truth) + want["err"]
-        assert close(row.err, want["err"], err_scale), k
-        assert close(row.re, want["re"], err_scale / np.linalg.norm(truth)), k
+        assert vectors_close(z, want["z"]), k
+        err_scale = np.linalg.norm(want["z"]) + truth_norm + want["err"]
+        assert close(row.re * truth_norm, want["err"], err_scale), k
+        assert close(row.re, want["re"], err_scale / truth_norm), k
         if want["containment_slack"] is None:
-            assert row.containment_slack is None and row.x_tilde is None
+            assert row.containment_slack is None
         else:
             assert close(row.containment_slack, want["containment_slack"],
                          want["containment_scale"]), k
-            assert vectors_close(row.x_tilde, want["x_tilde"]), k
+            x_tilde = project_hyperplane(z, upper(stripe_at(op, z, data, cfg)))
+            assert vectors_close(x_tilde, want["x_tilde"]), k
 
 
 def test_reference_knows_every_method():
