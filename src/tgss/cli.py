@@ -41,9 +41,10 @@ BENCH_KEYS = _config_keys(bench.BenchSpec)
 def parse_config_file(path: str) -> dict:
     """Flat ``section.key = value`` lines; '#' starts a comment.
 
-    Returns dotted key -> value string.  Each key and value is checked
-    here, so every error is a ValueError that names the file: one that
-    cannot be read as UTF-8 text by its path, a bad line by path:line.
+    Returns dotted key -> (line number, value string); a key set twice
+    keeps its last line.  Each key and value is checked here, so every
+    error is a ValueError that names the file: one that cannot be read as
+    UTF-8 text by its path, a bad line by path:line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -63,7 +64,7 @@ def parse_config_file(path: str) -> dict:
             _typed(key, value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        out[key] = value
+        out[key] = (lineno, value)
     return out
 
 
@@ -82,23 +83,44 @@ def _typed(dotted: str, value: str) -> tuple[str, str, object]:
 
 
 def build_specs(args) -> bench.BenchSpec:
-    file_cfg = parse_config_file(args.config_file) if args.config_file else {}
-    solver_overrides = {}
-    bench_overrides = {}
-    for dotted, value in file_cfg.items():
-        section, key, typed = _typed(dotted, value)
-        (solver_overrides if section == "solver" else bench_overrides)[key] = typed
+    """The spec of the config file's entries, each overridden by its flag.
 
-    for key in SOLVER_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            solver_overrides[key] = value
-    for f in dataclasses.fields(bench.BenchSpec):
-        # config has no flag; --config stores config_file.
-        value = getattr(args, f.name, None)
-        if value is not None:
-            bench_overrides[f.name] = value
-    return bench.BenchSpec(config=solver_overrides, **bench_overrides)
+    A rejection names, by path:line, each file entry without which the
+    spec passes or is rejected with another message.
+    """
+    path = args.config_file
+    entries = parse_config_file(path) if path else {}
+    try:
+        return _spec(entries, args)
+    except ValueError as exc:
+        involved = [f"{path}:{line}: {key} = {value}" for key, (line, value) in entries.items()
+                    if _rejection(entries, key, args) != str(exc)]
+        if not involved:
+            raise
+        raise type(exc)(f"{', '.join(involved)}: {exc}") from exc
+
+
+def _rejection(entries: dict, skip: str, args) -> str | None:
+    """The message rejecting the spec without the file entry `skip`, if any."""
+    try:
+        _spec({key: entry for key, entry in entries.items() if key != skip}, args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _spec(entries: dict, args) -> bench.BenchSpec:
+    values = {"solver": {}, "bench": {}}
+    for dotted, (_, value) in entries.items():
+        section, key, typed = _typed(dotted, value)
+        values[section][key] = typed
+    # config has no flag; --config stores config_file.
+    for section, names in (("solver", SOLVER_KEYS),
+                           ("bench", [f.name for f in dataclasses.fields(bench.BenchSpec)])):
+        for name in names:
+            if getattr(args, name, None) is not None:
+                values[section][name] = getattr(args, name)
+    return bench.BenchSpec(config=values["solver"], **values["bench"])
 
 
 def add_common_flags(p: argparse.ArgumentParser):

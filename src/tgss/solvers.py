@@ -16,25 +16,23 @@ The projection methods confine x_{k+1} to the intersection of stripes
 built from the current and recent residuals.
 
 A run allocates its vectors of the problem's size once, before the first
-iteration, and the iteration writes into them: the operator applies get
-them as `out`, and the stripe projection builds x_{k+1} in the array of
-z_k.  All of them, and the data and truth vectors the iteration reads,
-start on a 64-byte boundary (numkernel.ALIGN), where numpy's vector
-loops run at full width.  A method with zero momentum (land, sesop,
-tpg-zero, tgss-zero) always steps from z_k = x_k, so its run keeps no
-momentum difference dx: no dx array, and neither dx nor its norm is
-computed; its stripe step takes the older stripes' <u_i, z_k> =
-<u_i, x_k> from the previous projection's u_point, with no inner
-product.  The projection methods
-keep their stripes in a `geometry.StripeRing`, their only stripe
-record: `build_stripe` builds each new direction in the ring's storage
-and pushes the stripe, and the ring holds the stripes' offsets,
-half-widths and Gram rows, as lists of Python floats, across
-iterations, so a step computes only the new direction's Gram row.
-The projection's work on these m-sized quantities runs in scalar
-arithmetic; numpy only touches vectors of the problem's size.  The one
-vector handed to the caller, the final iterate, is a copy, never one of
-these work vectors; the trace holds scalars only.
+iteration, and the iteration writes into them, as IterationState
+describes: the operator applies get them as `out`, and x_{k+1} is built
+in the array of z_k.  All of them, and the data and truth vectors the
+iteration reads, start on a 64-byte boundary (numkernel.ALIGN), where
+numpy's vector loops run at full width.  A method with zero momentum
+(land, sesop, tpg-zero, tgss-zero) always steps from z_k = x_k and keeps
+no momentum difference dx; its stripe step takes the older stripes'
+<u_i, z_k> = <u_i, x_k> from the previous projection's u_point, with no
+inner product.  The projection methods keep their stripes in a
+`geometry.StripeRing`, their only stripe record: `build_stripe` builds
+each new direction in the ring's storage and pushes the stripe, and the
+ring holds the stripes' offsets, half-widths and Gram rows, as lists of
+Python floats, across iterations, so a step computes only the new
+direction's Gram row.  The projection's work on these m-sized quantities
+runs in scalar arithmetic; numpy only touches vectors of the problem's
+size.  The one vector handed to the caller, the final iterate, is a
+copy, never one of these work vectors; the trace holds scalars only.
 
 Every path reads one noise level, data.delta_eff = ||y_delta - y||.
 
@@ -42,7 +40,8 @@ The benchmark (perfbench/tracing.py, perfbench/hostprobe.py) patches
 names in this module's namespace, by name: `build_stripe`, `dbts_select`
 (a forward apply made inside it counts as a backtracking trial),
 `sequential_stripe_projection`, `norm`, `dot`, and `discrepancy_met`,
-which `run` calls once per iteration to time the host.  The code here
+which times the host: `run` calls it once per iteration, and
+`dbts_select` once more per backtracking trial.  The code here
 must keep calling them through these module globals: a renamed or
 locally bound one escapes the tracer without any error.  The same holds
 for the kernels it wraps in other modules: `invpot.weighted_mass`,
@@ -242,25 +241,24 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
 
 @dataclass
 class IterationState:
-    """Iterates x_{k-1} and x_k with their momentum difference dx = x_k - x_{k-1}.
+    """The iterate x = x_k and the work arrays a run steps with.
 
-    z_cur and r are the work vectors the extrapolated point and its
-    residual are built in; when lambda_k = 0 the point is x_k itself and
-    z_cur is not written.  dx is rewritten in place by advance.  x_prev is
-    read for dx alone, so between two advances its array is free.  A
-    state built with keep_dx=False, for a method whose lambda_k is always
-    0, has no dx array and keeps dx_norm at 0.  r and dx are ALIGN-aligned.
+    z holds the extrapolated point z_k = x_k + lambda_k dx and r its
+    residual; dx = x_k - x_{k-1}, the momentum difference, has the norm
+    dx_norm.  A state built with keep_dx=False, for a method whose lambda_k
+    is always 0, has no dx and keeps dx_norm at 0: its z_k is x itself.  A
+    momentum method always builds z_k in z, a copy of x when lambda_k = 0.
 
-    x_{k+1} is built in one of the state's arrays, and advance rotates
-    them: a gradient step builds it in x_prev's array; a stripe step builds
-    it in z_cur's, which becomes x_cur while the freed x_prev array becomes
-    the next z_cur; and a stripe step of a state without dx builds it in
-    x_cur's own array, so nothing rotates and x_prev goes stale unread.
+    One rule places x_{k+1}: it is built in z_k's array, and no array holds
+    x_{k-1}.  advance forms dx = x_{k+1} - x_k and swaps x and z; without
+    momentum x_{k+1} is built in x itself and advance has nothing to do.
+    The gradient step F'(z_k)* r goes into the array z_k leaves free: dx,
+    read only to form z_k, for a momentum method, and z otherwise.  r and
+    dx are ALIGN-aligned.
     """
 
-    x_prev: Vec
-    x_cur: Vec
-    z_cur: Vec
+    x: Vec
+    z: Vec
     k: int = 0
     i_dbts: int = 0
     keep_dx: bool = True
@@ -269,35 +267,33 @@ class IterationState:
     dx_norm: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.r = empty(self.x_cur.shape)
+        self.r = empty(self.x.shape)
         if self.keep_dx:
-            self.dx = empty(self.x_cur.shape)
-            self._difference()
+            self.dx = empty(self.x.shape)
+            self.dx.fill(0.0)
 
     def advance(self, x_next: Vec) -> None:
-        """Step to x_next; dx and its norm are computed here, once per iteration."""
-        if x_next is self.z_cur:
-            self.z_cur = self.x_prev
-        if x_next is not self.x_cur:
-            self.x_prev, self.x_cur = self.x_cur, x_next
+        """Step to x_next, built in z_k's array; dx and its norm are computed here."""
         if self.keep_dx:
-            self._difference()
-
-    def _difference(self) -> None:
-        np.subtract(self.x_cur, self.x_prev, out=self.dx)
-        self.dx_norm = norm(self.dx)
+            np.subtract(x_next, self.x, out=self.dx)
+            self.dx_norm = norm(self.dx)
+            self.x, self.z = x_next, self.x
 
 
 def _trial(state: IterationState, lam: float, op: ForwardOperator, data: NoisyData):
     """The point z = x_k + lam dx, its residual F(z) - y_delta and the residual's norm.
 
-    z is x_k itself when lam = 0 and is built in state.z_cur otherwise; the
+    z is built in state.z, or is x_k itself for a state without dx; the
     residual is built in the array the operator returns for state.r.
     """
-    z = state.x_cur
-    if lam != 0.0:
-        z = np.multiply(state.dx, lam, out=state.z_cur)
-        z = np.add(state.x_cur, z, out=z)
+    z = state.x
+    if state.keep_dx:
+        z = state.z
+        if lam == 0.0:
+            np.copyto(z, state.x)
+        else:
+            np.multiply(state.dx, lam, out=z)
+            np.add(state.x, z, out=z)
     r = op.apply(z, out=state.r)
     r = np.subtract(r, data.y_delta, out=r)
     return z, r, norm(r)
@@ -404,25 +400,15 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     stripe projection's preconditions, which it does not check again:
     run is its one caller.
 
-    The work vectors are allocated here, each on an ALIGN boundary: z, r
-    and dx in the state, two x arrays, and for the projection methods a
-    StripeRing of n_directions stripes.  The arrays rotate as
-    IterationState describes: a gradient step builds x_{k+1} in the array
-    of x_{k-1}, and the stripe projection builds it in z_k's own array,
-    with no copy.  Only a momentum method whose z_k is x_k itself (lambda_k
-    = 0) first copies x_k into z_cur, since dx still reads x_k.  The error
-    x_{k+1} - truth is formed in r, which the step has finished with.  A
-    zero-momentum method keeps no dx; its trace's coupling slack is the
-    lambda = 0 value, -psi^2/(mu c_F^2) ||r||^2.  data.y_delta and truth
-    are read from aligned copies where they are not aligned already.
-    build_stripe builds each new direction in the ring's oldest row, whose
-    stripe leaves the ring as build_stripe pushes the new one, and returns
-    <u_0, z>; the ring's Gram matrix carries over from one iteration to
-    the next.  The older stripes' <u_i, z> are np.dot's for a momentum
-    method and, for a zero-momentum one, whose z_k is the previous
-    projection's point, that projection's u_point, carried with no pass
-    over vectors.  The trace's containment slack comes from the
-    projection's u_point, not from further inner products.
+    The work vectors are allocated here, each on an ALIGN boundary: the
+    IterationState's, where x_{k+1} is built as its docstring describes,
+    and for the projection methods a StripeRing of n_directions stripes,
+    whose oldest row build_stripe overwrites with the new direction.  The
+    error x_{k+1} - truth is formed in r, which the step has finished
+    with.  A zero-momentum method's trace has the lambda = 0 coupling
+    slack, -psi^2/(mu c_F^2) ||r||^2, and a stripe step's containment slack
+    comes from the projection's u_point.  data.y_delta and truth are read
+    from aligned copies where they are not aligned already.
     """
     if method not in METHOD_TABLE:
         raise ConfigError(
@@ -437,13 +423,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 f"{name} has shape {np.shape(value)}; the operator needs ({size},)")
     delta = data.delta_eff
     data = replace(data, y_delta=aligned(data.y_delta))
-    x_prev, x_cur = empty(x0.shape), empty(x0.shape)
-    np.copyto(x_prev, x0)
-    np.copyto(x_cur, x0)
-    state = IterationState(
-        x_prev=x_prev, x_cur=x_cur, z_cur=empty(x0.shape),
-        i_dbts=cfg.i0, keep_dx=momentum != "zero",
-    )
+    state = IterationState(x=empty(x0.shape), z=empty(x0.shape), i_dbts=cfg.i0,
+                           keep_dx=momentum != "zero")
+    np.copyto(state.x, x0)
     ring = StripeRing(cfg.n_directions, x0.shape) if stripes else None
     coupling_scale = psi(cfg) ** 2 / (cfg.mu * cfg.c_F ** 2)
     trace: list[TraceRow] = []
@@ -472,7 +454,7 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             break
         if k == cfg.max_iters:
             stopped_by = "max_iters"
-            x_final, k_star = state.x_cur.copy(), k
+            x_final, k_star = state.x.copy(), k
             break
 
         row = TraceRow(k=k, residual_norm=rn, lam=lam, n_dirs_used=1)
@@ -481,9 +463,8 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
         )
 
         if not stripes:
-            # x_{k-1} was read for dx alone, so x_{k+1} is built in its array.
-            step = op.adjoint_apply(z, r, out=state.x_prev)
-            x_next = np.subtract(z, step, out=state.x_prev)
+            step = op.adjoint_apply(z, r, out=state.dx if state.keep_dx else state.z)
+            x_next = np.subtract(z, step, out=z)
         else:
             try:
                 uz0 = build_stripe(op, z, data, cfg, r, rn, ring)
@@ -509,10 +490,6 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
                 # projection's, one place further back in the ring.
                 uz = [uz0, *u_point[:len(ring) - 1]]
             else:
-                if z is state.x_cur:
-                    # dx still reads x_k: the point is built in a copy.
-                    np.copyto(state.z_cur, z)
-                    z = state.z_cur
                 uz = [uz0]
                 for i in range(1, len(ring)):
                     uz.append(float(np.dot(ring.direction(i), z)))

@@ -21,9 +21,9 @@ class TestConfigFile:
         )
         cfg = parse_config_file(str(path))
         assert cfg == {
-            "solver.tau": "3.0",
-            "bench.problem": "linear-diag",
-            "solver.max_iters": "123",
+            "solver.tau": (2, "3.0"),
+            "bench.problem": (3, "linear-diag"),
+            "solver.max_iters": (5, "123"),
         }
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -235,6 +235,37 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tau=1.0 must exceed" in captured.err
+
+    @pytest.mark.parametrize("lines, flags, places, message", [
+        (["solver.tau = 1.0"], [], ["1: solver.tau = 1.0"], "tau=1.0 must exceed"),
+        # The default tau=2.8 fails only because of the file's eta.
+        (["solver.eta = 0.5"], [], ["1: solver.eta = 0.5"],
+         "tau=2.8 must exceed (1+eta)/(1-eta)=3"),
+        # Both entries shape the message; the comment line is not counted.
+        (["# strict", "solver.eta = 0.9", "solver.tau = 5"], [],
+         ["2: solver.eta = 0.9", "3: solver.tau = 5"], "tau=5.0 must exceed"),
+        # The first rejection is the mesh size's; tau's comes after it.
+        (["solver.tau = 1.0", "bench.mesh_n = 0"], [], ["2: bench.mesh_n = 0"],
+         "linear-diag needs mesh_n >= 1, got 0"),
+        # The flag overrides the file, so the file is not the cause.
+        (["solver.tau = 1.0"], ["--tau", "1.0"], [], "tau=1.0 must exceed"),
+        ([], ["--tau", "1.0"], [], "tau=1.0 must exceed"),
+    ])
+    def test_rejected_config_value_names_its_file_entries(
+            self, lines, flags, places, message, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        config = ["--config", str(path)] if lines else []
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "linear-diag", "--method", "land", *config, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if places:
+            prefix = ", ".join(f"{path}:{place}" for place in places)
+            assert f"{prefix}: {message}" in err
+        else:
+            assert str(path) not in err
 
     @pytest.mark.parametrize("kind, reason", [
         ("missing", "No such file or directory"),

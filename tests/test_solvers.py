@@ -17,7 +17,7 @@ from tgss.invpot import (
     make_mesh,
     true_coefficient,
 )
-from tgss.numkernel import ALIGN, DimensionError, dot, norm
+from tgss.numkernel import ALIGN, DimensionError, aligned, dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHOD_TABLE,
@@ -212,10 +212,12 @@ class TestBuildStripe:
 
 class TestDbtsSelect:
     def _state(self, x_prev, x_cur, k, i0=2):
-        x_prev = np.asarray(x_prev, dtype=float)
-        x_cur = np.asarray(x_cur, dtype=float)
-        return IterationState(x_prev=x_prev, x_cur=x_cur, z_cur=x_cur.copy(),
-                              k=k, i_dbts=i0)
+        # A momentum state at x_prev that has stepped to x_cur, so that its
+        # dx is x_cur - x_prev.
+        state = IterationState(x=np.array(x_prev, dtype=float),
+                               z=np.array(x_cur, dtype=float), k=k, i_dbts=i0)
+        state.advance(state.z)
+        return state
 
     def test_candidate_weight_value(self):
         # q(i) = 4 / i^1.1 at i = 3 with unit displacement exceeds the
@@ -241,21 +243,31 @@ class TestDbtsSelect:
         assert lam == pytest.approx(4.0 / 7.0)
         np.testing.assert_allclose(z, [1.0, 1.0])
 
-    def test_state_without_momentum_difference_swaps_only(self):
-        x_prev, x_cur = np.array([0.0, 1.0]), np.array([3.0, 5.0])
-        state = IterationState(x_prev=x_prev, x_cur=x_cur, z_cur=x_cur.copy(),
-                               keep_dx=False)
-        x_next = np.array([4.0, 4.0])
-        state.advance(x_next)
+    def test_state_without_momentum_difference_steps_in_place(self):
+        # Without momentum x_{k+1} is built in x itself, so advance leaves
+        # both arrays where they are.
+        x, z = np.array([3.0, 5.0]), np.array([0.0, 1.0])
+        state = IterationState(x=x, z=z, keep_dx=False)
+        x[:] = [4.0, 4.0]
+        state.advance(state.x)
         assert state.dx is None and state.dx_norm == 0.0
-        assert state.x_prev is x_cur and state.x_cur is x_next
+        assert state.x is x and state.z is z
+        np.testing.assert_array_equal(state.x, [4.0, 4.0])
 
     def test_state_keeps_momentum_difference(self):
-        state = self._state([0.0, 1.0], [3.0, 5.0], k=1)
+        x, z = np.array([0.0, 1.0]), np.empty(2)
+        state = IterationState(x=x, z=z, k=1)
+        np.testing.assert_array_equal(state.dx, [0.0, 0.0])
+        assert state.dx_norm == 0.0
+        z[:] = [3.0, 5.0]
+        state.advance(z)
         np.testing.assert_array_equal(state.dx, [3.0, 4.0])
         assert state.dx_norm == 5.0
-        state.advance(np.array([3.0, 5.0]))
-        np.testing.assert_array_equal(state.x_prev, [3.0, 5.0])
+        assert state.x is z and state.z is x
+        z = state.z
+        z[:] = [3.0, 5.0]
+        state.advance(z)
+        np.testing.assert_array_equal(state.x, [3.0, 5.0])
         np.testing.assert_array_equal(state.dx, [0.0, 0.0])
         assert state.dx_norm == 0.0
 
@@ -755,6 +767,28 @@ class TestWorkVectors:
         rises = op.rises[9:]      # the stretches that start at the 10th call or later
         assert len(rises) >= 20
         assert max(rises) <= 0.5 * 8 * n
+
+    @pytest.mark.parametrize("method", list(METHOD_TABLE))
+    def test_run_holds_its_count_of_vectors(self, method):
+        # x, z and r, dx with momentum, the ring's rows for the stripe
+        # methods and the copy handed back as x_final, with half a vector
+        # to spare: a run keeps no x_{k-1} array.
+        n = 100_000
+        stripes, momentum = METHOD_TABLE[method]
+        rng = np.random.Generator(np.random.PCG64(51))
+        op = DiagonalOperator(rng.uniform(0.1, 1.0, n))
+        truth = aligned(rng.standard_normal(n))
+        data = add_noise(op.apply(truth), 1e-2 / math.sqrt(n), 6)
+        x0 = np.zeros(n)
+        cfg = SolverConfig(max_iters=25, n_directions=3)
+        tracemalloc.start()
+        try:
+            run(method, op, data, x0, cfg, truth=truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vectors = 3 + (momentum != "zero") + cfg.n_directions * stripes + 1
+        assert peak <= (vectors + 0.5) * 8 * n
 
     def test_final_iterate_survives_later_runs(self):
         op = DiagonalOperator(np.array([0.5, 0.8, 1.0]))
