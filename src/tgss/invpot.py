@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import Vec, check_direct_size, factorize_band_spd
+from .numkernel import DimensionError, Vec, check_direct_size, factorize_band_spd
 from .operator import ForwardOperator, InvalidOperatorError
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
@@ -307,7 +307,8 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built.  The source f is a finite scalar or an
+    before anything is built, and a coefficient of any shape other than
+    (n,) raises DimensionError.  The source f is a finite scalar or an
     array of finite values, one per node; any other f raises
     InvalidOperatorError.  The cone constant eta and the derivative
     bound c_F of a run on this operator are fields of its SolverConfig.
@@ -346,6 +347,8 @@ class InversePotentialOperator(ForwardOperator):
         key = c.tobytes()
         if key == self._cache_key:
             return self._cache
+        if c.shape != (self.n,):
+            raise DimensionError(f"expected coefficient of shape {(self.n,)}, got {c.shape}")
         check_admissible(c)
         # The band storage holds the cached factor; it is overwritten below.
         self._cache_key = self._cache = None

@@ -7,28 +7,38 @@ new row, and solve_spd_dense solves with the grown factor, one forward
 and one back substitution; neither has a size limit.  PIVOT_FLOOR is
 the projection's test for a dependent direction.  There is one sparse
 SPD path, factorize_band_spd: the caller writes the matrix into LAPACK
-lower band storage in its own node order, dpbtrf factorizes it in place
-and dpbtrs solves with the factor.  That costs O(n u^2) time and
-n (u + 1) floats for half-bandwidth u, and the factorization proves the
-matrix positive definite as it goes.  The lexicographic node numbering of an N x N
-tensor mesh gives u = N + 2.
+lower band storage in its own node order, it is factorized in place and
+dpbtrs solves with the factor.  That costs O(n u^2) time and n (u + 1)
+floats for half-bandwidth u, and the factorization proves the matrix
+positive definite as it goes.  The lexicographic node numbering of an
+N x N tensor mesh gives u = N + 2.
 
-Lower storage is the faster of the two conventions for one
-factorization and two solves per matrix, the set-up of an iteration.
-On the same A(c) (2-D, one OpenBLAS thread, two-core Xeon, best of two
-timeit runs):
+For u <= KERNEL_MAX_KD = 64 the factorization is the C kernel of
+_bandchol.c, which the first import on a host compiles with `cc` and
+caches (_load_kernel); past 64, and on a host where it did not build,
+it is LAPACK dpbtrf.  The bound is LAPACK's own: ILAENV gives dpbtrf a
+block size of 1 for u <= 64, so there dpbtrf runs the unblocked dpbtf2,
+one dscal and one dsyr call per column, and the calls' overhead rather
+than their flops sets its time.  The kernel computes dpbtf2's factor in
+one call, with the same operations on every entry in the same order:
+with OpenBLAS's fused axpy and gcc's contraction under -march=native
+the factor is dpbtrf's to the bit.  Past u = 64 dpbtrf runs blocked,
+which orders the updates differently and is the faster from about
+u = 100 on; keeping the bound at 64 keeps dpbtrf's factor on every band.
+In-place factorization of A(c) at the true coefficient (2-D, one
+OpenBLAS thread, two-core Xeon with AVX-512, gcc 12, OpenBLAS 0.3.30,
+best of 30-200 runs in each of three processes):
 
-    N    storage  dpbtrf    dpbtrs   factor + 2 solves
-    48   lower     1.22 ms   140 us    1.50 ms
-    48   upper     2.27 ms    93 us    2.46 ms
-    128  lower    26.9 ms   1.52 ms   29.9 ms
-    128  upper    44.4 ms   1.82 ms   48.0 ms
+    N    u     kernel     dpbtrf
+    48   50    0.48 ms    0.92 ms
+    62   64    1.12 ms    2.02 ms
+    64   66    1.27 ms    1.67 ms
+    96   98    5.53 ms    5.38 ms
+    128  130   21.3 ms    14.9 ms
 
-The upper-storage solve is faster at N = 48, but not by enough to pay
-for its factorization.  There is no iterative fallback: callers
-run check_direct_size first, which rejects systems of more than
-DIRECT_LIMIT unknowns, the nodes of a 256 x 256 mesh, before anything
-is allocated.
+There is no iterative fallback: callers run check_direct_size first,
+which rejects systems of more than DIRECT_LIMIT unknowns, the nodes of
+a 256 x 256 mesh, before anything is allocated.
 
 Every vector a run works on starts on an ALIGN = 64 byte boundary, one
 cache line: the solver's work vectors and a StripeRing's rows come from
@@ -52,8 +62,15 @@ the same order, so every bit of a trajectory stays as it was.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
+import subprocess
 from collections.abc import Callable
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,6 +93,17 @@ DIRECT_LIMIT = (256 + 1) ** 2
 
 # Byte boundary the data of every vector a run works on starts on.
 ALIGN = 64
+
+# Largest half-bandwidth factorize_band_spd gives the compiled kernel: up
+# to it LAPACK's dpbtrf runs the unblocked dpbtf2, whose factor the kernel
+# computes, and past it blocked code.
+KERNEL_MAX_KD = 64
+
+# The compiled band Cholesky, its build flags and its cache directory.
+KERNEL_SOURCE = Path(__file__).with_name("_bandchol.c")
+KERNEL_FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+_C_INT_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_int) - 1) - 1
 
 
 class DimensionError(ValueError):
@@ -168,18 +196,81 @@ def check_direct_size(n: int) -> None:
         )
 
 
+def _host_cpu() -> bytes:
+    """The host CPU that -march=native compiles for, as bytes.
+
+    The machine type and, on Linux, the first processor's entry in
+    /proc/cpuinfo less its clock reading.
+    """
+    try:
+        with open("/proc/cpuinfo", "rb") as f:
+            entry = f.read().split(b"\n\n")[0]
+    except OSError:
+        entry = platform.processor().encode()
+    lines = [line for line in entry.splitlines() if not line.startswith(b"cpu MHz")]
+    return b"\n".join([platform.machine().encode(), *lines])
+
+
+def _load_kernel():
+    """The compiled band Cholesky of KERNEL_SOURCE, or None without it.
+
+    The library is built with the system C compiler `cc` the first time
+    the package is imported on a host and cached in KERNEL_CACHE under a
+    name that hashes the source, the flags, the compiler and the host CPU,
+    so a library built by another compiler or for another CPU is never
+    loaded.  It is written under a temporary name and moved into place,
+    so a concurrent import sees either no library or a whole one.  None
+    when there is no `cc`, the build fails or the cache is not writable;
+    factorize_band_spd then runs dpbtrf on every band.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True, check=True).stdout
+        key = hashlib.sha256(b"\0".join([
+            KERNEL_SOURCE.read_bytes(), " ".join(KERNEL_FLAGS).encode(),
+            os.path.realpath(cc).encode(), version, _host_cpu()])).hexdigest()[:16]
+        library = KERNEL_CACHE / f"_bandchol.{key}.so"
+        if not library.exists():
+            KERNEL_CACHE.mkdir(exist_ok=True)
+            partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run([cc, *KERNEL_FLAGS, "-o", str(partial), str(KERNEL_SOURCE)],
+                               capture_output=True, check=True)
+                os.replace(partial, library)
+            finally:
+                partial.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(library)).tgss_band_cholesky
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+_band_cholesky = _load_kernel()
+
+
 def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
     """Factorize an SPD matrix in lower band storage in place; return its solve.
 
     ab has shape (u + 1, n) with ab[i - j, j] = A[i, j] for j <= i <= j + u,
-    in Fortran order so that LAPACK dpbtrf overwrites it with the
-    Cholesky factor without a copy; solves run dpbtrs on it.  A
-    symmetric matrix is positive definite exactly when the factorization
-    runs to the end; a non-positive leading minor raises SparseSolveError.
-    The solve raises DimensionError for a rhs of the wrong length.
+    a writeable float64 array in Fortran order, which is overwritten with
+    the Cholesky factor; any other array is copied to one first, and the
+    copy holds the factor.  For u <= KERNEL_MAX_KD the compiled kernel
+    factorizes it where it loaded, otherwise LAPACK dpbtrf; solves run
+    dpbtrs on the factor.  A symmetric matrix is positive definite exactly
+    when the factorization runs to the end; a non-positive leading minor
+    raises SparseSolveError.  The solve raises DimensionError for a rhs of
+    the wrong length.
     """
-    n = ab.shape[1]
-    factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    factor = np.require(ab, dtype=float, requirements="FAW")
+    kd, n = factor.shape[0] - 1, factor.shape[1]
+    if _band_cholesky is not None and 0 <= kd <= KERNEL_MAX_KD and n <= _C_INT_MAX:
+        info = _band_cholesky(factor.ctypes.data, n, kd)
+    else:
+        factor, info = lapack.dpbtrf(factor, lower=1, overwrite_ab=1)
     if info > 0:
         raise SparseSolveError(
             f"band Cholesky factorization failed (leading minor of order {info} "

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import Vec, aligned, empty, gaussian_vector, norm
+from .numkernel import DimensionError, Vec, aligned, empty, gaussian_vector, norm
 
 
 class InvalidOperatorError(ValueError):
@@ -95,7 +95,8 @@ class DiagonalOperator(ForwardOperator):
     tests lean on this.  c_F = max|d| is its norm, a value for a
     SolverConfig's c_F.  d is kept ALIGN-aligned, as a copy where the
     given array is not.  d must be a non-empty 1-D array of finite,
-    nonzero entries.
+    nonzero entries; an operand of any other shape than d's raises
+    DimensionError.
     """
 
     def __init__(self, d: Vec):
@@ -112,11 +113,25 @@ class DiagonalOperator(ForwardOperator):
         self.d = d
         self.n = self.m = d.shape[0]
 
+    # Each product checks its operand's shape inline, on the solvers' hot
+    # path: d would broadcast a length-1 operand without an error.
+    def _shape_error(self, v: np.ndarray) -> DimensionError:
+        return DimensionError(f"expected shape {self.d.shape}, got {v.shape}")
+
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:
-        return np.multiply(self.d, np.asarray(c, dtype=float), out=out)
+        c = np.asarray(c, dtype=float)
+        if c.shape != self.d.shape:
+            raise self._shape_error(c)
+        return np.multiply(self.d, c, out=out)
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
-        return self.d * np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if q.shape != self.d.shape:
+            raise self._shape_error(q)
+        return self.d * q
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
-        return np.multiply(self.d, np.asarray(w, dtype=float), out=out)
+        w = np.asarray(w, dtype=float)
+        if w.shape != self.d.shape:
+            raise self._shape_error(w)
+        return np.multiply(self.d, w, out=out)

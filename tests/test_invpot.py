@@ -29,6 +29,7 @@ from tgss.invpot import (
 )
 from tgss.numkernel import (
     DIRECT_LIMIT,
+    DimensionError,
     SparseSolveError,
     dot,
     factorize_band_spd,
@@ -278,6 +279,18 @@ class TestOperatorContract:
         w = P1Pattern(mesh).load(np.full(mesh.n_nodes, eps))
         aw = op.adjoint_apply(np.ones(mesh.n_nodes), w)
         np.testing.assert_allclose(aw, -eps * mesh.h, atol=1e-8)
+
+    @pytest.mark.parametrize("dim, N", [(1, 8), (2, 4)])
+    def test_wrong_length_coefficient_rejected(self, dim, N):
+        op = InversePotentialOperator(make_mesh(dim, N))
+        n = op.n
+        for c in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1))):
+            message = rf"expected coefficient of shape \({n},\), got \({c.shape[0]},"
+            with pytest.raises(DimensionError, match=message):
+                op.apply(c)
+            with pytest.raises(DimensionError, match=message):
+                op.adjoint_apply(c, np.ones(n))
+        np.testing.assert_allclose(op.apply(np.ones(n)), 1.0, atol=1e-8)
 
     def test_zero_inputs(self):
         mesh = make_mesh(1, 16)

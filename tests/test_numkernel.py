@@ -1,15 +1,22 @@
 """Unit tests for the numerical kernel."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from reference import DENSE_CAP, SingularSystemError
 from reference import solve_spd_dense as reference_solve
+from tgss import invpot, numkernel
 from tgss.numkernel import (
+    KERNEL_MAX_KD,
     ALIGN,
     DIRECT_LIMIT,
     DimensionError,
@@ -364,6 +371,213 @@ class TestFactorizeBandSpd:
         f = np.linspace(-1.0, 2.0, n)
         expected = np.linalg.solve(A, f)
         assert norm(solve(f) - expected) <= 1e-12 * norm(expected)
+
+
+def random_band(n, kd, seed):
+    """Lower band storage of a random diagonally dominant SPD band matrix.
+
+    Each row holds at most 2 kd off-diagonal entries in (-1, 1) and a
+    diagonal above 2 kd + 1.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ab = np.asfortranarray(rng.uniform(-1.0, 1.0, (kd + 1, n)))
+    ab[0] = 2.0 * kd + 1.0 + rng.uniform(0.0, 1.0, n)
+    for d in range(1, kd + 1):
+        ab[d, max(n - d, 0):] = 0.0   # past the last row
+    return ab
+
+
+def dpbtrf(ab):
+    """LAPACK's factor and info for a copy of ab."""
+    factor, info = lapack.dpbtrf(ab.copy(order="F"), lower=1)
+    return factor, info
+
+
+def band_cases():
+    for kd in (0, 1, 2, 18, 50, 63, 64):
+        for n in sorted({n for n in (1, 2, kd, kd + 1, kd + 2, 2 * kd + 1) if n >= 1}):
+            yield kd, n
+
+
+def factor_error(ab):
+    """The order named by factorize_band_spd's SparseSolveError, else 0."""
+    try:
+        factorize_band_spd(ab)
+    except SparseSolveError as exc:
+        return int(str(exc).split("order ")[1].split(" ")[0])
+    return 0
+
+
+def indefinite_cases():
+    for kd, n in band_cases():
+        for p in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+            yield kd, n, p
+
+
+class TestBandCholesky:
+    """factorize_band_spd's factor against LAPACK dpbtrf, on both of its paths."""
+
+    @pytest.fixture(params=["kernel", "dpbtrf"])
+    def path(self, request, monkeypatch):
+        if request.param == "dpbtrf":
+            monkeypatch.setattr(numkernel, "_band_cholesky", None)
+        return request.param
+
+    @pytest.mark.parametrize("kd, n", list(band_cases()))
+    def test_factor_matches_dpbtrf(self, path, kd, n):
+        band = random_band(n, kd, seed=100 * kd + n)
+        expected, info = dpbtrf(band)
+        assert info == 0
+        ab = band.copy(order="F")
+        solve = factorize_band_spd(ab)
+        assert np.abs(ab - expected).max() <= 1e-14 * np.abs(expected).max()
+        A = np.zeros((n, n))
+        for d in range(min(kd, n - 1) + 1):
+            A += np.diag(band[d, :n - d], -d)
+        A += np.tril(A, -1).T
+        f = np.linspace(-1.0, 2.0, n)
+        assert norm(A @ solve(f) - f) <= 1e-12 * norm(f)
+
+    @pytest.mark.parametrize("kd, n, p", list(indefinite_cases()))
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0])
+    def test_indefinite_fails_at_dpbtrf_order(self, path, kd, n, p, pivot):
+        ab = random_band(n, kd, seed=7 * kd + n)
+        ab[0, p] = pivot
+        _, info = dpbtrf(ab)
+        assert info == p + 1
+        assert factor_error(ab) == info
+
+    @pytest.mark.parametrize("kd, n", [(kd, n) for kd, n in band_cases() if n >= 2])
+    def test_nan_entry_gives_dpbtrf_nans(self, path, kd, n):
+        for d, j in {(0, 0), (0, n - 1), (min(kd, n - 1), 0), (min(kd, n // 2), n // 2)}:
+            if j + d >= n:
+                continue
+            ab = random_band(n, kd, seed=3 * kd + n)
+            ab[d, j] = np.nan
+            expected, info = dpbtrf(ab)
+            assert info == 0
+            factorize_band_spd(ab)
+            np.testing.assert_array_equal(np.isnan(ab), np.isnan(expected))
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    @pytest.mark.parametrize("zero", [1, 2, 3])
+    def test_nan_below_zero_multiplier_stays_put(self, path, j, zero):
+        # dsyr skips the update of a zero multiplier, so the NaN below it
+        # in column j does not reach the entries that update would touch.
+        # Nodes before j are decoupled, so nothing fills column j in.
+        kd, n = 6, 14
+        ab = random_band(n, kd, seed=j + 10 * zero)
+        for p in range(j):
+            ab[1:, p] = 0.0
+        ab[zero, j] = 0.0
+        ab[kd, j] = np.nan
+        expected, info = dpbtrf(ab)
+        assert info == 0 and np.isfinite(expected).any()
+        factorize_band_spd(ab)
+        np.testing.assert_array_equal(np.isnan(ab), np.isnan(expected))
+
+    @pytest.mark.parametrize("kd, calls", [(KERNEL_MAX_KD, 1), (KERNEL_MAX_KD + 1, 0)])
+    def test_kernel_runs_up_to_its_half_bandwidth(self, monkeypatch, kd, calls):
+        seen = []
+
+        def kernel(pointer, n, kd):
+            seen.append((n, kd))
+            return 0
+        monkeypatch.setattr(numkernel, "_band_cholesky", kernel)
+        n = 2 * kd + 1
+        ab = random_band(n, kd, seed=kd)
+        expected, _ = dpbtrf(ab)
+        factorize_band_spd(ab)
+        assert seen == [(n, kd)] * calls
+        if not calls:   # dpbtrf's own factor, to the bit
+            np.testing.assert_array_equal(ab, expected)
+
+    @pytest.mark.parametrize("layout", ["C", "strided", "float32", "read-only"])
+    def test_other_arrays_are_factorized_as_fortran_copies(self, path, layout):
+        kd, n = 3, 11
+        ab = random_band(n, kd, seed=5)
+        expected, _ = dpbtrf(ab)
+        given = {"C": lambda: np.ascontiguousarray(ab),
+                 "strided": lambda: np.repeat(ab, 2, axis=1)[:, ::2],
+                 "float32": lambda: ab.astype(np.float32),
+                 "read-only": lambda: ab.copy(order="F")}[layout]()
+        if layout == "read-only":
+            given.flags.writeable = False
+        before = given.copy()
+        solve = factorize_band_spd(given)
+        np.testing.assert_array_equal(given, before)
+        f = np.linspace(-1.0, 2.0, n)
+        reference = lapack.dpbtrs(dpbtrf(given.astype(float))[0], f, lower=1)[0]
+        np.testing.assert_allclose(solve(f), reference, rtol=1e-12)
+        if layout != "float32":
+            np.testing.assert_allclose(solve(f), lapack.dpbtrs(expected, f, lower=1)[0],
+                                       rtol=1e-12)
+
+    def test_invpot_factor_matches_dpbtrf(self, path, monkeypatch):
+        # The band of A(c) at the true coefficient on the 48 x 48 mesh, kd = 50.
+        bands = []
+
+        def capture(ab):
+            bands.append(ab.copy(order="F"))
+            solve = factorize_band_spd(ab)
+            bands.append(ab.copy(order="F"))
+            return solve
+        monkeypatch.setattr(invpot, "factorize_band_spd", capture)
+        op = invpot.InversePotentialOperator(invpot.make_mesh(2, 48))
+        op.apply(invpot.true_coefficient(op.mesh))
+        band, factor = bands
+        assert band.shape[0] - 1 == 50
+        expected, info = dpbtrf(band)
+        assert info == 0
+        assert np.abs(factor - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestKernelBuild:
+    """The kernel's build, cache and absence."""
+
+    def test_kernel_loads_where_cc_is_found(self):
+        # A failure here, never a skip: the kernel must not go missing
+        # unnoticed on a host that can build it.
+        if shutil.which("cc") is not None:
+            assert numkernel._band_cholesky is not None, (
+                "cc is on PATH but the band Cholesky kernel did not build or load")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_cache_key_covers_flags_and_cpu(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numkernel, "KERNEL_CACHE", tmp_path)
+        assert numkernel._load_kernel() is not None
+        first = sorted(p.name for p in tmp_path.iterdir())
+        assert len(first) == 1 and first[0].endswith(".so")
+        assert numkernel._load_kernel() is not None      # cached: nothing new
+        assert sorted(p.name for p in tmp_path.iterdir()) == first
+        monkeypatch.setattr(numkernel, "KERNEL_FLAGS", numkernel.KERNEL_FLAGS + ("-g",))
+        assert numkernel._load_kernel() is not None
+        monkeypatch.setattr(numkernel, "_host_cpu", lambda: b"another cpu")
+        assert numkernel._load_kernel() is not None
+        assert len(list(tmp_path.iterdir())) == 3
+
+    def test_failed_build_leaves_no_library(self, tmp_path, monkeypatch):
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(numkernel, "KERNEL_SOURCE", broken)
+        monkeypatch.setattr(numkernel, "KERNEL_CACHE", tmp_path / "cache")
+        assert numkernel._load_kernel() is None
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_no_compiler_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert numkernel._load_kernel() is None
+
+    def test_imports_and_solves_without_a_compiler(self, tmp_path):
+        # No cc on PATH: tgss imports, and the operator runs on dpbtrf.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import numpy as np\n"
+                "from tgss import invpot, numkernel\n"
+                "assert numkernel._band_cholesky is None\n"
+                "op = invpot.InversePotentialOperator(invpot.make_mesh(2, 8))\n"
+                "assert np.abs(op.apply(np.ones(op.n)) - 1.0).max() <= 1e-8\n")
+        env = {**os.environ, "PATH": str(tmp_path), "PYTHONPATH": os.path.abspath(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestGaussianVector:
