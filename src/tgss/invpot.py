@@ -307,11 +307,12 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built, and a coefficient of any shape other than
-    (n,) raises DimensionError.  The source f is a finite scalar or an
-    array of finite values, one per node; any other f raises
-    InvalidOperatorError.  The cone constant eta and the derivative
-    bound c_F of a run on this operator are fields of its SolverConfig.
+    before anything is built, and a coefficient or a derivative
+    direction of any shape other than (n,) raises DimensionError.  The
+    source f is a finite scalar or an array of finite values, one per
+    node; any other f raises InvalidOperatorError.  The cone constant eta
+    and the derivative bound c_F of a run on this operator are fields of
+    its SolverConfig.
     """
 
     def __init__(self, mesh: Mesh, f=1.0):
@@ -375,8 +376,11 @@ class InversePotentialOperator(ForwardOperator):
         return out
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
+        q = np.asarray(q, dtype=float)
+        if q.shape != (self.n,):
+            raise DimensionError(f"expected direction of shape {(self.n,)}, got {q.shape}")
         solve, _, M_u = self._setup(c)
-        return -solve(self._pattern.matvec(*M_u, np.asarray(q, dtype=float)))
+        return -solve(self._pattern.matvec(*M_u, q))
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
         solve, _, M_u = self._setup(c)

@@ -20,21 +20,24 @@ it is LAPACK dpbtrf.  The bound is LAPACK's own: ILAENV gives dpbtrf a
 block size of 1 for u <= 64, so there dpbtrf runs the unblocked dpbtf2,
 one dscal and one dsyr call per column, and the calls' overhead rather
 than their flops sets its time.  The kernel computes dpbtf2's factor in
-one call, with the same operations on every entry in the same order:
-with OpenBLAS's fused axpy and gcc's contraction under -march=native
-the factor is dpbtrf's to the bit.  Past u = 64 dpbtrf runs blocked,
-which orders the updates differently and is the faster from about
-u = 100 on; keeping the bound at 64 keeps dpbtrf's factor on every band.
-In-place factorization of A(c) at the true coefficient (2-D, one
-OpenBLAS thread, two-core Xeon with AVX-512, gcc 12, OpenBLAS 0.3.30,
-best of 30-200 runs in each of three processes):
+one call, left-looking: it holds a column in vector registers, 8 lanes
+wide where the build target has AVX-512F and 4 otherwise, while the
+columns before it update it, and every entry gets the same operations
+in the same order as in dpbtf2.  With OpenBLAS's fused axpy and gcc's
+contraction under -march=native the factor is dpbtrf's to the bit.
+Past u = 64 dpbtrf runs blocked, which orders the updates differently;
+keeping the bound at 64 keeps dpbtrf's factor on every band.  In-place
+factorization of A(c) at the true coefficient (2-D, one OpenBLAS
+thread, two-core Xeon with AVX-512, gcc 12, OpenBLAS 0.3.30, median of
+the best of 30 runs in 15 alternating rounds, past u = 64 of 5 in 5;
+the 4-lane kernel is the same source built with -mno-avx512f):
 
-    N    u     kernel     dpbtrf
-    48   50    0.48 ms    0.92 ms
-    62   64    1.12 ms    2.02 ms
-    64   66    1.27 ms    1.67 ms
-    96   98    5.53 ms    5.38 ms
-    128  130   21.3 ms    14.9 ms
+    N    u     kernel, 8 lanes   kernel, 4 lanes   dpbtrf
+    48   50    0.34 ms           0.35 ms           1.04 ms
+    62   64    0.75 ms           0.80 ms           2.39 ms
+    64   66                                        2.00 ms
+    96   98                                        6.95 ms
+    128  130                                       19.0 ms
 
 There is no iterative fallback: callers run check_direct_size first,
 which rejects systems of more than DIRECT_LIMIT unknowns, the nodes of
@@ -212,16 +215,19 @@ def _host_cpu() -> bytes:
 
 
 def _load_kernel():
-    """The compiled band Cholesky of KERNEL_SOURCE, or None without it.
+    """The compiled library of KERNEL_SOURCE, or None without it.
 
     The library is built with the system C compiler `cc` the first time
     the package is imported on a host and cached in KERNEL_CACHE under a
     name that hashes the source, the flags, the compiler and the host CPU,
     so a library built by another compiler or for another CPU is never
     loaded.  It is written under a temporary name and moved into place,
-    so a concurrent import sees either no library or a whole one.  None
-    when there is no `cc`, the build fails or the cache is not writable;
-    factorize_band_spd then runs dpbtrf on every band.
+    so a concurrent import sees either no library or a whole one; a build
+    then removes every other cached library, leaving other builds'
+    temporary files alone.  None when there is no `cc`, the build fails or
+    the cache is not writable; factorize_band_spd then runs dpbtrf on
+    every band.  The library's tgss_band_cholesky(ab, n, kd) factorizes,
+    and tgss_band_cholesky_lanes() gives its vector width in doubles.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -241,15 +247,21 @@ def _load_kernel():
                 os.replace(partial, library)
             finally:
                 partial.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(library)).tgss_band_cholesky
+            for stale in KERNEL_CACHE.glob("_bandchol.*.so"):
+                if stale != library:
+                    stale.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(library))
     except (OSError, subprocess.CalledProcessError):
         return None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
-    kernel.restype = ctypes.c_int
+    kernel.tgss_band_cholesky.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
+    kernel.tgss_band_cholesky.restype = ctypes.c_int
+    kernel.tgss_band_cholesky_lanes.argtypes = ()
+    kernel.tgss_band_cholesky_lanes.restype = ctypes.c_int
     return kernel
 
 
-_band_cholesky = _load_kernel()
+_kernel = _load_kernel()
+_band_cholesky = None if _kernel is None else _kernel.tgss_band_cholesky
 
 
 def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:

@@ -1,5 +1,6 @@
 """Unit tests for the elliptic coefficient-identification benchmark."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -291,6 +292,16 @@ class TestOperatorContract:
             with pytest.raises(DimensionError, match=message):
                 op.adjoint_apply(c, np.ones(n))
         np.testing.assert_allclose(op.apply(np.ones(n)), 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize("dim, N", [(1, 8), (2, 4)])
+    def test_wrong_length_direction_rejected(self, dim, N):
+        op = InversePotentialOperator(make_mesh(dim, N))
+        n = op.n
+        for q in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1)), np.float64(1.0)):
+            message = rf"expected direction of shape \({n},\), got {re.escape(str(q.shape))}"
+            with pytest.raises(DimensionError, match=message):
+                op.derivative_apply(np.ones(n), q)
+        np.testing.assert_allclose(op.derivative_apply(np.ones(n), np.zeros(n)), 0.0)
 
     def test_zero_inputs(self):
         mesh = make_mesh(1, 16)

@@ -399,6 +399,28 @@ def band_cases():
             yield kd, n
 
 
+def interior_cases():
+    """Bands on which the kernel's interior path runs on 0, 1, 2 and many columns."""
+    for kd in (3, 4, 7, 8, 9, 15, 16, 17, 63, 64):
+        for n in (2 * kd, 2 * kd + 1, 2 * kd + 2, 3 * kd + 5):
+            yield kd, n
+
+
+@pytest.fixture(scope="module")
+def other_lanes_kernel(tmp_path_factory):
+    """tgss_band_cholesky built at 4 lanes where the loaded kernel has 8."""
+    if numkernel._kernel is None:
+        pytest.skip("no compiled kernel")
+    if numkernel._kernel.tgss_band_cholesky_lanes() != 8:
+        pytest.skip("the 8-lane build needs a host with AVX-512F")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numkernel, "KERNEL_FLAGS", numkernel.KERNEL_FLAGS + ("-mno-avx512f",))
+        patch.setattr(numkernel, "KERNEL_CACHE", tmp_path_factory.mktemp("lanes"))
+        library = numkernel._load_kernel()
+    assert library is not None and library.tgss_band_cholesky_lanes() == 4
+    return library.tgss_band_cholesky
+
+
 def factor_error(ab):
     """The order named by factorize_band_spd's SparseSolveError, else 0."""
     try:
@@ -421,6 +443,13 @@ class TestBandCholesky:
     def path(self, request, monkeypatch):
         if request.param == "dpbtrf":
             monkeypatch.setattr(numkernel, "_band_cholesky", None)
+        return request.param
+
+    @pytest.fixture(params=["kernel", "other lane width"])
+    def build(self, request, monkeypatch):
+        if request.param == "other lane width":
+            monkeypatch.setattr(numkernel, "_band_cholesky",
+                                request.getfixturevalue("other_lanes_kernel"))
         return request.param
 
     @pytest.mark.parametrize("kd, n", list(band_cases()))
@@ -531,6 +560,66 @@ class TestBandCholesky:
         assert info == 0
         assert np.abs(factor - expected).max() <= 1e-14 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("kd, n", list(interior_cases()))
+    def test_interior_columns_give_dpbtrf_bits(self, build, kd, n):
+        band = random_band(n, kd, seed=100 * kd + n)
+        expected, info = dpbtrf(band)
+        assert info == 0
+        ab = band.copy(order="F")
+        factorize_band_spd(ab)
+        np.testing.assert_array_equal(ab, expected)
+
+    @pytest.mark.parametrize("kd", [3, 9, 17, 64])
+    @pytest.mark.parametrize("zero", [1, 2])
+    def test_zero_multiplier_in_an_interior_column_stops_a_nan(self, build, kd, zero):
+        # Column j's multiplier for column j + zero is 0, so dsyr skips its
+        # update there and the NaN in column j's last row stays out of
+        # column j + zero.  The columns before j are decoupled.
+        n, j = 3 * kd + 5, kd
+        ab = random_band(n, kd, seed=kd + 10 * zero)
+        ab[1:, :j] = 0.0
+        ab[zero, j] = 0.0
+        ab[kd, j] = np.nan
+        expected, info = dpbtrf(ab)
+        assert info == 0 and np.isfinite(expected[:, j + 1:]).any()
+        factorize_band_spd(ab)
+        np.testing.assert_array_equal(ab, expected)
+
+    @pytest.mark.parametrize("kd", [3, 9, 17, 64])
+    @pytest.mark.parametrize("d", [0, 1, "kd"])
+    def test_nan_in_an_interior_column_gives_dpbtrf_nans(self, build, kd, d):
+        n = 3 * kd + 5
+        ab = random_band(n, kd, seed=5 * kd)
+        ab[kd if d == "kd" else d, n // 2] = np.nan
+        expected, info = dpbtrf(ab)
+        assert info == 0
+        factorize_band_spd(ab)
+        np.testing.assert_array_equal(ab, expected)
+
+    @pytest.mark.parametrize("kd", [3, 9, 17, 64])
+    @pytest.mark.parametrize("pivot, decoupled", [
+        (-1.0, False), (0.0, False), (1e-3, False), (0.0, True), (-0.0, True)])
+    def test_failing_interior_pivot_gives_dpbtrf_info(self, build, kd, pivot, decoupled):
+        # A pivot of 1e-3 is positive in A and fails only after the
+        # updates of the columns before it.  A decoupled row c gets no
+        # update, so its pivot stays exactly as given.
+        n, c = 3 * kd + 5, 2 * kd
+        ab = random_band(n, kd, seed=11 * kd)
+        ab[0, c] = pivot
+        if decoupled:
+            for s in range(1, kd + 1):
+                ab[s, c - s] = 0.0
+        _, info = dpbtrf(ab)
+        assert info == c + 1
+        assert factor_error(ab) == info
+
+    @pytest.mark.parametrize("kd, n", list(interior_cases()))
+    def test_interior_columns_give_dpbtrf_info(self, build, kd, n):
+        for c in sorted({kd, n // 2, n - 1 - kd}):
+            ab = random_band(n, kd, seed=7 * kd + n)
+            ab[0, c] = -1.0
+            assert factor_error(ab) == dpbtrf(ab)[1] == c + 1
+
 
 class TestKernelBuild:
     """The kernel's build, cache and absence."""
@@ -552,9 +641,34 @@ class TestKernelBuild:
         assert sorted(p.name for p in tmp_path.iterdir()) == first
         monkeypatch.setattr(numkernel, "KERNEL_FLAGS", numkernel.KERNEL_FLAGS + ("-g",))
         assert numkernel._load_kernel() is not None
+        second = sorted(p.name for p in tmp_path.iterdir())
         monkeypatch.setattr(numkernel, "_host_cpu", lambda: b"another cpu")
         assert numkernel._load_kernel() is not None
-        assert len(list(tmp_path.iterdir())) == 3
+        third = sorted(p.name for p in tmp_path.iterdir())
+        # Each new key builds a library of its own, which replaces the last.
+        assert len(second) == len(third) == 1
+        assert len({*first, *second, *third}) == 3
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_a_build_removes_the_other_libraries(self, tmp_path, monkeypatch):
+        # Two sources with the kernel's two symbols, each quick to build.
+        cache, source = tmp_path / "cache", tmp_path / "_bandchol.c"
+        monkeypatch.setattr(numkernel, "KERNEL_CACHE", cache)
+        monkeypatch.setattr(numkernel, "KERNEL_SOURCE", source)
+
+        def build(lanes):
+            source.write_text("int tgss_band_cholesky(double *ab, int n, int kd) { return n + kd; }\n"
+                              f"int tgss_band_cholesky_lanes(void) {{ return {lanes}; }}\n")
+            return numkernel._load_kernel()
+        assert build(1) is not None
+        partial = cache / "_bandchol.0123456789abcdef.so.1.tmp"   # another build's
+        partial.write_bytes(b"")
+        library = build(2)
+        assert library is not None
+        assert [p.name for p in cache.glob("*.so")] == [os.path.basename(library._name)]
+        assert partial.exists()
+        assert library.tgss_band_cholesky_lanes() == 2
+        assert library.tgss_band_cholesky(None, 3, 4) == 7
 
     def test_failed_build_leaves_no_library(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.c"
