@@ -10,9 +10,9 @@
    scaling by 1 / sqrt(pivot), as dscal does.  Every entry thus sees
    dpbtf2's operations in dpbtf2's order.
 
-   Interior columns, kd <= c <= n - 1 - kd, keep the column in LANES-wide
-   vector accumulators: 8 lanes where the build target has AVX-512F,
-   4 otherwise (8 lanes built for AVX2 ran 9x slower than 4).  The update
+   Interior columns, kd <= c <= n - 1 - kd, keep the column in vector
+   accumulators of LANES = 4 doubles, at most 17 of them, on every host:
+   an 8-lane form for AVX-512 factored kd = 50 no faster.  The update
    of column p = c - s covers the column's first kd + 1 - s rows, so it
    is a run of whole blocks and one block whose lanes past that count
    keep their value.  A block read starts inside one column and runs at
@@ -29,11 +29,7 @@
 #include <math.h>
 #include <string.h>
 
-#ifdef __AVX512F__
-#define LANES 8
-#else
 #define LANES 4
-#endif
 #define MAX_KD 64
 #define MAX_BLOCKS ((MAX_KD + LANES) / LANES)
 #define INLINE static inline __attribute__((always_inline))
@@ -41,11 +37,7 @@
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 typedef long long mask __attribute__((vector_size(LANES * sizeof(long long))));
 
-#if LANES == 8
-static const mask lane = {0, 1, 2, 3, 4, 5, 6, 7};
-#else
 static const mask lane = {0, 1, 2, 3};
-#endif
 
 INLINE vec load(const double *p)
 {
@@ -58,12 +50,6 @@ INLINE vec load(const double *p)
 INLINE vec blend(vec a, vec b, mask m)
 {
     return (vec)(((mask)a & m) | ((mask)b & ~m));
-}
-
-/* The lane width this library was built with. */
-int tgss_band_cholesky_lanes(void)
-{
-    return LANES;
 }
 
 /* Pivot of column c with its kn entries below: 0 when it is not positive,
@@ -162,11 +148,8 @@ int tgss_band_cholesky(double *ab, int n_, int kd_)
         return info;
     switch ((kd + LANES) / LANES) {
     BLOCKS(1) BLOCKS(2) BLOCKS(3) BLOCKS(4) BLOCKS(5) BLOCKS(6) BLOCKS(7)
-    BLOCKS(8) BLOCKS(9)
-#if LANES == 4
-    BLOCKS(10) BLOCKS(11) BLOCKS(12) BLOCKS(13) BLOCKS(14) BLOCKS(15)
-    BLOCKS(16) BLOCKS(17)
-#endif
+    BLOCKS(8) BLOCKS(9) BLOCKS(10) BLOCKS(11) BLOCKS(12) BLOCKS(13)
+    BLOCKS(14) BLOCKS(15) BLOCKS(16) BLOCKS(17)
     }
     if (info)
         return info;

@@ -307,12 +307,12 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built, and a coefficient or a derivative
-    direction of any shape other than (n,) raises DimensionError.  The
-    source f is a finite scalar or an array of finite values, one per
-    node; any other f raises InvalidOperatorError.  The cone constant eta
-    and the derivative bound c_F of a run on this operator are fields of
-    its SolverConfig.
+    before anything is built, and a coefficient, a derivative direction
+    or an adjoint argument of any shape other than (n,) raises
+    DimensionError.  The source f is a finite scalar or an array of
+    finite values, one per node; any other f raises InvalidOperatorError.
+    The cone constant eta and the derivative bound c_F of a run on this
+    operator are fields of its SolverConfig.
     """
 
     def __init__(self, mesh: Mesh, f=1.0):
@@ -345,11 +345,11 @@ class InversePotentialOperator(ForwardOperator):
     def _setup(self, c: Vec):
         """Factorize A(c), solve the state and build M(u); cached per c."""
         c = np.asarray(c, dtype=float)
+        if c.shape != (self.n,):
+            raise DimensionError(f"expected coefficient of shape {(self.n,)}, got {c.shape}")
         key = c.tobytes()
         if key == self._cache_key:
             return self._cache
-        if c.shape != (self.n,):
-            raise DimensionError(f"expected coefficient of shape {(self.n,)}, got {c.shape}")
         check_admissible(c)
         # The band storage holds the cached factor; it is overwritten below.
         self._cache_key = self._cache = None
@@ -383,6 +383,9 @@ class InversePotentialOperator(ForwardOperator):
         return -solve(self._pattern.matvec(*M_u, q))
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.n,):
+            raise DimensionError(f"expected adjoint argument of shape {(self.n,)}, got {w.shape}")
         solve, _, M_u = self._setup(c)
-        out = self._pattern.matvec(*M_u, solve(np.asarray(w, dtype=float)), out=out)
+        out = self._pattern.matvec(*M_u, solve(w), out=out)
         return np.negative(out, out=out)

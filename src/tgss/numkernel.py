@@ -20,24 +20,23 @@ it is LAPACK dpbtrf.  The bound is LAPACK's own: ILAENV gives dpbtrf a
 block size of 1 for u <= 64, so there dpbtrf runs the unblocked dpbtf2,
 one dscal and one dsyr call per column, and the calls' overhead rather
 than their flops sets its time.  The kernel computes dpbtf2's factor in
-one call, left-looking: it holds a column in vector registers, 8 lanes
-wide where the build target has AVX-512F and 4 otherwise, while the
-columns before it update it, and every entry gets the same operations
-in the same order as in dpbtf2.  With OpenBLAS's fused axpy and gcc's
-contraction under -march=native the factor is dpbtrf's to the bit.
-Past u = 64 dpbtrf runs blocked, which orders the updates differently;
-keeping the bound at 64 keeps dpbtrf's factor on every band.  In-place
-factorization of A(c) at the true coefficient (2-D, one OpenBLAS
-thread, two-core Xeon with AVX-512, gcc 12, OpenBLAS 0.3.30, median of
-the best of 30 runs in 15 alternating rounds, past u = 64 of 5 in 5;
-the 4-lane kernel is the same source built with -mno-avx512f):
+one call, left-looking: it holds a column in vector registers, 4
+doubles wide on every host, while the columns before it update it, and
+every entry gets the same operations in the same order as in dpbtf2.
+With OpenBLAS's fused axpy and gcc's contraction under -march=native
+the factor is dpbtrf's to the bit.  Past u = 64 dpbtrf runs blocked,
+which orders the updates differently; keeping the bound at 64 keeps
+dpbtrf's factor on every band.  In-place factorization of A(c) at the
+true coefficient (2-D, one OpenBLAS thread, two-core Xeon with
+AVX-512, gcc 12, OpenBLAS 0.3.30; median of the best of 20 runs in 60
+rounds, dpbtrf in 15 of them, past u = 64 of the best of 5 in 5):
 
-    N    u     kernel, 8 lanes   kernel, 4 lanes   dpbtrf
-    48   50    0.34 ms           0.35 ms           1.04 ms
-    62   64    0.75 ms           0.80 ms           2.39 ms
-    64   66                                        2.00 ms
-    96   98                                        6.95 ms
-    128  130                                       19.0 ms
+    N    u     kernel    dpbtrf
+    48   50    0.33 ms   1.05 ms
+    62   64    0.77 ms   2.48 ms
+    64   66              2.00 ms
+    96   98              6.95 ms
+    128  130             19.0 ms
 
 There is no iterative fallback: callers run check_direct_size first,
 which rejects systems of more than DIRECT_LIMIT unknowns, the nodes of
@@ -215,7 +214,7 @@ def _host_cpu() -> bytes:
 
 
 def _load_kernel():
-    """The compiled library of KERNEL_SOURCE, or None without it.
+    """tgss_band_cholesky(ab, n, kd) of KERNEL_SOURCE compiled, or None without it.
 
     The library is built with the system C compiler `cc` the first time
     the package is imported on a host and cached in KERNEL_CACHE under a
@@ -226,8 +225,7 @@ def _load_kernel():
     then removes every other cached library, leaving other builds'
     temporary files alone.  None when there is no `cc`, the build fails or
     the cache is not writable; factorize_band_spd then runs dpbtrf on
-    every band.  The library's tgss_band_cholesky(ab, n, kd) factorizes,
-    and tgss_band_cholesky_lanes() gives its vector width in doubles.
+    every band.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -250,18 +248,15 @@ def _load_kernel():
             for stale in KERNEL_CACHE.glob("_bandchol.*.so"):
                 if stale != library:
                     stale.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(library))
+        kernel = ctypes.CDLL(str(library)).tgss_band_cholesky
     except (OSError, subprocess.CalledProcessError):
         return None
-    kernel.tgss_band_cholesky.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
-    kernel.tgss_band_cholesky.restype = ctypes.c_int
-    kernel.tgss_band_cholesky_lanes.argtypes = ()
-    kernel.tgss_band_cholesky_lanes.restype = ctypes.c_int
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
+    kernel.restype = ctypes.c_int
     return kernel
 
 
-_kernel = _load_kernel()
-_band_cholesky = None if _kernel is None else _kernel.tgss_band_cholesky
+_band_cholesky = _load_kernel()
 
 
 def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:

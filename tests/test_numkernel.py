@@ -406,21 +406,6 @@ def interior_cases():
             yield kd, n
 
 
-@pytest.fixture(scope="module")
-def other_lanes_kernel(tmp_path_factory):
-    """tgss_band_cholesky built at 4 lanes where the loaded kernel has 8."""
-    if numkernel._kernel is None:
-        pytest.skip("no compiled kernel")
-    if numkernel._kernel.tgss_band_cholesky_lanes() != 8:
-        pytest.skip("the 8-lane build needs a host with AVX-512F")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numkernel, "KERNEL_FLAGS", numkernel.KERNEL_FLAGS + ("-mno-avx512f",))
-        patch.setattr(numkernel, "KERNEL_CACHE", tmp_path_factory.mktemp("lanes"))
-        library = numkernel._load_kernel()
-    assert library is not None and library.tgss_band_cholesky_lanes() == 4
-    return library.tgss_band_cholesky
-
-
 def factor_error(ab):
     """The order named by factorize_band_spd's SparseSolveError, else 0."""
     try:
@@ -443,13 +428,6 @@ class TestBandCholesky:
     def path(self, request, monkeypatch):
         if request.param == "dpbtrf":
             monkeypatch.setattr(numkernel, "_band_cholesky", None)
-        return request.param
-
-    @pytest.fixture(params=["kernel", "other lane width"])
-    def build(self, request, monkeypatch):
-        if request.param == "other lane width":
-            monkeypatch.setattr(numkernel, "_band_cholesky",
-                                request.getfixturevalue("other_lanes_kernel"))
         return request.param
 
     @pytest.mark.parametrize("kd, n", list(band_cases()))
@@ -561,7 +539,7 @@ class TestBandCholesky:
         assert np.abs(factor - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("kd, n", list(interior_cases()))
-    def test_interior_columns_give_dpbtrf_bits(self, build, kd, n):
+    def test_interior_columns_give_dpbtrf_bits(self, kd, n):
         band = random_band(n, kd, seed=100 * kd + n)
         expected, info = dpbtrf(band)
         assert info == 0
@@ -571,7 +549,7 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("zero", [1, 2])
-    def test_zero_multiplier_in_an_interior_column_stops_a_nan(self, build, kd, zero):
+    def test_zero_multiplier_in_an_interior_column_stops_a_nan(self, kd, zero):
         # Column j's multiplier for column j + zero is 0, so dsyr skips its
         # update there and the NaN in column j's last row stays out of
         # column j + zero.  The columns before j are decoupled.
@@ -587,7 +565,7 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("d", [0, 1, "kd"])
-    def test_nan_in_an_interior_column_gives_dpbtrf_nans(self, build, kd, d):
+    def test_nan_in_an_interior_column_gives_dpbtrf_nans(self, kd, d):
         n = 3 * kd + 5
         ab = random_band(n, kd, seed=5 * kd)
         ab[kd if d == "kd" else d, n // 2] = np.nan
@@ -599,7 +577,7 @@ class TestBandCholesky:
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("pivot, decoupled", [
         (-1.0, False), (0.0, False), (1e-3, False), (0.0, True), (-0.0, True)])
-    def test_failing_interior_pivot_gives_dpbtrf_info(self, build, kd, pivot, decoupled):
+    def test_failing_interior_pivot_gives_dpbtrf_info(self, kd, pivot, decoupled):
         # A pivot of 1e-3 is positive in A and fails only after the
         # updates of the columns before it.  A decoupled row c gets no
         # update, so its pivot stays exactly as given.
@@ -614,7 +592,7 @@ class TestBandCholesky:
         assert factor_error(ab) == info
 
     @pytest.mark.parametrize("kd, n", list(interior_cases()))
-    def test_interior_columns_give_dpbtrf_info(self, build, kd, n):
+    def test_interior_columns_give_dpbtrf_info(self, kd, n):
         for c in sorted({kd, n // 2, n - 1 - kd}):
             ab = random_band(n, kd, seed=7 * kd + n)
             ab[0, c] = -1.0
@@ -624,6 +602,20 @@ class TestBandCholesky:
 class TestKernelBuild:
     """The kernel's build, cache and absence."""
 
+    @pytest.fixture
+    def stub(self, tmp_path, monkeypatch):
+        """An empty cache and build(k), which loads a quick-to-build source
+        whose tgss_band_cholesky returns n + kd + k."""
+        cache, source = tmp_path / "cache", tmp_path / "_bandchol.c"
+        monkeypatch.setattr(numkernel, "KERNEL_CACHE", cache)
+        monkeypatch.setattr(numkernel, "KERNEL_SOURCE", source)
+
+        def build(k=0):
+            source.write_text(
+                f"int tgss_band_cholesky(double *ab, int n, int kd) {{ return n + kd + {k}; }}\n")
+            return numkernel._load_kernel()
+        return cache, build
+
     def test_kernel_loads_where_cc_is_found(self):
         # A failure here, never a skip: the kernel must not go missing
         # unnoticed on a host that can build it.
@@ -632,43 +624,36 @@ class TestKernelBuild:
                 "cc is on PATH but the band Cholesky kernel did not build or load")
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
-    def test_cache_key_covers_flags_and_cpu(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(numkernel, "KERNEL_CACHE", tmp_path)
-        assert numkernel._load_kernel() is not None
-        first = sorted(p.name for p in tmp_path.iterdir())
+    def test_cache_key_covers_flags_and_cpu(self, stub, monkeypatch):
+        cache, build = stub
+        assert build() is not None
+        first = sorted(p.name for p in cache.iterdir())
         assert len(first) == 1 and first[0].endswith(".so")
-        assert numkernel._load_kernel() is not None      # cached: nothing new
-        assert sorted(p.name for p in tmp_path.iterdir()) == first
+        assert build() is not None      # cached: nothing new
+        assert sorted(p.name for p in cache.iterdir()) == first
         monkeypatch.setattr(numkernel, "KERNEL_FLAGS", numkernel.KERNEL_FLAGS + ("-g",))
-        assert numkernel._load_kernel() is not None
-        second = sorted(p.name for p in tmp_path.iterdir())
+        assert build() is not None
+        second = sorted(p.name for p in cache.iterdir())
         monkeypatch.setattr(numkernel, "_host_cpu", lambda: b"another cpu")
-        assert numkernel._load_kernel() is not None
-        third = sorted(p.name for p in tmp_path.iterdir())
+        assert build() is not None
+        third = sorted(p.name for p in cache.iterdir())
         # Each new key builds a library of its own, which replaces the last.
         assert len(second) == len(third) == 1
         assert len({*first, *second, *third}) == 3
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
-    def test_a_build_removes_the_other_libraries(self, tmp_path, monkeypatch):
-        # Two sources with the kernel's two symbols, each quick to build.
-        cache, source = tmp_path / "cache", tmp_path / "_bandchol.c"
-        monkeypatch.setattr(numkernel, "KERNEL_CACHE", cache)
-        monkeypatch.setattr(numkernel, "KERNEL_SOURCE", source)
-
-        def build(lanes):
-            source.write_text("int tgss_band_cholesky(double *ab, int n, int kd) { return n + kd; }\n"
-                              f"int tgss_band_cholesky_lanes(void) {{ return {lanes}; }}\n")
-            return numkernel._load_kernel()
+    def test_a_build_removes_the_other_libraries(self, stub):
+        cache, build = stub
         assert build(1) is not None
+        first = [p.name for p in cache.glob("*.so")]
         partial = cache / "_bandchol.0123456789abcdef.so.1.tmp"   # another build's
         partial.write_bytes(b"")
-        library = build(2)
-        assert library is not None
-        assert [p.name for p in cache.glob("*.so")] == [os.path.basename(library._name)]
+        kernel = build(2)
+        assert kernel is not None
+        second = [p.name for p in cache.glob("*.so")]
+        assert len(second) == 1 and second != first
         assert partial.exists()
-        assert library.tgss_band_cholesky_lanes() == 2
-        assert library.tgss_band_cholesky(None, 3, 4) == 7
+        assert kernel(None, 3, 4) == 9      # the second source's
 
     def test_failed_build_leaves_no_library(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.c"
