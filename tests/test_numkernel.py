@@ -539,7 +539,7 @@ class TestBandCholesky:
         assert np.abs(factor - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("kd, n", list(interior_cases()))
-    def test_interior_columns_give_dpbtrf_bits(self, kd, n):
+    def test_interior_columns_give_dpbtrf_bits(self, path, kd, n):
         band = random_band(n, kd, seed=100 * kd + n)
         expected, info = dpbtrf(band)
         assert info == 0
@@ -549,7 +549,7 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("zero", [1, 2])
-    def test_zero_multiplier_in_an_interior_column_stops_a_nan(self, kd, zero):
+    def test_zero_multiplier_in_an_interior_column_stops_a_nan(self, path, kd, zero):
         # Column j's multiplier for column j + zero is 0, so dsyr skips its
         # update there and the NaN in column j's last row stays out of
         # column j + zero.  The columns before j are decoupled.
@@ -565,7 +565,7 @@ class TestBandCholesky:
 
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("d", [0, 1, "kd"])
-    def test_nan_in_an_interior_column_gives_dpbtrf_nans(self, kd, d):
+    def test_nan_in_an_interior_column_gives_dpbtrf_nans(self, path, kd, d):
         n = 3 * kd + 5
         ab = random_band(n, kd, seed=5 * kd)
         ab[kd if d == "kd" else d, n // 2] = np.nan
@@ -577,7 +577,7 @@ class TestBandCholesky:
     @pytest.mark.parametrize("kd", [3, 9, 17, 64])
     @pytest.mark.parametrize("pivot, decoupled", [
         (-1.0, False), (0.0, False), (1e-3, False), (0.0, True), (-0.0, True)])
-    def test_failing_interior_pivot_gives_dpbtrf_info(self, kd, pivot, decoupled):
+    def test_failing_interior_pivot_gives_dpbtrf_info(self, path, kd, pivot, decoupled):
         # A pivot of 1e-3 is positive in A and fails only after the
         # updates of the columns before it.  A decoupled row c gets no
         # update, so its pivot stays exactly as given.
@@ -592,7 +592,7 @@ class TestBandCholesky:
         assert factor_error(ab) == info
 
     @pytest.mark.parametrize("kd, n", list(interior_cases()))
-    def test_interior_columns_give_dpbtrf_info(self, kd, n):
+    def test_interior_columns_give_dpbtrf_info(self, path, kd, n):
         for c in sorted({kd, n // 2, n - 1 - kd}):
             ab = random_band(n, kd, seed=7 * kd + n)
             ab[0, c] = -1.0
