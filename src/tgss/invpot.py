@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DimensionError, Vec, check_direct_size, factorize_band_spd
+from .numkernel import Vec, as_vector, check_direct_size, factorize_band_spd
 from .operator import ForwardOperator, InvalidOperatorError
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
@@ -307,10 +307,10 @@ class InversePotentialOperator(ForwardOperator):
     factor is alive at a time.  With out given, adjoint_apply allocates
     only the solve's result and one vector of slice products.  Meshes
     past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
-    before anything is built, and a coefficient, a derivative direction
-    or an adjoint argument of any shape other than (n,) raises
-    DimensionError.  The source f is a finite scalar or an array of
-    finite values, one per node; any other f raises InvalidOperatorError.
+    before anything is built.  Operands follow numkernel's shape rule; a
+    coefficient is checked before the cache is looked up.  The source f
+    is a finite scalar or an array of finite values, one per node; any
+    other f raises InvalidOperatorError.
     The cone constant eta and the derivative bound c_F of a run on this
     operator are fields of its SolverConfig.
     """
@@ -344,9 +344,7 @@ class InversePotentialOperator(ForwardOperator):
 
     def _setup(self, c: Vec):
         """Factorize A(c), solve the state and build M(u); cached per c."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.n,):
-            raise DimensionError(f"expected coefficient of shape {(self.n,)}, got {c.shape}")
+        c = as_vector(c, self.n, "coefficient")
         key = c.tobytes()
         if key == self._cache_key:
             return self._cache
@@ -376,16 +374,12 @@ class InversePotentialOperator(ForwardOperator):
         return out
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.n,):
-            raise DimensionError(f"expected direction of shape {(self.n,)}, got {q.shape}")
+        q = as_vector(q, self.n, "direction")
         solve, _, M_u = self._setup(c)
         return -solve(self._pattern.matvec(*M_u, q))
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.n,):
-            raise DimensionError(f"expected adjoint argument of shape {(self.n,)}, got {w.shape}")
+        w = as_vector(w, self.n, "adjoint argument")
         solve, _, M_u = self._setup(c)
         out = self._pattern.matvec(*M_u, solve(w), out=out)
         return np.negative(out, out=out)

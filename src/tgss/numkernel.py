@@ -1,5 +1,14 @@
 """Minimal numerical kernel shared by every module.
 
+One shape rule holds for every operand: each public entry that takes a
+vector of an operator's size n (an operator's three applies, the band
+solve, and run's x0, data and truth) passes it through as_vector, which
+returns it as a float64 array when its shape is exactly (n,) and raises
+DimensionError naming the operand and (n,) otherwise.  A length-1 array
+would broadcast against n entries, and a column of shape (n, 1) has the
+bytes of a cached (n,) coefficient, so neither may pass.  add_noise
+takes data y of any length, through as_vector with n = None.
+
 Vectors are plain 1-d float64 numpy arrays.  The stripe projection
 solves its Gram systems in Python floats, growing one Cholesky factor
 by a bordered row per joining direction: forward_substitution gives the
@@ -143,6 +152,18 @@ def aligned(x) -> np.ndarray:
     return out
 
 
+def as_vector(v, n: int | None, name: str) -> Vec:
+    """v as a float64 array of shape (n,), of any length for n=None.
+
+    Raises DimensionError naming `name` and the expected shape otherwise.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (v.size if n is None else n,):
+        expected = "n" if n is None else n
+        raise DimensionError(f"expected {name} of shape ({expected},), got {v.shape}")
+    return v
+
+
 def dot(x: Vec, y: Vec) -> float:
     """Euclidean inner product of two equal-length vectors."""
     x = np.asarray(x, dtype=float)
@@ -269,8 +290,7 @@ def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
     factorizes it where it loaded, otherwise LAPACK dpbtrf; solves run
     dpbtrs on the factor.  A symmetric matrix is positive definite exactly
     when the factorization runs to the end; a non-positive leading minor
-    raises SparseSolveError.  The solve raises DimensionError for a rhs of
-    the wrong length.
+    raises SparseSolveError.  The solve takes an n-vector (as_vector).
     """
     factor = np.require(ab, dtype=float, requirements="FAW")
     kd, n = factor.shape[0] - 1, factor.shape[1]
@@ -287,10 +307,7 @@ def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
 
     def solve(f: Vec) -> Vec:
-        f = np.asarray(f, dtype=float)
-        if f.shape[0] != n:
-            raise DimensionError(f"rhs of length {f.shape[0]} does not match matrix of order {n}")
-        x, info = lapack.dpbtrs(factor, f, lower=1)
+        x, info = lapack.dpbtrs(factor, as_vector(f, n, "rhs"), lower=1)
         if info != 0:
             raise ValueError(f"dpbtrs: illegal value in argument {-info}")
         return x

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DimensionError, Vec, aligned, empty, gaussian_vector, norm
+from .numkernel import Vec, aligned, as_vector, empty, gaussian_vector, norm
 
 
 class InvalidOperatorError(ValueError):
@@ -70,12 +70,12 @@ class NoisyData:
 def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
     """Perturb exact data y by delta times a seeded standard normal draw.
 
-    y_delta is a new ALIGN-aligned array: the draw, scaled and then added
-    to y in place.
+    y is a 1-D array of any length (numkernel.as_vector).  y_delta is a
+    new ALIGN-aligned array: the draw, scaled and then added to y in place.
     """
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise ValueError(f"noise level must be finite and >= 0, got {delta}")
-    y = np.asarray(y, dtype=float)
+    y = as_vector(y, None, "y")
     if delta == 0.0:
         y_delta = empty(y.shape)
         np.copyto(y_delta, y)
@@ -95,8 +95,8 @@ class DiagonalOperator(ForwardOperator):
     tests lean on this.  c_F = max|d| is its norm, a value for a
     SolverConfig's c_F.  d is kept ALIGN-aligned, as a copy where the
     given array is not.  d must be a non-empty 1-D array of finite,
-    nonzero entries; an operand of any other shape than d's raises
-    DimensionError.
+    nonzero entries.  Operands follow numkernel's shape rule, c included
+    where the product does not read it.
     """
 
     def __init__(self, d: Vec):
@@ -113,25 +113,13 @@ class DiagonalOperator(ForwardOperator):
         self.d = d
         self.n = self.m = d.shape[0]
 
-    # Each product checks its operand's shape inline, on the solvers' hot
-    # path: d would broadcast a length-1 operand without an error.
-    def _shape_error(self, v: np.ndarray) -> DimensionError:
-        return DimensionError(f"expected shape {self.d.shape}, got {v.shape}")
-
     def apply(self, c: Vec, out: Vec | None = None) -> Vec:
-        c = np.asarray(c, dtype=float)
-        if c.shape != self.d.shape:
-            raise self._shape_error(c)
-        return np.multiply(self.d, c, out=out)
+        return np.multiply(self.d, as_vector(c, self.n, "coefficient"), out=out)
 
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
-        q = np.asarray(q, dtype=float)
-        if q.shape != self.d.shape:
-            raise self._shape_error(q)
-        return self.d * q
+        as_vector(c, self.n, "coefficient")
+        return self.d * as_vector(q, self.n, "direction")
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
-        w = np.asarray(w, dtype=float)
-        if w.shape != self.d.shape:
-            raise self._shape_error(w)
-        return np.multiply(self.d, w, out=out)
+        as_vector(c, self.n, "coefficient")
+        return np.multiply(self.d, as_vector(w, self.n, "adjoint argument"), out=out)

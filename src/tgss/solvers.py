@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
-from .numkernel import DimensionError, Vec, aligned, dot, empty, norm
+from .numkernel import Vec, aligned, as_vector, dot, empty, norm
 from .operator import ForwardOperator, NoisyData
 
 
@@ -394,9 +394,9 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     stripe direction whose squared norm, the ring's new Gram entry, is
     not finite.  A zero stripe direction, and an iterate z_k that does
     not lie strictly above its own stripe, <u, z_k> <= alpha + xi, raise
-    InvariantViolationError.  x0 and truth must have the operator's n
-    entries and data.y_delta its m entries; otherwise DimensionError is
-    raised before anything is allocated.  These checks are all of the
+    InvariantViolationError.  x0, truth and data.y_delta follow
+    numkernel's shape rule, with the operator's n, n and m, and are
+    checked before anything is allocated.  These checks are all of the
     stripe projection's preconditions, which it does not check again:
     run is its one caller.
 
@@ -415,14 +415,13 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             f"unknown method {method!r}; accepted: {', '.join(METHOD_TABLE)}"
         )
     stripes, momentum = METHOD_TABLE[method]
-    x0 = np.asarray(x0, dtype=float)
-    for name, value, size in (("x0", x0, op.n), ("data.y_delta", data.y_delta, op.m),
-                              ("truth", truth, op.n)):
-        if value is not None and np.shape(value) != (size,):
-            raise DimensionError(
-                f"{name} has shape {np.shape(value)}; the operator needs ({size},)")
+    x0 = as_vector(x0, op.n, "x0")
+    y_delta = as_vector(data.y_delta, op.m, "data.y_delta")
+    if truth is not None:
+        truth = aligned(as_vector(truth, op.n, "truth"))
+        truth_norm = max(norm(truth), 1e-300)
     delta = data.delta_eff
-    data = replace(data, y_delta=aligned(data.y_delta))
+    data = replace(data, y_delta=aligned(y_delta))
     state = IterationState(x=empty(x0.shape), z=empty(x0.shape), i_dbts=cfg.i0,
                            keep_dx=momentum != "zero")
     np.copyto(state.x, x0)
@@ -431,9 +430,6 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     trace: list[TraceRow] = []
     dropped = 0
     u_point: list[float] = []  # <u_i, x_k> of the previous projection's stripes
-    if truth is not None:
-        truth = aligned(truth)
-        truth_norm = max(norm(truth), 1e-300)
 
     t0 = time.perf_counter()
     for k in range(cfg.max_iters + 1):

@@ -20,8 +20,11 @@ one-stripe ring as a Stripe.
 
 Runs: a run keeps no vector but its final iterate.  PointRecorder wraps
 an operator and copies the point of every adjoint_apply, which a run
-makes exactly once per iteration that does not stop, at z_k; run_recording
-returns a run's result together with these points.  The first step of a
+makes exactly once per iteration that does not stop, at z_k, and the
+point of the last apply; run_recording returns a run's result together
+with the adjoint points, and checks that a run stopped by its residual
+returns the point of its last forward apply, where the stopping test was
+made.  The first step of a
 projection from z_k, x~_k, is z_k projected onto the upper boundary of
 stripe_at(z_k).
 
@@ -147,7 +150,8 @@ def coefficients(ring):
 
 
 class PointRecorder(ForwardOperator):
-    """An operator that copies the point of every adjoint_apply into `points`.
+    """An operator that copies the point of every adjoint_apply into `points`
+    and the point of the last apply into `applied`.
 
     Everything is passed on to the wrapped operator unchanged, `out`
     included, so a run on the recorder is bit for bit the run on the
@@ -157,8 +161,10 @@ class PointRecorder(ForwardOperator):
     def __init__(self, op):
         self.op, self.n, self.m = op, op.n, op.m
         self.points = []
+        self.applied = None
 
     def apply(self, c, out=None):
+        self.applied = np.array(c, dtype=float)
         return self.op.apply(c, out=out)
 
     def derivative_apply(self, c, q):
@@ -173,11 +179,14 @@ def run_recording(method, op, data, x0, cfg, truth=None):
     """solvers.run on a PointRecorder of op: (result, points).
 
     points[k] is the z_k of trace row k: every iteration that does not
-    stop applies the adjoint once, at z_k.
+    stop applies the adjoint once, at z_k.  A run that stops by its
+    residual must return the point of its last forward apply, z_k*.
     """
     recorder = PointRecorder(op)
     res = run(method, recorder, data, x0, cfg, truth=truth)
     assert len(recorder.points) == len(res.trace), method
+    if res.stopped_by != "max_iters":
+        assert recorder.applied.tobytes() == res.x_final.tobytes(), method
     return res, recorder.points
 
 

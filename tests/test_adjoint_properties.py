@@ -3,15 +3,21 @@
 For random meshes, coefficients and directions the derivative and the
 adjoint must satisfy <F'(c) q, w> = <q, F'(c)* w> to round-off.  A
 coefficient for which the band Cholesky rejects A(c) must give a matrix
-that is indefinite or singular to round-off.
+that is indefinite or singular to round-off.  Both factor paths are
+checked: the compiled kernel, and dpbtrf with numkernel._band_cholesky
+set to None, as on a host where the kernel did not build.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import reference_system
+from tgss import numkernel
 from tgss.invpot import InversePotentialOperator, make_mesh
 from tgss.numkernel import SparseSolveError, dot, norm
 
@@ -27,17 +33,20 @@ def adjoint_problems(draw):
     return mesh, c, q, w
 
 
+@pytest.mark.parametrize("path", ["kernel", "dpbtrf"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(adjoint_problems())
-def test_adjoint_identity(problem):
+@given(problem=adjoint_problems())
+def test_adjoint_identity(path, problem):
     mesh, c, q, w = problem
-    op = InversePotentialOperator(mesh)
-    try:
-        dq = op.derivative_apply(c, q)
-    except SparseSolveError:
-        eig = np.linalg.eigvalsh(reference_system(mesh, c, c)[0])
-        assert eig.min() <= 1e-12 * np.abs(eig).max()
-        return
-    lhs = dot(dq, w)
-    rhs = dot(q, op.adjoint_apply(c, w))
+    kernel = numkernel._band_cholesky if path == "kernel" else None
+    with mock.patch.object(numkernel, "_band_cholesky", kernel):
+        op = InversePotentialOperator(mesh)
+        try:
+            dq = op.derivative_apply(c, q)
+        except SparseSolveError:
+            eig = np.linalg.eigvalsh(reference_system(mesh, c, c)[0])
+            assert eig.min() <= 1e-12 * np.abs(eig).max()
+            return
+        lhs = dot(dq, w)
+        rhs = dot(q, op.adjoint_apply(c, w))
     assert abs(lhs - rhs) <= 1e-12 * norm(dq) * norm(w)

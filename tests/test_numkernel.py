@@ -352,11 +352,6 @@ class TestFactorizeSparseSpd:
         with pytest.raises(SparseSolveError, match=f"{n} unknowns exceed .* {DIRECT_LIMIT}"):
             check_direct_size(n)
 
-    def test_band_solve_rejects_wrong_length(self):
-        solve = factorize(np.eye(4))
-        with pytest.raises(DimensionError):
-            solve(np.ones(3))
-
 
 class TestFactorizeBandSpd:
     def test_factors_in_place_and_solves(self):

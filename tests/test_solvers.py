@@ -17,7 +17,7 @@ from tgss.invpot import (
     make_mesh,
     true_coefficient,
 )
-from tgss.numkernel import ALIGN, DimensionError, aligned, dot, norm
+from tgss.numkernel import ALIGN, aligned, dot, norm
 from tgss.operator import DiagonalOperator, add_noise
 from tgss.solvers import (
     METHOD_TABLE,
@@ -509,32 +509,6 @@ class TestRun:
         data = add_noise(np.array([1.0]), 0.0, 0)
         with pytest.raises(ConfigError):
             run("bogus", op, data, np.zeros(1), SolverConfig(eta=0.0, tau=2.0))
-
-    @pytest.mark.parametrize("wrong", ["x0", "y_delta", "truth"])
-    def test_shape_mismatch_rejected_before_the_first_apply(self, wrong):
-        # Each of these broadcasts against 8 unknowns if it is not checked.
-        class Counting(DiagonalOperator):
-            calls = 0
-
-            def apply(self, c, out=None):
-                Counting.calls += 1
-                return super().apply(c, out=out)
-
-        op = Counting(np.linspace(0.2, 1.0, 8))
-        truth = np.ones(8)
-        data = add_noise(op.apply(truth), 1e-2, 0)
-        Counting.calls = 0
-        x0 = np.zeros(8)
-        if wrong == "x0":
-            x0 = np.zeros(7)
-        elif wrong == "y_delta":
-            data = add_noise(data.y_delta[:1], 1e-2, 0)
-        else:
-            truth = truth[:1]
-        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
-        with pytest.raises(DimensionError, match=wrong):
-            run("tgss-nes", op, data, x0, cfg, truth=truth)
-        assert Counting.calls == 0
 
     def test_trace_csv_rows(self):
         op = DiagonalOperator(np.array([0.5, 0.8]))
