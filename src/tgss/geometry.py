@@ -25,8 +25,9 @@ its caller and hands back every <u_i, point>, formed from the Gram rows
 and coefficients, so a caller whose next z is this point (a method with
 zero momentum) never takes an older direction's inner product with z.
 
-A direction whose squared norm is zero, even by underflow, is zero:
-StripeRing.push finds it from G_00 = ||u||^2, which it computes anyway.
+Neither the ring nor the projection checks a stripe: solvers.run, their
+one caller, rejects a zero or non-finite G_00 = ||u||^2 and a z not
+above the new stripe.
 
 Each joining direction costs one project_hyperplane_intersection and
 one numkernel.solve_spd_dense, both called through this module's
@@ -52,14 +53,11 @@ from scipy.linalg.blas import daxpy
 from .numkernel import ALIGN, PIVOT_FLOOR, Vec, empty, forward_substitution, solve_spd_dense
 
 
-class InvalidStripeError(ValueError):
-    """Zero direction vector or negative half-width."""
-
-
 class StripeRing:
     """The last `capacity` stripes of a run, newest first, with their Gram matrix.
 
-    The directions are the rows of one (capacity, n) array, reused in
+    The directions are the rows of one (capacity, n) array, listed in
+    `directions`, handed out by `slot()` in order and then reused in
     turn.  The offsets `alpha`, the half-widths `xi` and the Gram rows
     `gram`, gram[i][j] = <u_i, u_j>, are lists of Python floats in ring
     order, newest first.  A new direction is written into `slot()`, which
@@ -77,9 +75,7 @@ class StripeRing:
         size = math.prod(shape)
         block = ALIGN // 8  # doubles per ALIGN bytes
         stride = -(-size // block) * block
-        self.directions = empty((capacity, stride))[:, :size].reshape((capacity,) + shape)
-        # Rows that hold no stripe, the next one handed out last.
-        self._free: list[Vec] = list(self.directions)[::-1]
+        self.directions = list(empty((capacity, stride))[:, :size].reshape((capacity,) + shape))
         self.alpha: list[float] = []
         self.xi: list[float] = []
         self.gram: list[list[float]] = []
@@ -95,34 +91,31 @@ class StripeRing:
     def slot(self) -> Vec:
         """The row the next pushed direction is to be built in.
 
-        On a full ring this is the oldest stripe's direction, which is
-        overwritten: push next, and the oldest stripe leaves.
+        Until the ring is full this is the first row that holds no
+        stripe; on a full ring it is the oldest stripe's direction, which
+        is overwritten: push next, and the oldest stripe leaves.
         """
-        return self._free[-1] if self._free else self._rows[-1]
+        rows = self._rows
+        return rows[-1] if len(rows) == len(self.directions) else self.directions[len(rows)]
 
     def push(self, alpha: float, xi: float) -> None:
         """Make the direction written into `slot()` the newest stripe.
 
-        alpha and xi are the stripe's offset and half-width.  A direction
-        whose squared norm, its new Gram entry, is zero raises
-        InvalidStripeError.  On a full ring the slot was the oldest
-        stripe's row, so that stripe has left the ring; the others stay as
-        they were.
+        alpha and xi are the stripe's offset and half-width, stored as
+        Python floats; the caller checks the new gram[0][0] = ||u||^2.  On
+        a full ring the slot was the oldest stripe's row, so that stripe
+        leaves the ring; the others stay as they were.
         """
-        rows, free, gram = self._rows, self._free, self.gram
+        rows, gram = self._rows, self.gram
         u = self.slot()
-        uu = float(np.dot(u, u))
-        if not free:
-            free.append(rows.pop())  # the oldest stripe leaves; u was its row
+        if len(rows) == len(self.directions):
+            rows.pop()  # the oldest stripe leaves; u was its row
             self.alpha.pop()
             self.xi.pop()
             gram.pop()
             for g in gram:
                 g.pop()
-        if uu == 0.0:
-            raise InvalidStripeError("stripe direction must be nonzero (||u||^2 = 0)")
-        free.pop()
-        new = [uu]
+        new = [float(np.dot(u, u))]
         for g, v in zip(gram, rows):
             uv = float(np.dot(u, v))
             g.insert(0, uv)
@@ -186,8 +179,8 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
     and checks none of it here: z is a contiguous float array of the
     directions' shape that the caller lets it overwrite, uz holds one
     value per stripe, the ring holds at least one stripe, G_00 is finite
-    and positive (StripeRing.push rejects zero, run a non-finite value),
-    and z lies above the newest stripe.
+    and positive (run rejects a zero or non-finite one), and z lies above
+    the newest stripe.
 
     Vectors of length n are touched only to build the final point in z's
     own array, one daxpy per active direction and no copy.  Its inner

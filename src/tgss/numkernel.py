@@ -7,7 +7,8 @@ returns it as a float64 array when its shape is exactly (n,) and raises
 DimensionError naming the operand and (n,) otherwise.  A length-1 array
 would broadcast against n entries, and a column of shape (n, 1) has the
 bytes of a cached (n,) coefficient, so neither may pass.  add_noise
-takes data y of any length, through as_vector with n = None.
+takes data y of any length n >= 1, through as_vector with n = None, and
+dot two operands of one such length.
 
 Vectors are plain 1-d float64 numpy arrays.  The stripe projection
 solves its Gram systems in Python floats, growing one Cholesky factor
@@ -153,24 +154,21 @@ def aligned(x) -> np.ndarray:
 
 
 def as_vector(v, n: int | None, name: str) -> Vec:
-    """v as a float64 array of shape (n,), of any length for n=None.
+    """v as a float64 array of shape (n,), of any length n >= 1 for n=None.
 
     Raises DimensionError naming `name` and the expected shape otherwise.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (v.size if n is None else n,):
+    if not ((v.ndim == 1 and v.size > 0) if n is None else v.shape == (n,)):
         expected = "n" if n is None else n
         raise DimensionError(f"expected {name} of shape ({expected},), got {v.shape}")
     return v
 
 
 def dot(x: Vec, y: Vec) -> float:
-    """Euclidean inner product of two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionError(f"length mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
+    """Euclidean inner product of two 1-D vectors of one length (as_vector)."""
+    x = as_vector(x, None, "x")
+    return float(np.dot(x, as_vector(y, x.shape[0], "y")))
 
 
 def norm(x: Vec) -> float:

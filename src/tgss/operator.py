@@ -70,8 +70,9 @@ class NoisyData:
 def add_noise(y: Vec, delta: float, seed: int) -> NoisyData:
     """Perturb exact data y by delta times a seeded standard normal draw.
 
-    y is a 1-D array of any length (numkernel.as_vector).  y_delta is a
-    new ALIGN-aligned array: the draw, scaled and then added to y in place.
+    y is a 1-D array of any length n >= 1 (numkernel.as_vector), at every
+    delta.  y_delta is a new ALIGN-aligned array: the draw, scaled and
+    then added to y in place.
     """
     if not (delta >= 0.0 and math.isfinite(delta)):
         raise ValueError(f"noise level must be finite and >= 0, got {delta}")

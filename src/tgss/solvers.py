@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
+from .geometry import StripeRing, sequential_stripe_projection
 from .numkernel import Vec, aligned, as_vector, dot, empty, norm
 from .operator import ForwardOperator, NoisyData
 
@@ -104,10 +104,11 @@ class DivergenceError(RuntimeError):
 
 
 class InvariantViolationError(RuntimeError):
-    """An unconverged iterate landed on the wrong side of its own stripe.
+    """A stripe step's precondition failed at an unconverged iterate.
 
-    This contradicts the stripe construction and in practice means the
-    configured cone constant or tau does not fit the operator.
+    Its search direction is zero, or the iterate is not above its own
+    stripe.  Either contradicts the stripe construction and in practice
+    means the configured cone constant or tau does not fit the operator.
     """
 
 
@@ -225,8 +226,7 @@ def build_stripe(op: ForwardOperator, z: Vec, data: NoisyData, cfg: SolverConfig
     built in ring.slot(): a direction the operator returned in a new
     array, as the ForwardOperator contract allows, is copied into it.
     The stripe's offset is <u, z> - ||r||^2 and its half-width
-    (delta + eta (||r|| + delta)) ||r||.  A zero direction raises
-    InvalidStripeError from the push.
+    (delta + eta (||r|| + delta)) ||r||.  run checks the stripe.
     """
     out = ring.slot()
     u = op.adjoint_apply(z, r, out=out)
@@ -390,15 +390,16 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
     directions used, the relative error of x_{k+1} when truth is given,
     and the coupling and stripe-containment slacks.  Each such iteration
     applies the adjoint once, at z_k.
-    A non-finite residual norm raises DivergenceError, and so does a
-    stripe direction whose squared norm, the ring's new Gram entry, is
-    not finite.  A zero stripe direction, and an iterate z_k that does
-    not lie strictly above its own stripe, <u, z_k> <= alpha + xi, raise
-    InvariantViolationError.  x0, truth and data.y_delta follow
+    A non-finite residual norm raises DivergenceError.  A stripe step
+    reads its new direction's squared norm G_00 = ||u||^2 from the ring
+    once: zero, underflow included, raises InvariantViolationError and
+    a non-finite value DivergenceError; then an iterate z_k that does
+    not lie strictly above its own stripe, <u, z_k> <= alpha + xi,
+    raises InvariantViolationError.  x0, truth and data.y_delta follow
     numkernel's shape rule, with the operator's n, n and m, and are
     checked before anything is allocated.  These checks are all of the
-    stripe projection's preconditions, which it does not check again:
-    run is its one caller.
+    stripe step's preconditions: neither the StripeRing nor the
+    projection checks them again, and run is their one caller.
 
     The work vectors are allocated here, each on an ALIGN boundary: the
     IterationState's, where x_{k+1} is built as its docstring describes,
@@ -462,18 +463,17 @@ def run(method: str, op: ForwardOperator, data: NoisyData, x0: Vec,
             step = op.adjoint_apply(z, r, out=state.dx if state.keep_dx else state.z)
             x_next = np.subtract(z, step, out=z)
         else:
-            try:
-                uz0 = build_stripe(op, z, data, cfg, r, rn, ring)
-            except InvalidStripeError as exc:
-                # The width is nonnegative by construction, so the direction
-                # vanished; with a nonzero residual that breaks the cone
-                # condition assumption.
+            uz0 = build_stripe(op, z, data, cfg, r, rn, ring)
+            uu = ring.gram[0][0]
+            if uu == 0.0:
+                # With a nonzero residual a vanishing direction breaks the
+                # cone condition assumption.
                 raise InvariantViolationError(
                     f"zero search direction at k={k} with residual {rn:.3e}"
-                ) from exc
-            if not math.isfinite(ring.gram[0][0]):
+                )
+            if not math.isfinite(uu):
                 raise DivergenceError(
-                    f"search direction norm^2 {ring.gram[0][0]} is not finite at k={k}"
+                    f"search direction norm^2 {uu} is not finite at k={k}"
                 )
             if uz0 <= ring.alpha[0] + ring.xi[0]:
                 raise InvariantViolationError(

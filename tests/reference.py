@@ -49,7 +49,7 @@ from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 
 from tgss import geometry
-from tgss.geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
+from tgss.geometry import StripeRing, sequential_stripe_projection
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
 from tgss.numkernel import DimensionError, dot, norm
 from tgss.operator import ForwardOperator
@@ -65,6 +65,10 @@ class SingularSystemError(RuntimeError):
 
 class DependentDirectionsError(RuntimeError):
     """Gram system for an intersection projection was singular."""
+
+
+class InvalidStripeError(ValueError):
+    """A Hyperplane or Stripe record with a zero direction or a negative half-width."""
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 from reference import (
     DependentDirectionsError,
     Hyperplane,
+    InvalidStripeError,
     Stripe,
     StripeSide,
     classify,
@@ -27,7 +28,7 @@ from reference import (
     solve_spd_dense,
     upper,
 )
-from tgss.geometry import InvalidStripeError, StripeRing, sequential_stripe_projection
+from tgss.geometry import StripeRing, sequential_stripe_projection
 from tgss.numkernel import ALIGN, dot, norm
 
 
@@ -43,7 +44,7 @@ class TestConstruction:
         Stripe(np.array([np.nan, 0.0]), 0.0, 1.0)
 
     def test_direction_whose_square_underflows_rejected(self):
-        # ||u||^2 underflows to 0, as in StripeRing.push.
+        # ||u||^2 underflows to 0, as in solvers.run's zero-direction check.
         u = np.array([1e-200, 0.0])
         with pytest.raises(InvalidStripeError):
             Stripe(u, 0.0, 1.0)
@@ -484,45 +485,3 @@ class TestStripeRing:
             G = np.array(ring.gram)
             assert G.shape == (m, m), k
             assert G.tobytes() == G.T.copy().tobytes(), k
-
-    @pytest.mark.parametrize("filled", [0, 1, 3])
-    def test_zero_direction_rejected_without_changing_the_ring(self, filled):
-        rng = np.random.Generator(np.random.PCG64(30 + filled))
-        ring = StripeRing(3, (6,))
-        for s in random_stripes(rng, filled, 6):
-            push(ring, s)
-        m = len(ring)
-        held = [ring.direction(i).copy() for i in range(m)]
-        before = ([row[:] for row in ring.gram], ring.alpha[:], ring.xi[:],
-                  [id(ring.direction(i)) for i in range(m)])
-        ring.slot()[:] = 0.0
-        with pytest.raises(InvalidStripeError):
-            ring.push(1.0, 0.5)
-        # On a full ring the zero direction took the oldest stripe's row:
-        # that stripe has left.  Otherwise nothing moved.
-        kept = m - 1 if m == 3 else m
-        assert len(ring) == kept
-        assert bits(ring.gram) == bits([row[:kept] for row in before[0][:kept]])
-        assert bits(ring.alpha) == bits(before[1][:kept])
-        assert bits(ring.xi) == bits(before[2][:kept])
-        assert [id(ring.direction(i)) for i in range(kept)] == before[3][:kept]
-        for i in range(kept):
-            assert ring.direction(i).tobytes() == held[i].tobytes()
-
-        # The ring stays consistent: the next pushes fill it as usual.
-        for s in random_stripes(rng, 2, 6):
-            push(ring, s)
-        n = len(ring)
-        rows = [ring.direction(i) for i in range(n)]
-        assert len({id(r) for r in rows}) == n
-        for i in range(n):
-            for j in range(n):
-                assert ring.gram[i][j] == np.dot(rows[i], rows[j])
-
-    def test_direction_whose_square_underflows_counts_as_zero(self):
-        ring = StripeRing(2, (2,))
-        ring.slot()[:] = [1e-200, 0.0]
-        with pytest.raises(InvalidStripeError):
-            ring.push(0.0, 1.0)
-        assert len(ring) == 0
-

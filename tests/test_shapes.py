@@ -3,7 +3,9 @@
 An operator's three applies, the band solve and run's x0, data and truth
 take vectors of the operator's size n: each rejects every other shape
 with a DimensionError that names its operand and (n,), before any work.
-add_noise takes data y of any length and rejects what is not 1-D.  The
+add_noise takes data y of any length n >= 1 and rejects what is not
+1-D, and an empty y, at every noise level.  numkernel.dot takes two 1-D
+operands of one length and names the one that breaks the rule.  The
 inverse-potential operator is checked on a cold cache and on a warm one,
 because np.ones((n, 1)) has the bytes of a cached np.ones(n).
 """
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from tgss.invpot import InversePotentialOperator, make_mesh
-from tgss.numkernel import DimensionError, as_vector, factorize_band_spd
+from tgss.numkernel import DimensionError, as_vector, dot, factorize_band_spd
 from tgss.operator import DiagonalOperator, NoisyData, add_noise
 from tgss.solvers import SolverConfig, run
 
@@ -34,8 +36,8 @@ WRONG = {
     "(n,2)": lambda n: (n, 2),
     "(n,1,1)": lambda n: (n, 1, 1),
 }
-# Shapes that are not 1-D, for add_noise's y.
-NOT_1D = {"()": (), "(n,1)": (9, 1), "(n,1,1)": (9, 1, 1), "(2,3)": (2, 3)}
+# Shapes add_noise's y may not have: not 1-D, or empty.
+NOT_DATA = {"()": (), "(0,)": (0,), "(n,1)": (9, 1), "(n,1,1)": (9, 1, 1), "(2,3)": (2, 3)}
 
 OPERATORS = {
     "diagonal": lambda: DiagonalOperator(np.linspace(0.5, 1.0, 6)),
@@ -119,7 +121,7 @@ def cases():
         for label, shape in WRONG.items():
             yield pytest.param(check, shape, id=f"{entry}-{label}")
     for delta in (0.0, 1e-2):
-        for label, shape in NOT_1D.items():
+        for label, shape in NOT_DATA.items():
             yield pytest.param(noise_entry(delta), shape, id=f"add_noise-{delta:g}-{label}")
 
 
@@ -134,3 +136,24 @@ def test_as_vector_passes_a_float_vector_through():
     assert as_vector(v, None, "v") is v
     w = as_vector([1, 2], 2, "w")
     assert w.dtype == np.float64 and w.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("x_shape, y_shape, name, n", [
+    ((2, 2), (2, 2), "x", "n"),
+    ((2, 3), (2, 3), "x", "n"),
+    ((), (), "x", "n"),
+    ((3,), (), "y", 3),
+    ((2,), (3,), "y", 2),
+    ((3,), (3, 1), "y", 3),
+    ((3, 1), (3,), "x", "n"),
+    ((0,), (0,), "x", "n"),
+], ids=["2x2", "2x3", "scalars", "y-scalar", "lengths-2-3", "y-column", "x-column", "empty"])
+def test_dot_rejects_operands_that_are_not_vectors_of_one_length(x_shape, y_shape, name, n):
+    x, y = np.ones(x_shape), np.ones(y_shape)
+    with rejects(name, n, (x if name == "x" else y).shape):
+        dot(x, y)
+
+
+def test_dot_of_two_vectors_is_a_python_float():
+    value = dot([1, 2], np.array([3.0, 4.0]))
+    assert type(value) is float and value == 11.0

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import run_recording, stripe_at
-from tgss.geometry import InvalidStripeError
 from tgss.invpot import (AdmissibilityError, InversePotentialOperator, MeshError,
                          make_mesh, true_coefficient)
 from tgss.numkernel import DimensionError, SparseSolveError
@@ -175,8 +174,8 @@ def test_inverse_potential_iterates_lie_in_their_stripes(problem, method, n_dire
     assert r_norm <= threshold * (1.0 + 1e-12)
 
 
-TYPED_ERRORS = (ConfigError, DivergenceError, InvariantViolationError, InvalidStripeError,
-                AdmissibilityError, MeshError, DimensionError, SparseSolveError)
+TYPED_ERRORS = (ConfigError, DivergenceError, InvariantViolationError, AdmissibilityError,
+                MeshError, DimensionError, SparseSolveError)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 
 from reference import project, ring_of, run_recording, stripe_at
 from tgss import geometry, invpot, solvers
-from tgss.geometry import InvalidStripeError, StripeRing
+from tgss.geometry import StripeRing
 from tgss.invpot import (
     AdmissibilityError,
     InversePotentialOperator,
@@ -559,9 +559,8 @@ class TestRun:
         data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
         with pytest.raises(InvariantViolationError,
-                           match="zero search direction at k=0") as info:
+                           match="zero search direction at k=0"):
             run("sesop", op, data, np.zeros(2), cfg)
-        assert isinstance(info.value.__cause__, InvalidStripeError)
 
     def test_zero_direction_built_in_the_ring_raises_invariant_violation(self):
         class ZeroAdjointInPlace(DiagonalOperator):
@@ -573,9 +572,31 @@ class TestRun:
         data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
         cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0)
         with pytest.raises(InvariantViolationError,
-                           match="zero search direction at k=0") as info:
+                           match="zero search direction at k=0"):
             run("tgss-nes", op, data, np.zeros(2), cfg)
-        assert isinstance(info.value.__cause__, InvalidStripeError)
+
+    @pytest.mark.parametrize("method", ["sesop", "tgss-nes", "tgss-dbts"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_direction_whose_square_underflows_raises_invariant_violation(self, method, k):
+        # ||u||^2 = 1e-400 rounds to 0.0: the direction counts as zero.  At
+        # k = 1 the ring of one direction is full, and the tiny direction
+        # is built in its oldest stripe's row.
+        class TinyAdjoint(DiagonalOperator):
+            calls = 0
+
+            def adjoint_apply(self, c, w, out=None):
+                out = super().adjoint_apply(c, w, out=out)
+                if self.calls == k:
+                    out[:] = [1e-200, 0.0]
+                self.calls += 1
+                return out
+
+        op = TinyAdjoint(np.array([0.5, 0.8]))
+        data = add_noise(op.apply(np.array([1.0, -2.0])), 1e-3, 0)
+        cfg = SolverConfig(eta=0.0, tau=2.0, c_F=1.0, n_directions=1)
+        with pytest.raises(InvariantViolationError,
+                           match=rf"^zero search direction at k={k} with residual \d"):
+            run(method, op, data, np.zeros(2), cfg)
 
     @pytest.mark.parametrize("method", ["sesop", "tgss-nes", "tgss-dbts"])
     def test_nan_search_direction_raises_divergence(self, method):
