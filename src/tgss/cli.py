@@ -158,8 +158,7 @@ def checked_spec(args) -> bench.BenchSpec:
 def cmd_run(args) -> int:
     spec = checked_spec(args)
     records = bench.run_suite(spec)
-    formats = tuple(args.format) if args.format else ("csv",)
-    paths = bench.emit(records, spec, formats)
+    paths = bench.emit(records, spec, tuple(args.format or ("csv",)))
     if spec.out is not None:
         for path in paths:
             print(f"wrote {path}")
@@ -182,7 +181,7 @@ def cmd_solve(args) -> int:
         print(f"error       : {rec.error}")
     print(f"re_final    : {rec.re_final:.6e}")
     print(f"wall_time_s : {rec.wall_time_s:.3f}")
-    bench.emit(records, spec, ("csv",))
+    bench.emit(records, spec, tuple(args.format or ("csv",)))
     return 0 if not rec.stopped_by.startswith("error") else 1
 
 

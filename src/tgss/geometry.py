@@ -6,40 +6,35 @@ ordered sequential projection implemented here first projects onto the
 upper boundary of the current stripe and then re-projects onto the
 intersection of all boundary hyperplanes picked up along the way.
 
-Every point the sequential projection visits lies in z + span{u_i}, so it
-works in coefficient space: it needs the m x m Gram matrix of the m
-stripe directions and their inner products with z, and runs its side
-tests, right-hand sides and Gram solves on these m-sized quantities as
-Python floats.  numpy touches only vectors of length n: the Gram rows'
-inner products and the update of the final point, built in z's own
-array.  The active set's Gram solves share one Cholesky factor, which
+Every point the projection visits lies in z + span{u_i}, so it works in
+coefficient space, on the m x m Gram matrix of the stripe directions and
+their inner products with z, as Python floats.  Each re-projection
+leaves the running point on every active boundary hyperplane, so the
+next join's right-hand side is zero but for the joining stripe's own
+residual.  The active set's Gram solves share one Cholesky factor, which
 grows by a bordered row as a direction joins; a direction whose pivot
 falls to PIVOT_FLOOR of its Gram diagonal is dependent and dropped.
-The stripes are held in a
-StripeRing, the one stripe container, which keeps the directions in
-per-run storage together with their Gram rows, offsets and half-widths
-as lists.  A new direction is always written into the ring's `slot()`
-and then pushed with its offset and half-width: it adds only its own
-Gram row, m inner products.  The projection takes every <u_i, z> from
-its caller and hands back every <u_i, point>, formed from the Gram rows
-and coefficients, so a caller whose next z is this point (a method with
-zero momentum) never takes an older direction's inner product with z.
+numpy touches only vectors of length n: the Gram rows' inner products
+and the final point, built in z's own array by one call of the global
+`daxpy` per active direction, a = -c_i.
 
-Neither the ring nor the projection checks a stripe: solvers.run, their
-one caller, rejects a zero or non-finite G_00 = ||u||^2 and a z not
-above the new stripe.
+A StripeRing, the one stripe container, keeps the directions in per-run
+storage with their Gram rows, offsets and half-widths as lists.  A new
+direction is written into the ring's `slot()` and pushed: it adds only
+its own Gram row, m inner products.  The projection takes every <u_i, z>
+from its caller and hands back every <u_i, point>, formed from the Gram
+rows and coefficients, so a caller whose next z is this point (a method
+with zero momentum) never takes an older direction's inner product with
+z.  Neither the ring nor the projection checks a stripe: solvers.run,
+their one caller, rejects a zero or non-finite G_00 = ||u||^2 and a z
+not above the new stripe.
 
-Each joining direction costs one project_hyperplane_intersection and
-one numkernel.solve_spd_dense, both called through this module's
-globals, where the benchmark's tracer wraps them.  The final point is
-built by one call of the global `daxpy` per active direction, a = -c_i,
-where tests/reference.py reads the coefficients the result omits.
-
-The projections in vector space, onto one hyperplane, halfspace or
-stripe or the intersection of several hyperplanes, are not part of the
-library: tests/reference.py holds them, with a LAPACK Gram solve and a
-Stripe record to build test rings from, as the reference the tests
-compare against.
+Each joining direction costs one project_hyperplane_intersection and one
+numkernel.solve_spd_dense, both called through this module's globals,
+where the benchmark's tracer wraps them; tests/reference.py reads the
+coefficients through the global `daxpy`.  The projections in vector
+space are not part of the library: tests/reference.py holds them, with
+a LAPACK Gram solve, as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -165,27 +160,27 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
 
     Every running point is z - sum_i c_i u_i, so the loop runs on the m
     coefficients c alone, in Python floats: <u_i, point> = <u_i, z> -
-    (G c)_i with the ring's Gram rows G_ij = <u_i, u_j>.  The lower
+    (G c)_i with the ring's Gram rows G_ij = <u_i, u_j>.  The first step
+    is the 1 x 1 case in place: t_0 = (<u_0, z> - alpha_0 - xi_0) r r with
+    r = 1/sqrt(G_00), the bits LAPACK's dpotrf and dpotrs give.  The lower
     Cholesky factor L of the active Gram block grows by one row as a
     direction joins: l = L^-1 G[active, i] and pivot^2 = G_ii - ||l||^2.
     The direction is dependent when pivot^2 <= PIVOT_FLOOR G_ii, a
-    non-finite pivot included.  The active set has no size limit.  A
-    re-projection, project_hyperplane_intersection, is one forward and
-    one back substitution with the grown factor.  The first step is the
-    1 x 1 case in place: t_0 = (<u_0, z> - alpha_0 - xi_0) r r with
-    r = 1/sqrt(G_00), the bits LAPACK's dpotrf and dpotrs give.
+    non-finite pivot included.  The active set has no size limit.  The
+    running point lies on every boundary that joined before and
+    rho = <u_i, point> - b_i, from the side test, away from the joining
+    one, so a re-projection, project_hyperplane_intersection, is one
+    forward and one back substitution with the grown factor on a
+    right-hand side that is zero but for rho.
 
     The caller, solvers.run, establishes what the projection relies on
     and checks none of it here: z is a contiguous float array of the
     directions' shape that the caller lets it overwrite, uz holds one
     value per stripe, the ring holds at least one stripe, G_00 is finite
-    and positive (run rejects a zero or non-finite one), and z lies above
-    the newest stripe.
-
-    Vectors of length n are touched only to build the final point in z's
-    own array, one daxpy per active direction and no copy.  Its inner
-    products with the directions, u_point, and the containment slack are
-    formed from the same coefficients, with no pass over vectors.
+    and positive, and z lies above the newest stripe.  Vectors of length
+    n are touched only to build the final point in z's own array, one
+    daxpy per active direction and no copy; u_point and the containment
+    slack come from the same coefficients.
 
     Returns a SequentialProjectionResult; the coefficients stay inside.
     """
@@ -197,14 +192,14 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
     coeffs = [0.0] * m
     coeffs[0] = (uz[0] - top) * r * r
     active = [0]
-    boundary = [top]  # offsets of the active boundary hyperplanes
     chol = [[math.sqrt(g00)]]  # rows of the lower Cholesky factor of G[active, active]
     n_dropped = 0
     skipped: list[int] = []
 
     for i in range(1, m):
         Gi = G[i]
-        side = uz[i] - _row_dot(Gi, coeffs, active) - alpha[i]
+        ui = uz[i] - _row_dot(Gi, coeffs, active)  # <u_i, running point>
+        side = ui - alpha[i]
         if side > xi[i]:
             b = alpha[i] + xi[i]
         elif side < -xi[i]:
@@ -224,8 +219,7 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
         row.append(math.sqrt(pivot2))
         chol.append(row)
         active.append(i)
-        boundary.append(b)
-        project_hyperplane_intersection(coeffs, chol, G, uz, active, boundary)
+        project_hyperplane_intersection(coeffs, chol, active, ui - b)
 
     point = z
     for j in active:
@@ -238,16 +232,14 @@ def sequential_stripe_projection(z: Vec, ring: StripeRing,
 
 
 def project_hyperplane_intersection(coeffs: list[float], chol: list[list[float]],
-                                    G: list[list[float]], uz: list[float],
-                                    active: list[int], boundary: list[float]) -> None:
-    """Re-project the point z - sum_i c_i u_i onto the active boundary hyperplanes.
+                                    active: list[int], rho: float) -> None:
+    """Re-project the running point z - sum_i c_i u_i onto the active boundaries.
 
-    Solves G[active, active] t = <u_A, point> - boundary, given the rows
-    `chol` of the factor of G[active, active] and uz = <u_i, z>, and adds
-    t to the active coefficients in place.
+    The point is on every active boundary but the newest, rho from it, so
+    G[active, active] t = (0, ..., 0, rho); solves it with the factor's
+    rows `chol` and adds t to the active coefficients in place.
     """
-    t = solve_spd_dense(chol, [uz[j] - _row_dot(G[j], coeffs, active) - offset
-                               for j, offset in zip(active, boundary)])
+    t = solve_spd_dense(chol, [0.0] * (len(active) - 1) + [rho])
     for j, tj in zip(active, t):
         coeffs[j] += tj
 

@@ -1,6 +1,7 @@
 """Unit tests for the command line interface."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -107,6 +108,15 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "k_star" in out and "discrepancy" in out
+
+    def test_solve_writes_the_requested_format(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = main(["solve", *self.LINEAR, "--method", "sesop", "--delta", "1e-3",
+                     "--seed", "0", "--out", str(out), "--format", "json"])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.json"]
+        [row] = json.loads((tmp_path / "res.json").read_text())
+        assert row["method"] == "sesop"
 
     def test_solve_prints_the_error_of_a_failed_run(self, monkeypatch, capsys):
         from tgss import bench

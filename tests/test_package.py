@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import tgss
 
 
@@ -25,6 +27,20 @@ def test_import_loads_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == [tgss.__file__, "False"]
+
+
+@pytest.mark.parametrize("before,after", [(None, "1"), ("3", "3")])
+def test_import_pins_one_blas_thread_unless_set(before, after):
+    # A fresh interpreter, so that numpy is not loaded before tgss.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tgss.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if before is not None:
+        env["OPENBLAS_NUM_THREADS"] = before
+    code = (f"import os, sys; sys.path.insert(0, {src!r}); import tgss; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == after + "\n"
 
 
 def unused_imports(source):

@@ -41,9 +41,9 @@ RTOL = 1e-10
 
 @st.composite
 def stripe_problems(draw):
-    """(z, stripes) with n in 2..40, m in 1..4 and z strictly above stripe 0."""
+    """(z, stripes) with n in 2..40, m in 1..8 and z strictly above stripe 0."""
     n = draw(st.integers(2, 40))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
 
     def fresh():
         entries = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
