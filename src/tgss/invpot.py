@@ -29,7 +29,13 @@ nodes and each of its local node pairs to the lower entry
 (max node, min node), at offset max - min, with one bincount per array.
 
 weighted_mass(pattern, w) is the one M(w) kernel.  Its callers look it
-up as a module global, where the benchmark's tracer wraps it.
+up as a module global, where the benchmark's tracer wraps it.  It and
+P1Pattern.matvec run in numkernel's compiled library where it loaded,
+with the numpy form's operations in its order, so both paths give the
+same bits; the numpy forms are the reference, and the path on a host
+without `cc`.  State matrices are written into reused band storage one
+offset row at a time, and factorize_band_spd is told those rows, so the
+storage is never zero-filled.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import Vec, as_vector, check_direct_size, factorize_band_spd
+from . import numkernel
+from .numkernel import Vec, address, as_vector, check_direct_size, factorize_band_spd
 from .operator import ForwardOperator, InvalidOperatorError
 
 # Assembly rejects coefficients dipping below this nodal floor.  Small
@@ -237,8 +244,21 @@ class P1Pattern:
     def matvec(self, diagonal: Vec, lower: Vec, x: Vec, out: Vec | None = None) -> Vec:
         """Product of the symmetric matrix (diagonal, lower) with x.
 
-        Written into out when given, which must not share memory with x.
+        Written into out when given, which must not share memory with an
+        operand.  The compiled kernel runs when the operands have the
+        pattern's shapes and out, if given, is a writeable C-contiguous
+        float64 n-vector; it reads C-contiguous copies of strided operands.
         """
+        kernel, n = numkernel._matvec, self.n
+        if kernel is not None and (out is None or _writable_vector(out, n)):
+            diagonal, lower, x = (np.ascontiguousarray(a, dtype=float)
+                                  for a in (diagonal, lower, x))
+            offsets = np.asarray(self.offsets, dtype=np.intp)
+            if diagonal.shape == x.shape == (n,) and lower.shape == (offsets.size, n):
+                out = np.empty(n) if out is None else out
+                kernel(address(diagonal), address(lower), offsets.tobytes(), offsets.size,
+                       n, address(x), address(out))
+                return out
         out = np.empty(self.n) if out is None else out
         out.fill(0.0)
         product = np.empty(self.n)
@@ -269,8 +289,20 @@ def weighted_mass(pattern: P1Pattern, w: Vec) -> tuple[Vec, Vec]:
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
 
-    Returns the matrix as the pattern's offset pair (diagonal, lower).
+    Returns the matrix as the pattern's offset pair (diagonal, lower); on
+    the compiled path, which takes an n-vector w and reads a C-contiguous
+    copy of a strided one, they are the rows of one (n_offsets + 1, n)
+    array.
     """
+    kernel, n = numkernel._weighted_mass, pattern.n
+    if kernel is not None:
+        w, beta, g = (np.ascontiguousarray(a, dtype=float) for a in (w, pattern.beta, pattern.g))
+        offsets = np.asarray(pattern.offsets, dtype=np.intp)
+        if w.shape == g.shape == (n,) and beta.shape == (offsets.size, n):
+            pair = np.empty((offsets.size + 1, n))
+            kernel(address(beta), address(g), offsets.tobytes(), offsets.size, n,
+                   address(w), address(pair))
+            return pair[0], pair[1:]
     beta = pattern.beta
     lower = beta * w                      # beta[r, p] w[p], towards row p + d
     ahead = np.zeros_like(lower)          # beta[r, p] w[p + d], towards row p
@@ -283,6 +315,12 @@ def weighted_mass(pattern: P1Pattern, w: Vec) -> tuple[Vec, Vec]:
     diagonal += pattern.g * w
     lower += ahead
     return diagonal, lower
+
+
+def _writable_vector(out, n: int) -> bool:
+    """Whether a kernel may write an n-vector into out."""
+    return (out.shape == (n,) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable)
 
 
 def check_admissible(c: Vec):
@@ -303,10 +341,11 @@ class InversePotentialOperator(ForwardOperator):
     adjoint in the Euclidean nodal inner product.  The mesh's P1Pattern
     and the band storage of A(c) are built once; each new coefficient
     costs two masses in offset form, A(c) written into the band storage
-    one offset row at a time and one in-place factorization, so one
-    factor is alive at a time.  With out given, adjoint_apply allocates
-    only the solve's result and one vector of slice products.  Meshes
-    past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
+    one offset row at a time, rows 0 and the pattern's offsets, and one
+    in-place factorization that reads no other row, so one factor is
+    alive at a time.  With out given, adjoint_apply allocates only the
+    solve's result, and on the numpy path one vector of slice products.
+    Meshes past numkernel.DIRECT_LIMIT nodes raise SparseSolveError here,
     before anything is built.  Operands follow numkernel's shape rule; a
     coefficient is checked before the cache is looked up.  The source f
     is a finite scalar or an array of finite values, one per node; any
@@ -339,6 +378,7 @@ class InversePotentialOperator(ForwardOperator):
         # factorized in place.
         width = int(pattern.offsets.max(initial=0)) + 1
         self._band = np.zeros((width, self.n), order="F")
+        self._band_rows = (0, *map(int, pattern.offsets))
         self._cache_key = None
         self._cache = None
 
@@ -354,11 +394,10 @@ class InversePotentialOperator(ForwardOperator):
         pattern = self._pattern
         diagonal, lower = weighted_mass(pattern, c)
         band = self._band
-        band.fill(0.0)
         np.add(pattern.K_diagonal, diagonal, out=band[0])
         for r, d in enumerate(pattern.offsets):
             np.add(pattern.K_lower[r], lower[r], out=band[d])
-        solve = factorize_band_spd(band)
+        solve = factorize_band_spd(band, self._band_rows)
         u = solve(self.load)
         if not np.all(np.isfinite(u)):
             raise AdmissibilityError("state solve produced non-finite values")

@@ -14,11 +14,15 @@ Vectors are plain 1-d float64 numpy arrays.  The stripe projection
 solves its Gram systems in Python floats, growing one Cholesky factor
 by a bordered row per joining direction: forward_substitution gives the
 new row, and solve_spd_dense solves with the grown factor, one forward
-and one back substitution; neither has a size limit.  PIVOT_FLOOR is
-the projection's test for a dependent direction.  There is one sparse
-SPD path, factorize_band_spd: the caller writes the matrix into LAPACK
-lower band storage in its own node order, it is factorized in place and
-dpbtrs solves with the factor.  That costs O(n u^2) time and n (u + 1)
+and one back substitution; neither has a size limit.  A join's
+right-hand side is zero but for its last entry, and the forward
+substitution skips its leading zeros.  PIVOT_FLOOR is the projection's
+test for a dependent direction.  There is one sparse SPD path,
+factorize_band_spd: the caller writes the matrix into LAPACK lower band
+storage in its own node order, it is factorized in place and dpbtrs
+solves with the factor.  The caller may name the band rows it wrote;
+the others are read as zero, so storage reused for many matrices of
+one pattern needs no zero fill.  That costs O(n u^2) time and n (u + 1)
 floats for half-bandwidth u, and the factorization proves the matrix
 positive definite as it goes.  The lexicographic node numbering of an
 N x N tensor mesh gives u = N + 2.
@@ -47,6 +51,13 @@ rounds, dpbtrf in 15 of them, past u = 64 of the best of 5 in 5):
     64   66              2.00 ms
     96   98              6.95 ms
     128  130             19.0 ms
+
+The same library holds the inverse-potential operator's weighted mass
+and offset-form product (invpot.weighted_mass, P1Pattern.matvec), which
+repeat the numpy forms' operations in their order and so give their
+bits; _load_kernel binds all of KERNEL_ENTRY_POINTS or none, and without
+them invpot runs the numpy forms.  A kernel reads only C-contiguous
+float64 data, whose address comes from `address`.
 
 There is no iterative fallback: callers run check_direct_size first,
 which rejects systems of more than DIRECT_LIMIT unknowns, the nodes of
@@ -79,6 +90,7 @@ import hashlib
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 from collections.abc import Callable
@@ -115,6 +127,13 @@ KERNEL_MAX_KD = 64
 KERNEL_SOURCE = Path(__file__).with_name("_bandchol.c")
 KERNEL_FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+_ADDRESS, _INT, _BYTES = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+# The library's entry points, each with its argument and result types.
+KERNEL_ENTRY_POINTS = {
+    "tgss_band_cholesky": ((_ADDRESS, _INT, _INT, _BYTES), _INT),
+    "tgss_weighted_mass": ((_ADDRESS, _ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
+    "tgss_matvec": ((_ADDRESS, _ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
+}
 _C_INT_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_int) - 1) - 1
 
 
@@ -165,6 +184,19 @@ def as_vector(v, n: int | None, name: str) -> Vec:
     return v
 
 
+def address(a: np.ndarray) -> int:
+    """The address of the data of a nonempty C-contiguous array, for a kernel.
+
+    A writeable array's is read through a ctypes view of its buffer, in
+    about a third of the time of a.ctypes.data, which gives a read-only
+    array's; the view raises TypeError for a writeable array of another
+    layout.
+    """
+    if a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
 def dot(x: Vec, y: Vec) -> float:
     """Euclidean inner product of two 1-D vectors of one length (as_vector)."""
     x = as_vector(x, None, "x")
@@ -183,10 +215,24 @@ def norm(x: Vec) -> float:
 
 
 def forward_substitution(chol: list[list[float]], b: list[float]) -> list[float]:
-    """L^-1 b, L given by the rows `chol` of its lower triangle, in Python floats."""
+    """L^-1 b, L given by the rows `chol` of its lower triangle, in Python floats.
+
+    The leading +0.0 entries of b, as in a join's (0, ..., 0, rho), give
+    +0.0 entries of y with no arithmetic, and the later rows skip their
+    products.  With finite rows and positive diagonals that is the full
+    substitution's result to the bit: each such y entry would be +0.0
+    less products with +0.0, over a positive diagonal, and subtracting a
+    product with +0.0 changes only an accumulator that is zero, which
+    alone still runs over every product.
+    """
     y: list[float] = []
+    lead = 0
     for Lp, acc in zip(chol, b):
-        for Lpq, yq in zip(Lp, y):
+        if acc == 0.0 and lead == len(y) and math.copysign(1.0, acc) > 0.0:
+            lead += 1
+            y.append(0.0)
+            continue
+        for Lpq, yq in zip(Lp[lead:], y[lead:]) if lead and acc else zip(Lp, y):
             acc -= Lpq * yq
         y.append(acc / Lp[len(y)])
     return y
@@ -233,7 +279,7 @@ def _host_cpu() -> bytes:
 
 
 def _load_kernel():
-    """tgss_band_cholesky(ab, n, kd) of KERNEL_SOURCE compiled, or None without it.
+    """The KERNEL_ENTRY_POINTS of KERNEL_SOURCE compiled, in their order, or None.
 
     The library is built with the system C compiler `cc` the first time
     the package is imported on a host and cached in KERNEL_CACHE under a
@@ -242,9 +288,10 @@ def _load_kernel():
     loaded.  It is written under a temporary name and moved into place,
     so a concurrent import sees either no library or a whole one; a build
     then removes every other cached library, leaving other builds'
-    temporary files alone.  None when there is no `cc`, the build fails or
-    the cache is not writable; factorize_band_spd then runs dpbtrf on
-    every band.
+    temporary files alone.  Every entry point is bound or none: None when
+    there is no `cc`, the build fails, the cache is not writable or the
+    library lacks one of them; factorize_band_spd then runs dpbtrf on
+    every band, and invpot its numpy forms.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -267,34 +314,54 @@ def _load_kernel():
             for stale in KERNEL_CACHE.glob("_bandchol.*.so"):
                 if stale != library:
                     stale.unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(library)).tgss_band_cholesky
-    except (OSError, subprocess.CalledProcessError):
+        loaded = ctypes.CDLL(str(library))
+        kernels = tuple(getattr(loaded, name) for name in KERNEL_ENTRY_POINTS)
+    except (OSError, subprocess.CalledProcessError, AttributeError):
         return None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
-    kernel.restype = ctypes.c_int
-    return kernel
+    for kernel, (argtypes, restype) in zip(kernels, KERNEL_ENTRY_POINTS.values()):
+        kernel.argtypes, kernel.restype = argtypes, restype
+    return kernels
 
 
-_band_cholesky = _load_kernel()
+# The band factor and invpot's weighted mass and product, or None each.
+_band_cholesky, _weighted_mass, _matvec = _load_kernel() or (None,) * len(KERNEL_ENTRY_POINTS)
 
 
-def factorize_band_spd(ab: np.ndarray) -> Callable[[Vec], Vec]:
+def factorize_band_spd(ab: np.ndarray, rows=None) -> Callable[[Vec], Vec]:
     """Factorize an SPD matrix in lower band storage in place; return its solve.
 
     ab has shape (u + 1, n) with ab[i - j, j] = A[i, j] for j <= i <= j + u,
     a writeable float64 array in Fortran order, which is overwritten with
     the Cholesky factor; any other array is copied to one first, and the
-    copy holds the factor.  For u <= KERNEL_MAX_KD the compiled kernel
-    factorizes it where it loaded, otherwise LAPACK dpbtrf; solves run
-    dpbtrs on the factor.  A symmetric matrix is positive definite exactly
-    when the factorization runs to the end; a non-positive leading minor
-    raises SparseSolveError.  The solve takes an n-vector (as_vector).
+    copy holds the factor.  rows, when given, names the band rows d in
+    0 ... u that hold the matrix; the others are read as zero whatever
+    they hold, so a caller that reuses the storage writes only the rows
+    its matrix has.  On both paths the factor is then that of ab with
+    those rows zeroed, bit for bit: the kernel reads them as +0.0, and the
+    dpbtrf path zeroes them before dpbtrf.  rows=None names every row.
+    For u <= KERNEL_MAX_KD the compiled kernel factorizes it where it
+    loaded, otherwise LAPACK dpbtrf; solves run dpbtrs on the factor.  A
+    symmetric matrix is positive definite exactly when the factorization
+    runs to the end; a non-positive leading minor raises SparseSolveError.
+    The solve takes an n-vector (as_vector).
     """
     factor = np.require(ab, dtype=float, requirements="FAW")
     kd, n = factor.shape[0] - 1, factor.shape[1]
+    flags = None
+    if rows is not None:
+        told = bytearray(kd + 1)
+        for d in rows:
+            if not 0 <= d <= kd:
+                raise ValueError(f"band row {d} outside 0 ... {kd}")
+            told[d] = 1
+        flags = bytes(told)
     if _band_cholesky is not None and 0 <= kd <= KERNEL_MAX_KD and n <= _C_INT_MAX:
-        info = _band_cholesky(factor.ctypes.data, n, kd)
+        info = _band_cholesky(factor.ctypes.data, n, kd, flags)
     else:
+        # Each run of rows not named is zeroed as one slice: an index list
+        # took 13 ms at N = 128, where a whole-band fill takes 0.7 ms.
+        for run in re.finditer(b"\0+", flags or b""):
+            factor[run.start():run.end()] = 0.0
         factor, info = lapack.dpbtrf(factor, lower=1, overwrite_ab=1)
     if info > 0:
         raise SparseSolveError(

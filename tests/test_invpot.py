@@ -337,9 +337,9 @@ class TestOperatorContract:
     def test_one_factorization_per_coefficient(self, monkeypatch):
         calls = []
 
-        def counting(ab):
+        def counting(ab, rows=None):
             calls.append(ab.shape)
-            return factorize_band_spd(ab)
+            return factorize_band_spd(ab, rows)
 
         monkeypatch.setattr(invpot, "factorize_band_spd", counting)
         rng = np.random.Generator(np.random.PCG64(36))
@@ -377,6 +377,35 @@ class TestOperatorContract:
             tracemalloc.stop()
         assert result is out
         assert peak <= 4 * n * out.itemsize
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_strided_and_read_only_operands_give_the_contiguous_bits(self, warm):
+        # Every other entry of a 2n array, the odd ones garbage: a kernel
+        # that read such an operand as contiguous would read the garbage.
+        mesh = make_mesh(2, 8)
+        n = mesh.n_nodes
+        rng = np.random.Generator(np.random.PCG64(39))
+        c = 1.0 + 0.1 * rng.standard_normal(n)
+        q, w = rng.standard_normal((2, n))
+
+        def strided(v):
+            s = np.full(2 * n, 1e6)
+            s[::2] = v
+            return s[::2]
+
+        def read_only(v):
+            v = v.copy()
+            v.flags.writeable = False
+            return v
+        results = []
+        for given in ((c, q, w), tuple(map(strided, (c, q, w))), tuple(map(read_only, (c, q, w)))):
+            op = InversePotentialOperator(mesh)
+            if warm:
+                op.apply(c)
+            results.append([op.apply(given[0]).tobytes(),
+                            op.derivative_apply(given[0], given[1]).tobytes(),
+                            op.adjoint_apply(given[0], given[2]).tobytes()])
+        assert results[0] == results[1] == results[2]
 
     def test_indefinite_system_raises(self):
         # c == floor passes the admissibility check, but A(c) is then

@@ -284,6 +284,28 @@ class TestSolveSpdDenseWithFactor:
                 y = np.array(forward_substitution(chol, b.tolist()))
                 assert norm(L @ y - b) <= 1e-12 * (norm(L.ravel()) * norm(y) + norm(b))
 
+    def test_leading_zeros_give_the_full_substitution_bits(self):
+        # The full substitution multiplies every product, zeros included.
+        def full(chol, b):
+            y = []
+            for Lp, acc in zip(chol, b):
+                for Lpq, yq in zip(Lp, y):
+                    acc -= Lpq * yq
+                y.append(acc / Lp[len(y)])
+            return y
+        rng = np.random.Generator(np.random.PCG64(42))
+        for k in range(1, 9):
+            L = np.tril(rng.standard_normal((k, k)), -1)
+            L[np.diag_indices(k)] = 0.5 + np.abs(rng.standard_normal(k))
+            chol = [L[p, :p + 1].tolist() for p in range(k)]
+            for lead in range(k + 1):
+                for rest in (rng.standard_normal(k).tolist(), [-0.0] * k,
+                             rng.choice([0.0, -0.0, 1.5, -2.0], k).tolist()):
+                    for zero in (0.0, -0.0):
+                        b = [zero] * lead + rest[lead:]
+                        y = forward_substitution(chol, b)
+                        assert [v.hex() for v in y] == [v.hex() for v in full(chol, b)]
+
 
 def lower_band(A, u):
     # LAPACK lower band storage ab[i - j, j] = A[i, j], column-major.
@@ -401,13 +423,34 @@ def interior_cases():
             yield kd, n
 
 
-def factor_error(ab):
+def factor_error(ab, rows=None):
     """The order named by factorize_band_spd's SparseSolveError, else 0."""
     try:
-        factorize_band_spd(ab)
+        factorize_band_spd(ab, rows)
     except SparseSolveError as exc:
         return int(str(exc).split("order ")[1].split(" ")[0])
     return 0
+
+
+def row_cases():
+    """Bands of every kernel path, and one past KERNEL_MAX_KD, for the row flags."""
+    yield from band_cases()
+    yield from interior_cases()
+    yield KERNEL_MAX_KD + 2, 2 * KERNEL_MAX_KD + 9
+
+
+def named_and_ignored(n, kd, fill, seed):
+    """A random band whose rows other than 0, 1, kd // 2, kd - 1 and kd are
+    zero, those named rows, and a copy with the other rows filled with NaN
+    or with large values."""
+    rows = sorted({0, min(1, kd), kd // 2, max(kd - 1, 0), kd})
+    zeroed = random_band(n, kd, seed)
+    ignored = [d for d in range(kd + 1) if d not in rows]
+    zeroed[ignored] = 0.0
+    filled = zeroed.copy(order="F")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    filled[ignored] = np.nan if fill == "nan" else rng.uniform(-1e6, 1e6, (len(ignored), n))
+    return zeroed, rows, filled
 
 
 def indefinite_cases():
@@ -478,11 +521,33 @@ class TestBandCholesky:
         factorize_band_spd(ab)
         np.testing.assert_array_equal(np.isnan(ab), np.isnan(expected))
 
+    @pytest.mark.parametrize("kd, n", list(row_cases()))
+    def test_rows_not_named_are_read_as_zero(self, path, kd, n):
+        for fill in ("nan", "large"):
+            zeroed, rows, filled = named_and_ignored(n, kd, fill, seed=13 * kd + n)
+            factorize_band_spd(zeroed)
+            factorize_band_spd(filled, rows)
+            assert filled.tobytes() == zeroed.tobytes()
+
+    @pytest.mark.parametrize("kd, n", list(row_cases()))
+    def test_rows_not_named_leave_the_failure_where_it_was(self, path, kd, n):
+        for fill in ("nan", "large"):
+            for p in sorted({0, n // 2, n - 1}):
+                zeroed, rows, filled = named_and_ignored(n, kd, fill, seed=17 * kd + n + p)
+                zeroed[0, p] = filled[0, p] = -1.0
+                assert factor_error(filled, rows) == factor_error(zeroed) == p + 1
+
+    def test_rows_outside_the_band_raise(self, path):
+        ab = random_band(9, 3, seed=1)
+        for rows in ([0, 4], [-1, 0]):
+            with pytest.raises(ValueError, match="band row"):
+                factorize_band_spd(ab.copy(order="F"), rows)
+
     @pytest.mark.parametrize("kd, calls", [(KERNEL_MAX_KD, 1), (KERNEL_MAX_KD + 1, 0)])
     def test_kernel_runs_up_to_its_half_bandwidth(self, monkeypatch, kd, calls):
         seen = []
 
-        def kernel(pointer, n, kd):
+        def kernel(pointer, n, kd, rows):
             seen.append((n, kd))
             return 0
         monkeypatch.setattr(numkernel, "_band_cholesky", kernel)
@@ -519,9 +584,9 @@ class TestBandCholesky:
         # The band of A(c) at the true coefficient on the 48 x 48 mesh, kd = 50.
         bands = []
 
-        def capture(ab):
+        def capture(ab, rows=None):
             bands.append(ab.copy(order="F"))
-            solve = factorize_band_spd(ab)
+            solve = factorize_band_spd(ab, rows)
             bands.append(ab.copy(order="F"))
             return solve
         monkeypatch.setattr(invpot, "factorize_band_spd", capture)
@@ -600,14 +665,20 @@ class TestKernelBuild:
     @pytest.fixture
     def stub(self, tmp_path, monkeypatch):
         """An empty cache and build(k), which loads a quick-to-build source
-        whose tgss_band_cholesky returns n + kd + k."""
+        exporting every entry point, whose tgss_band_cholesky returns
+        n + kd + k; build(k, lacking=name) leaves entry point `name` out."""
         cache, source = tmp_path / "cache", tmp_path / "_bandchol.c"
         monkeypatch.setattr(numkernel, "KERNEL_CACHE", cache)
         monkeypatch.setattr(numkernel, "KERNEL_SOURCE", source)
 
-        def build(k=0):
-            source.write_text(
-                f"int tgss_band_cholesky(double *ab, int n, int kd) {{ return n + kd + {k}; }}\n")
+        def build(k=0, lacking=None):
+            functions = {
+                "tgss_band_cholesky": "int tgss_band_cholesky(double *ab, int n, int kd,"
+                                      f" const char *rows) {{ return n + kd + {k}; }}",
+                "tgss_weighted_mass": "void tgss_weighted_mass(void) {}",
+                "tgss_matvec": "void tgss_matvec(void) {}"}
+            source.write_text("".join(f"{function}\n" for name, function in functions.items()
+                                      if name != lacking))
             return numkernel._load_kernel()
         return cache, build
 
@@ -648,7 +719,15 @@ class TestKernelBuild:
         second = [p.name for p in cache.glob("*.so")]
         assert len(second) == 1 and second != first
         assert partial.exists()
-        assert kernel(None, 3, 4) == 9      # the second source's
+        assert kernel[0](None, 3, 4, None) == 9      # the second source's
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    @pytest.mark.parametrize("lacking", list(numkernel.KERNEL_ENTRY_POINTS))
+    def test_a_library_lacking_an_entry_point_loads_none(self, stub, lacking):
+        _, build = stub
+        kernels = build()
+        assert len(kernels) == len(numkernel.KERNEL_ENTRY_POINTS)
+        assert build(1, lacking=lacking) is None
 
     def test_failed_build_leaves_no_library(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.c"
@@ -667,7 +746,8 @@ class TestKernelBuild:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         code = ("import numpy as np\n"
                 "from tgss import invpot, numkernel\n"
-                "assert numkernel._band_cholesky is None\n"
+                "assert numkernel._band_cholesky is numkernel._weighted_mass"
+                " is numkernel._matvec is None\n"
                 "op = invpot.InversePotentialOperator(invpot.make_mesh(2, 8))\n"
                 "assert np.abs(op.apply(np.ones(op.n)) - 1.0).max() <= 1e-8\n")
         env = {**os.environ, "PATH": str(tmp_path), "PYTHONPATH": os.path.abspath(src)}

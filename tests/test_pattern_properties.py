@@ -7,18 +7,40 @@ matrix, for M(w) and for the state matrix K + M(w).  Both must also give the sam
 bits as the edge form kept here as the reference, a gather and a
 bincount over the directed edges in row-major order, from the
 pattern's own beta and g: the offset form adds the same products in
-the same order.
+the same order.  The three properties run on both paths of weighted_mass
+and matvec, the compiled kernels and the numpy forms, and the two paths
+must give the same bits.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import assert_matrix_close, csr, reference_mass
+from tgss import numkernel
 from tgss.invpot import P1Pattern, make_mesh, weighted_mass
 
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# The `path` fixture sets the path once per test, the same for all its examples.
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def numpy_forms():
+    """The patch that sends weighted_mass and matvec to their numpy forms."""
+    return mock.patch.multiple(numkernel, _weighted_mass=None, _matvec=None)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def path(request):
+    if request.param == "compiled":
+        yield request.param
+    else:
+        with numpy_forms():
+            yield request.param
 
 
 @st.composite
@@ -61,7 +83,7 @@ def edge_matvec(pattern, diagonal, lower, x):
 
 @SETTINGS
 @given(weighted_meshes())
-def test_same_bits_as_edge_form(problem):
+def test_same_bits_as_edge_form(path, problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
     diagonal, lower = weighted_mass(pattern, w)
@@ -74,7 +96,7 @@ def test_same_bits_as_edge_form(problem):
 
 @SETTINGS
 @given(weighted_meshes())
-def test_mass_data_matches_reference(problem):
+def test_mass_data_matches_reference(path, problem):
     mesh, w, _ = problem
     pattern = P1Pattern(mesh)
     diagonal, lower = weighted_mass(pattern, w)
@@ -84,7 +106,7 @@ def test_mass_data_matches_reference(problem):
 
 @SETTINGS
 @given(weighted_meshes())
-def test_matvec_matches_csr_product(problem):
+def test_matvec_matches_csr_product(path, problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
     diagonal, lower = weighted_mass(pattern, w)
@@ -95,3 +117,34 @@ def test_matvec_matches_csr_product(problem):
         assert pattern.matvec(*pair, x, out=out) is out
         scale = (abs(A) @ np.abs(x)).max()
         assert np.abs(out - A @ x).max() <= 1e-14 * scale
+
+
+def bits_of_both_paths(pattern, w, x):
+    """The bytes of M(w)'s pair and of M(w) x, compiled and numpy."""
+    def results():
+        diagonal, lower = weighted_mass(pattern, w)
+        return [a.tobytes() for a in (diagonal, lower, pattern.matvec(diagonal, lower, x))]
+    compiled = results()
+    with numpy_forms():
+        return compiled, results()
+
+
+@pytest.mark.skipif(numkernel._matvec is None, reason="needs the compiled kernels")
+@SETTINGS
+@given(weighted_meshes())
+def test_compiled_and_numpy_forms_give_the_same_bits(problem):
+    mesh, w, x = problem
+    w = w.copy()
+    w[::3] = -np.abs(w[::3]) - 0.5          # negative entries on every mesh
+    compiled, numpy_form = bits_of_both_paths(P1Pattern(mesh), w, x)
+    assert compiled == numpy_form
+
+
+@pytest.mark.skipif(numkernel._matvec is None, reason="needs the compiled kernels")
+@pytest.mark.parametrize("dim, N", [(1, 6), (2, 5)])
+def test_signed_zeros_give_the_numpy_bits(dim, N):
+    # Products with -0.0, and the +0.0 that every sum starts from.
+    pattern = P1Pattern(make_mesh(dim, N))
+    for w in (np.full(pattern.n, -0.0), np.where(np.arange(pattern.n) % 2, -0.0, 1.5)):
+        compiled, numpy_form = bits_of_both_paths(pattern, w, -w)
+        assert compiled == numpy_form
