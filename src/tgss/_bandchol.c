@@ -1,6 +1,7 @@
 /* The inverse-potential operator's compiled kernels: the lower band
    Cholesky factorization, and the weighted mass and the product of
-   invpot.P1Pattern's offset form.
+   invpot.P1Pattern's offset form, one (n_offsets + 1, n) array per
+   symmetric matrix.
 
    Lower band Cholesky factorization, LAPACK dpbtf2 with uplo = 'L'.
 
@@ -201,11 +202,11 @@ INLINE long offset(const intptr_t *offsets, long r, long n)
     return d < 0 ? 0 : d > n ? n : d;
 }
 
-/* invpot.weighted_mass: the pair (diagonal, lower) of M(w) from the edge
-   form beta, g of n nodes and n_offsets offsets, beta being
-   (n_offsets, n) row-major and pair (n_offsets + 1, n), the diagonal in
-   its first row and lower in the others.  With m = n - d for offset
-   d = offsets[r]:
+/* invpot.weighted_mass: M(w) of n nodes and n_offsets offsets from the
+   pattern's edge form, both (n_offsets + 1, n) row-major with the
+   diagonal in row 0 and offset r in row 1 + r: g = edge[0],
+   beta[r] = edge[1 + r], diagonal = A[0] and lower[r] = A[1 + r].  With
+   m = n - d for offset d = offsets[r]:
 
        diagonal[p + d] += beta[r, p] w[p],  r from n_offsets - 1 down to 0,
        diagonal[p] += beta[r, p] w[p + d],  r from 0 up, p < m,
@@ -214,12 +215,13 @@ INLINE long offset(const intptr_t *offsets, long r, long n)
    from diagonal = +0.0, and lower[r, p] = beta[r, p] w[p] + a with
    a = beta[r, p] w[p + d] for p < m and a = +0.0 past it.  Every offset
    lies in 1 ... n - 1; offset() keeps any other one inside the arrays. */
-EXACT void tgss_weighted_mass(const double *restrict beta, const double *restrict g,
-                              const intptr_t *offsets, int n_offsets, int n_,
-                              const double *restrict w, double *restrict pair)
+EXACT void tgss_weighted_mass(const double *restrict edge, const intptr_t *offsets,
+                              int n_offsets, int n_, const double *restrict w,
+                              double *restrict A)
 {
     long n = n_;
-    double *restrict diagonal = pair, *restrict lower = pair + n;
+    const double *restrict g = edge, *restrict beta = edge + n;
+    double *restrict diagonal = A, *restrict lower = A + n;
     for (long p = 0; p < n; p++)
         diagonal[p] = 0.0;
     for (long r = n_offsets - 1; r >= 0; r--) {
@@ -244,18 +246,18 @@ EXACT void tgss_weighted_mass(const double *restrict beta, const double *restric
         diagonal[p] += g[p] * w[p];
 }
 
-/* P1Pattern.matvec: out = A x for the symmetric pair (diagonal, lower),
-   lower being (n_offsets, n) row-major.  From out = +0.0, with
-   m = n - d for offset d = offsets[r]:
+/* P1Pattern.matvec: out = A x for the symmetric matrix A in the same
+   (n_offsets + 1, n) form, diagonal = A[0] and lower[r] = A[1 + r].
+   From out = +0.0, with m = n - d for offset d = offsets[r]:
 
        out[p + d] += lower[r, p] x[p],      r from n_offsets - 1 down to 0,
        out[p] += lower[r, p] x[p + d],      r from 0 up, p < m,
        out[p] += diagonal[p] x[p]. */
-EXACT void tgss_matvec(const double *restrict diagonal, const double *restrict lower,
-                       const intptr_t *offsets, int n_offsets, int n_,
-                       const double *restrict x, double *restrict out)
+EXACT void tgss_matvec(const double *restrict A, const intptr_t *offsets, int n_offsets,
+                       int n_, const double *restrict x, double *restrict out)
 {
     long n = n_;
+    const double *restrict diagonal = A, *restrict lower = A + n;
     for (long p = 0; p < n; p++)
         out[p] = 0.0;
     for (long r = n_offsets - 1; r >= 0; r--) {

@@ -239,7 +239,7 @@ def project_hyperplane_intersection(coeffs: list[float], chol: list[list[float]]
     G[active, active] t = (0, ..., 0, rho); solves it with the factor's
     rows `chol` and adds t to the active coefficients in place.
     """
-    t = solve_spd_dense(chol, [0.0] * (len(active) - 1) + [rho])
+    t = solve_spd_dense(chol, rho)
     for j, tj in zip(active, t):
         coeffs[j] += tj
 

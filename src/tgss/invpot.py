@@ -26,16 +26,18 @@ for one of a few fixed offsets d, so beta lives on a few diagonals and
 every later M(w) costs a few contiguous slice products per offset.  The
 scatter itself needs no sort: an element adds its local diagonal to its
 nodes and each of its local node pairs to the lower entry
-(max node, min node), at offset max - min, with one bincount per array.
+(max node, min node), at offset max - min, with one bincount for the
+diagonal and one for the lower entries.
 
 weighted_mass(pattern, w) is the one M(w) kernel.  Its callers look it
 up as a module global, where the benchmark's tracer wraps it.  It and
 P1Pattern.matvec run in numkernel's compiled library where it loaded,
 with the numpy form's operations in its order, so both paths give the
 same bits; the numpy forms are the reference, and the path on a host
-without `cc`.  State matrices are written into reused band storage one
-offset row at a time, and factorize_band_spd is told those rows, so the
-storage is never zero-filled.
+without `cc`.  A symmetric mesh matrix is one (n_offsets + 1, n) array
+whose rows are its band rows 0 and offsets.  State matrices are written
+into reused band storage one such row at a time, and factorize_band_spd
+is told those rows, so the storage is never zero-filled.
 """
 
 from __future__ import annotations
@@ -189,29 +191,30 @@ class P1Pattern:
 
     Every mesh edge joins nodes whose numbers differ by one of a few
     offsets, {1} in 1-D and {1, N + 1, N + 2} in 2-D, read off the edge
-    list.  A symmetric matrix on the mesh is then a pair (diagonal,
-    lower): its diagonal, length n, and its strict-lower diagonals as an
-    (n_offsets, n) array with lower[r, p] = A[p + d, p] for offset
-    d = offsets[r], zero where node p has no edge at that offset (past
-    the end of a grid row, or p >= n - d).  Row r is row d of LAPACK
+    list.  A symmetric matrix A on the mesh is then one C-order
+    (n_offsets + 1, n) array: row 0 is its diagonal, and row 1 + r its
+    strict-lower diagonal at offset d = offsets[r], A[1 + r, p] =
+    A[p + d, p], zero where node p has no edge at that offset (past the
+    end of a grid row, or p >= n - d).  Row 1 + r is row d of LAPACK
     lower band storage.
 
     One element scatter per mesh gives the stiffness K and the unit mass
-    M(1) in that form, and the edge-form coefficients beta and g of the
-    module docstring.  The offsets are the nonzero bins of a bincount of
-    the pair offsets.  Each array is one bincount: the diagonal over the
-    element nodes, the lower diagonals over the flat index r n + p of
-    each element pair (p + d, p).  bincount adds in input order and the
-    input is element-major, so every entry sums the same element terms,
-    in the same order, as a sort-based assembly of all (dim + 1)^2 local
-    entries would; the local matrices are symmetric bit for bit, so
-    either of a pair's two entries can be read.  weighted_mass(pattern,
-    w) computes the pair for M(w) and matvec applies a pair, both with
-    contiguous slice products per offset.  A row sums its off-diagonal
-    terms from zero in a fixed order, the lower neighbours by decreasing
-    offset and then the upper ones by increasing offset (the order of the
-    row-major edge list), before the diagonal term is added; the
-    off-diagonal of M(w) is beta[r, p] w[p] + beta[r, p] w[p + d].
+    M(1) in that form, and `edge` holds the edge form of the module
+    docstring the same way: g in row 0 and beta in the rows below.  The
+    offsets are the nonzero bins of a bincount of the pair offsets.  Each
+    matrix is two bincounts: row 0 over the element nodes, the rows below
+    over the flat index (1 + r) n + p of each element pair (p + d, p).
+    bincount adds in input order and the input is element-major, so every
+    entry sums the same element terms, in the same order, as a sort-based
+    assembly of all (dim + 1)^2 local entries would; the local matrices
+    are symmetric bit for bit, so either of a pair's two entries can be
+    read.  weighted_mass(pattern, w) computes M(w) and matvec applies a
+    matrix, both with contiguous slice products per offset.  A row sums
+    its off-diagonal terms from zero in a fixed order, the lower
+    neighbours by decreasing offset and then the upper ones by increasing
+    offset (the order of the row-major edge list), before the diagonal
+    term is added; the off-diagonal of M(w) is beta[r, p] w[p] +
+    beta[r, p] w[p + d].
     """
 
     def __init__(self, mesh: Mesh):
@@ -222,46 +225,50 @@ class P1Pattern:
         low, offset = np.minimum(a, b), np.abs(a - b)
         self.n = n
         self.offsets = np.flatnonzero(np.bincount(offset))
+        self._offset_bytes = self.offsets.tobytes()            # intp, for the kernels
         self._spans = [(r, int(d), n - int(d)) for r, d in enumerate(self.offsets)]
         row_of = np.zeros(self.offsets[-1] + 1, dtype=np.intp)
-        row_of[self.offsets] = np.arange(self.offsets.size)
+        row_of[self.offsets] = np.arange(1, self.offsets.size + 1)
         lower_index = row_of[offset] * n + low
 
         def scatter(diagonal, pairs):
-            return (np.bincount(elements.ravel(), weights=diagonal.ravel(), minlength=n),
-                    np.bincount(lower_index, weights=pairs.ravel(),
-                                minlength=self.offsets.size * n).reshape(-1, n))
+            A = np.bincount(lower_index, weights=pairs.ravel(),
+                            minlength=(self.offsets.size + 1) * n).reshape(-1, n)
+            A[0] = np.bincount(elements.ravel(), weights=diagonal.ravel(), minlength=n)
+            return A
 
-        self.K_diagonal, self.K_lower = scatter(*local_stiffness(mesh))
+        self.K = scatter(*local_stiffness(mesh))
         unit_local = local_mass_tensor(mesh).sum(axis=2)
         ne = elements.shape[0]
-        M1_diagonal, M1_lower = scatter(np.tile(unit_local.diagonal(), (ne, 1)),
-                                        np.tile(unit_local[i, j], (ne, 1)))
-        M1_diagonal += mesh.h ** mesh.dim - quadrature_weights(mesh)
-        self.beta = 0.5 * M1_lower
-        self.g = M1_diagonal - self.matvec(np.zeros(n), self.beta, np.ones(n))
+        M1 = scatter(np.tile(unit_local.diagonal(), (ne, 1)), np.tile(unit_local[i, j], (ne, 1)))
+        M1[0] += mesh.h ** mesh.dim - quadrature_weights(mesh)
+        edge = self.edge = 0.5 * M1
+        edge[0] = 0.0                       # g: M(1)'s diagonal less beta's row sums
+        edge[0] = M1[0] - self.matvec(edge, np.ones(n))
 
-    def matvec(self, diagonal: Vec, lower: Vec, x: Vec, out: Vec | None = None) -> Vec:
-        """Product of the symmetric matrix (diagonal, lower) with x.
+    def matvec(self, A: np.ndarray, x: Vec, out: Vec | None = None) -> Vec:
+        """Product of the symmetric matrix A, in the pattern's form, with x.
 
         Written into out when given, which must not share memory with an
-        operand.  The compiled kernel runs when the operands have the
-        pattern's shapes and out, if given, is a writeable C-contiguous
-        float64 n-vector; it reads C-contiguous copies of strided operands.
+        operand.  x follows numkernel's shape rule, and an A of another
+        shape than the pattern's raises DimensionError.  The compiled
+        kernel runs when out, if given, is a writeable C-contiguous float64
+        n-vector; it reads C-contiguous copies of strided operands.
         """
+        A = np.ascontiguousarray(A, dtype=float)
+        if A.shape != self.K.shape:
+            raise numkernel.DimensionError(
+                f"expected matrix of shape {self.K.shape}, got {A.shape}")
+        x = np.ascontiguousarray(as_vector(x, self.n, "x"))
         kernel, n = numkernel._matvec, self.n
-        if kernel is not None and (out is None or _writable_vector(out, n)):
-            diagonal, lower, x = (np.ascontiguousarray(a, dtype=float)
-                                  for a in (diagonal, lower, x))
-            offsets = np.asarray(self.offsets, dtype=np.intp)
-            if diagonal.shape == x.shape == (n,) and lower.shape == (offsets.size, n):
-                out = np.empty(n) if out is None else out
-                kernel(address(diagonal), address(lower), offsets.tobytes(), offsets.size,
-                       n, address(x), address(out))
-                return out
-        out = np.empty(self.n) if out is None else out
+        out = np.empty(n) if out is None else out
+        if kernel is not None and _writable_vector(out, n):
+            kernel(address(A), self._offset_bytes, self.offsets.size, n, address(x),
+                   address(out))
+            return out
         out.fill(0.0)
-        product = np.empty(self.n)
+        product = np.empty(n)
+        diagonal, lower = A[0], A[1:]
         for r, d, m in reversed(self._spans):
             out[d:] += np.multiply(lower[r, :m], x[:m], out=product[:m])
         for r, d, m in self._spans:
@@ -271,10 +278,10 @@ class P1Pattern:
 
     def load(self, f_nodal: Vec) -> Vec:
         """Row sums of the f-weighted mass, the consistent load of f."""
-        return self.matvec(*weighted_mass(self, f_nodal), np.ones(self.n))
+        return self.matvec(weighted_mass(self, f_nodal), np.ones(self.n))
 
 
-def weighted_mass(pattern: P1Pattern, w: Vec) -> tuple[Vec, Vec]:
+def weighted_mass(pattern: P1Pattern, w: Vec) -> np.ndarray:
     """Boundary-corrected mass matrix weighted by the interpolant of w.
 
     Entry (i, j) approximates the integral of w_h * phi_i * phi_j.
@@ -289,32 +296,29 @@ def weighted_mass(pattern: P1Pattern, w: Vec) -> tuple[Vec, Vec]:
     to the operator scale and preserves symmetry, the weight-swap
     identity M(q) u = M(u) q, and the exact constant solution.
 
-    Returns the matrix as the pattern's offset pair (diagonal, lower); on
-    the compiled path, which takes an n-vector w and reads a C-contiguous
-    copy of a strided one, they are the rows of one (n_offsets + 1, n)
-    array.
+    Returns the matrix as one new (n_offsets + 1, n) array in the
+    pattern's form, on both paths.  w follows numkernel's shape rule; the
+    compiled path reads a C-contiguous copy of a strided w.
     """
-    kernel, n = numkernel._weighted_mass, pattern.n
+    w = np.ascontiguousarray(as_vector(w, pattern.n, "weight"))
+    edge, kernel = pattern.edge, numkernel._weighted_mass
+    A = np.empty_like(edge)
     if kernel is not None:
-        w, beta, g = (np.ascontiguousarray(a, dtype=float) for a in (w, pattern.beta, pattern.g))
-        offsets = np.asarray(pattern.offsets, dtype=np.intp)
-        if w.shape == g.shape == (n,) and beta.shape == (offsets.size, n):
-            pair = np.empty((offsets.size + 1, n))
-            kernel(address(beta), address(g), offsets.tobytes(), offsets.size, n,
-                   address(w), address(pair))
-            return pair[0], pair[1:]
-    beta = pattern.beta
-    lower = beta * w                      # beta[r, p] w[p], towards row p + d
+        kernel(address(edge), pattern._offset_bytes, pattern.offsets.size, pattern.n,
+               address(w), address(A))
+        return A
+    beta, diagonal, lower = edge[1:], A[0], A[1:]
+    np.multiply(beta, w, out=lower)       # beta[r, p] w[p], towards row p + d
     ahead = np.zeros_like(lower)          # beta[r, p] w[p + d], towards row p
-    diagonal = np.zeros(pattern.n)
+    diagonal.fill(0.0)
     for r, d, m in reversed(pattern._spans):
         diagonal[d:] += lower[r, :m]
     for r, d, m in pattern._spans:
         np.multiply(beta[r, :m], w[d:], out=ahead[r, :m])
         diagonal[:m] += ahead[r, :m]
-    diagonal += pattern.g * w
+    diagonal += edge[0] * w
     lower += ahead
-    return diagonal, lower
+    return A
 
 
 def _writable_vector(out, n: int) -> bool:
@@ -391,12 +395,9 @@ class InversePotentialOperator(ForwardOperator):
         check_admissible(c)
         # The band storage holds the cached factor; it is overwritten below.
         self._cache_key = self._cache = None
-        pattern = self._pattern
-        diagonal, lower = weighted_mass(pattern, c)
-        band = self._band
-        np.add(pattern.K_diagonal, diagonal, out=band[0])
-        for r, d in enumerate(pattern.offsets):
-            np.add(pattern.K_lower[r], lower[r], out=band[d])
+        pattern, band = self._pattern, self._band
+        for row, K_row, M_row in zip(self._band_rows, pattern.K, weighted_mass(pattern, c)):
+            np.add(K_row, M_row, out=band[row])
         solve = factorize_band_spd(band, self._band_rows)
         u = solve(self.load)
         if not np.all(np.isfinite(u)):
@@ -415,10 +416,10 @@ class InversePotentialOperator(ForwardOperator):
     def derivative_apply(self, c: Vec, q: Vec) -> Vec:
         q = as_vector(q, self.n, "direction")
         solve, _, M_u = self._setup(c)
-        return -solve(self._pattern.matvec(*M_u, q))
+        return -solve(self._pattern.matvec(M_u, q))
 
     def adjoint_apply(self, c: Vec, w: Vec, out: Vec | None = None) -> Vec:
         w = as_vector(w, self.n, "adjoint argument")
         solve, _, M_u = self._setup(c)
-        out = self._pattern.matvec(*M_u, solve(w), out=out)
+        out = self._pattern.matvec(M_u, solve(w), out=out)
         return np.negative(out, out=out)

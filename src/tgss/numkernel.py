@@ -13,10 +13,10 @@ dot two operands of one such length.
 Vectors are plain 1-d float64 numpy arrays.  The stripe projection
 solves its Gram systems in Python floats, growing one Cholesky factor
 by a bordered row per joining direction: forward_substitution gives the
-new row, and solve_spd_dense solves with the grown factor, one forward
-and one back substitution; neither has a size limit.  A join's
-right-hand side is zero but for its last entry, and the forward
-substitution skips its leading zeros.  PIVOT_FLOOR is the projection's
+new row, and solve_spd_dense solves a join's system with the grown
+factor; neither has a size limit.  A join's right-hand side is zero but
+for its last entry rho, so its forward substitution is one division and
+solve_spd_dense takes rho alone.  PIVOT_FLOOR is the projection's
 test for a dependent direction.  There is one sparse SPD path,
 factorize_band_spd: the caller writes the matrix into LAPACK lower band
 storage in its own node order, it is factorized in place and dpbtrs
@@ -55,9 +55,12 @@ rounds, dpbtrf in 15 of them, past u = 64 of the best of 5 in 5):
 The same library holds the inverse-potential operator's weighted mass
 and offset-form product (invpot.weighted_mass, P1Pattern.matvec), which
 repeat the numpy forms' operations in their order and so give their
-bits; _load_kernel binds all of KERNEL_ENTRY_POINTS or none, and without
-them invpot runs the numpy forms.  A kernel reads only C-contiguous
-float64 data, whose address comes from `address`.
+bits.  Each takes a symmetric mesh matrix as one C-order
+(n_offsets + 1, n) array and the pattern's offsets as bytes the pattern
+builds once.  _load_kernel binds all of KERNEL_ENTRY_POINTS or none, and
+without them invpot runs the numpy forms.  A kernel reads only
+C-contiguous float64 data, whose address comes from `address`, as does
+every other address numkernel reads.
 
 There is no iterative fallback: callers run check_direct_size first,
 which rejects systems of more than DIRECT_LIMIT unknowns, the nodes of
@@ -131,8 +134,8 @@ _ADDRESS, _INT, _BYTES = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
 # The library's entry points, each with its argument and result types.
 KERNEL_ENTRY_POINTS = {
     "tgss_band_cholesky": ((_ADDRESS, _INT, _INT, _BYTES), _INT),
-    "tgss_weighted_mass": ((_ADDRESS, _ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
-    "tgss_matvec": ((_ADDRESS, _ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
+    "tgss_weighted_mass": ((_ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
+    "tgss_matvec": ((_ADDRESS, _BYTES, _INT, _INT, _ADDRESS, _ADDRESS), None),
 }
 _C_INT_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_int) - 1) - 1
 
@@ -154,7 +157,7 @@ def empty(shape: int | tuple[int, ...]) -> np.ndarray:
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     size = math.prod(shape)
     buf = np.empty(size + ALIGN // 8)
-    start = -buf.ctypes.data % ALIGN // 8
+    start = -address(buf) % ALIGN // 8
     return buf[start:][:size].reshape(shape)
 
 
@@ -165,7 +168,7 @@ def aligned(x) -> np.ndarray:
     otherwise.
     """
     x = np.asarray(x, dtype=float)
-    if x.flags.c_contiguous and x.ctypes.data % ALIGN == 0:
+    if x.flags.c_contiguous and x.size and address(x) % ALIGN == 0:
         return x
     out = empty(x.shape)
     np.copyto(out, x)
@@ -215,38 +218,25 @@ def norm(x: Vec) -> float:
 
 
 def forward_substitution(chol: list[list[float]], b: list[float]) -> list[float]:
-    """L^-1 b, L given by the rows `chol` of its lower triangle, in Python floats.
-
-    The leading +0.0 entries of b, as in a join's (0, ..., 0, rho), give
-    +0.0 entries of y with no arithmetic, and the later rows skip their
-    products.  With finite rows and positive diagonals that is the full
-    substitution's result to the bit: each such y entry would be +0.0
-    less products with +0.0, over a positive diagonal, and subtracting a
-    product with +0.0 changes only an accumulator that is zero, which
-    alone still runs over every product.
-    """
+    """L^-1 b, L given by the rows `chol` of its lower triangle, in Python floats."""
     y: list[float] = []
-    lead = 0
     for Lp, acc in zip(chol, b):
-        if acc == 0.0 and lead == len(y) and math.copysign(1.0, acc) > 0.0:
-            lead += 1
-            y.append(0.0)
-            continue
-        for Lpq, yq in zip(Lp[lead:], y[lead:]) if lead and acc else zip(Lp, y):
+        for Lpq, yq in zip(Lp, y):
             acc -= Lpq * yq
         y.append(acc / Lp[len(y)])
     return y
 
 
-def solve_spd_dense(chol: list[list[float]], b: list[float]) -> list[float]:
-    """Solve G t = b for a small SPD G = L L^T given by its Cholesky factor.
+def solve_spd_dense(chol: list[list[float]], rho: float) -> list[float]:
+    """Solve G t = (0, ..., 0, rho) for a small SPD G = L L^T, a join's system.
 
     L is given by the rows `chol` of its lower triangle, which hold
-    positive diagonals.  One forward substitution L y = b, then one back
-    substitution L^T t = y, in Python floats.
+    positive diagonals.  L y = (0, ..., 0, rho) has the solution
+    y = (0, ..., 0, rho / L_kk), and one back substitution L^T t = y
+    follows, in Python floats.
     """
-    y = forward_substitution(chol, b)
-    k = len(y)
+    k = len(chol)
+    y = [0.0] * (k - 1) + [rho / chol[-1][-1]]
     for p in range(k - 1, -1, -1):
         acc = y[p]
         for q in range(p + 1, k):

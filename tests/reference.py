@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.linalg.blas import daxpy
 
-from tgss import geometry
+from tgss import geometry, numkernel
 from tgss.geometry import StripeRing, sequential_stripe_projection
 from tgss.invpot import P1Pattern, local_mass_tensor, quadrature_weights
 from tgss.numkernel import DimensionError, dot, norm
@@ -446,9 +446,10 @@ def reference_pattern(mesh):
 
     The keys row n + col of all local entries are sorted by np.unique,
     and each array is a bincount over the keys' positions, element-major.
-    The result is a P1Pattern with these arrays (and the offset spans
-    weighted_mass and its methods read) set directly, so weighted_mass,
-    matvec and load run the library's own code on these arrays.
+    The result is a P1Pattern with these arrays (and the offset spans and
+    bytes weighted_mass and its methods read) set directly, so
+    weighted_mass, matvec and load run the library's own code on these
+    arrays.
     """
     n, k = mesh.n_nodes, mesh.dim + 1
     rows = np.repeat(mesh.elements, k, axis=1).ravel()
@@ -468,21 +469,33 @@ def reference_pattern(mesh):
     pattern.n = n
     offset = row[lower] - col[lower]
     pattern.offsets = np.unique(offset)
+    pattern._offset_bytes = pattern.offsets.tobytes()
     pattern._spans = [(r, int(d), n - int(d)) for r, d in enumerate(pattern.offsets)]
-    where = np.searchsorted(pattern.offsets, offset), col[lower]
-    pattern.K_diagonal, pattern.K_lower = K[diagonal], np.zeros((pattern.offsets.size, n))
-    pattern.K_lower[where] = K[lower]
-    pattern.beta = np.zeros((pattern.offsets.size, n))
-    pattern.beta[where] = 0.5 * M1[lower]
-    pattern.g = M1[diagonal] - pattern.matvec(np.zeros(n), pattern.beta, np.ones(n))
+    where = 1 + np.searchsorted(pattern.offsets, offset), col[lower]
+
+    def matrix(diagonal_entries, lower_entries):
+        A = np.zeros((pattern.offsets.size + 1, n))
+        A[0], A[where] = diagonal_entries, lower_entries
+        return A
+
+    pattern.K = matrix(K[diagonal], K[lower])
+    pattern.edge = matrix(0.0, 0.5 * M1[lower])
+    pattern.edge[0] = M1[diagonal] - pattern.matvec(pattern.edge, np.ones(n))
     return pattern
 
 
-def csr(pattern, diagonal, lower):
-    """The symmetric matrix (diagonal, lower) of a P1Pattern as a CSR matrix."""
+def invpot_path(path):
+    """invpot's compiled kernels as loaded for "compiled", its numpy forms for "numpy"."""
+    if path == "compiled":
+        return contextlib.nullcontext()
+    return mock.patch.multiple(numkernel, _weighted_mass=None, _matvec=None)
+
+
+def csr(pattern, A):
+    """The symmetric matrix A, in a P1Pattern's form, as a CSR matrix."""
     offsets = pattern.offsets.tolist()
-    bands = [lower[r, :pattern.n - d] for r, d in enumerate(offsets)]
-    return sp.diags([diagonal, *bands, *bands], [0, *(-d for d in offsets), *offsets],
+    bands = [A[1 + r, :pattern.n - d] for r, d in enumerate(offsets)]
+    return sp.diags([A[0], *bands, *bands], [0, *(-d for d in offsets), *offsets],
                     shape=(pattern.n, pattern.n), format="csr")
 
 

@@ -39,13 +39,13 @@ from tgss.operator import InvalidOperatorError
 
 def stiffness(mesh):
     pattern = P1Pattern(mesh)
-    return csr(pattern, pattern.K_diagonal, pattern.K_lower)
+    return csr(pattern, pattern.K)
 
 
 def mass(mesh, w):
     """weighted_mass on the mesh's pattern as a CSR matrix."""
     pattern = P1Pattern(mesh)
-    return csr(pattern, *weighted_mass(pattern, w))
+    return csr(pattern, weighted_mass(pattern, w))
 
 
 class TestMesh:
@@ -143,14 +143,13 @@ class TestAssembly:
             n = mesh.n_nodes
             pattern = P1Pattern(mesh)
             K_ref = reference_stiffness(mesh)
-            assert_matrix_close(csr(pattern, pattern.K_diagonal, pattern.K_lower), K_ref)
+            assert_matrix_close(csr(pattern, pattern.K), K_ref)
             for _ in range(5):
                 w = rng.standard_normal(n)            # negative entries too
                 assert_matrix_close(mass(mesh, w), reference_mass(mesh, w))
                 c = rng.uniform(-0.4, 2.0, n)
                 f = rng.uniform(0.5, 1.5, n)
-                diagonal, lower = weighted_mass(pattern, c)
-                A = csr(pattern, pattern.K_diagonal + diagonal, pattern.K_lower + lower)
+                A = csr(pattern, pattern.K + weighted_mass(pattern, c))
                 assert_matrix_close(A, K_ref + reference_mass(mesh, c))
                 np.testing.assert_allclose(
                     InversePotentialOperator(mesh, f=f).load,
@@ -164,7 +163,7 @@ class TestAssembly:
         # bit for bit: both sum the same element terms in element order.
         mesh = make_mesh(dim, N)
         pattern, expected = P1Pattern(mesh), reference_pattern(mesh)
-        for name in ("offsets", "K_diagonal", "K_lower", "beta", "g"):
+        for name in ("offsets", "K", "edge"):
             actual, wanted = getattr(pattern, name), getattr(expected, name)
             assert actual.dtype == wanted.dtype, name
             assert np.array_equal(actual, wanted), name
@@ -183,15 +182,17 @@ class TestAssembly:
 
     def test_pattern_offsets(self):
         # Every P1 matrix lives on the lower diagonals {1} in 1-D and
-        # {1, N + 1, N + 2} in 2-D, stored as rows of length n that are
-        # zero past the end of the matrix and across grid-row ends.
+        # {1, N + 1, N + 2} in 2-D, stored below the diagonal's row 0 as
+        # rows of length n that are zero past the end of the matrix and
+        # across grid-row ends.
         for mesh, offsets in ((make_mesh(1, 8), [1]), (make_mesh(2, 5), [1, 6, 7])):
             pattern = P1Pattern(mesh)
             assert pattern.offsets.tolist() == offsets
-            assert pattern.K_lower.shape == pattern.beta.shape == (len(offsets), mesh.n_nodes)
+            assert pattern._offset_bytes == np.array(offsets, dtype=np.intp).tobytes()
+            assert pattern.K.shape == pattern.edge.shape == (len(offsets) + 1, mesh.n_nodes)
             for r, d in enumerate(offsets):
-                assert not pattern.beta[r, mesh.n_nodes - d:].any()
-        assert not pattern.beta[0, 5::6].any()       # offset 1 from x = N
+                assert not pattern.edge[1 + r, mesh.n_nodes - d:].any()
+        assert not pattern.edge[1, 5::6].any()       # offset 1 from x = N
 
     def test_mass_row_sums_full_cell_weight(self):
         # The diagonal correction tops every node up to the full cell

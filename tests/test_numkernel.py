@@ -279,32 +279,12 @@ class TestSolveSpdDenseWithFactor:
                 chol = [L[p, :p + 1].tolist() for p in range(n)]
                 G = L @ L.T
                 b = rng.standard_normal(n)
-                t = np.array(solve_spd_dense(chol, b.tolist()))
-                assert norm(G @ t - b) <= 1e-12 * (norm(G.ravel()) * norm(t) + norm(b))
+                join = np.zeros(n)
+                join[-1] = b[-1]                # a join's right-hand side (0, ..., 0, rho)
+                t = np.array(solve_spd_dense(chol, float(b[-1])))
+                assert norm(G @ t - join) <= 1e-12 * (norm(G.ravel()) * norm(t) + norm(join))
                 y = np.array(forward_substitution(chol, b.tolist()))
                 assert norm(L @ y - b) <= 1e-12 * (norm(L.ravel()) * norm(y) + norm(b))
-
-    def test_leading_zeros_give_the_full_substitution_bits(self):
-        # The full substitution multiplies every product, zeros included.
-        def full(chol, b):
-            y = []
-            for Lp, acc in zip(chol, b):
-                for Lpq, yq in zip(Lp, y):
-                    acc -= Lpq * yq
-                y.append(acc / Lp[len(y)])
-            return y
-        rng = np.random.Generator(np.random.PCG64(42))
-        for k in range(1, 9):
-            L = np.tril(rng.standard_normal((k, k)), -1)
-            L[np.diag_indices(k)] = 0.5 + np.abs(rng.standard_normal(k))
-            chol = [L[p, :p + 1].tolist() for p in range(k)]
-            for lead in range(k + 1):
-                for rest in (rng.standard_normal(k).tolist(), [-0.0] * k,
-                             rng.choice([0.0, -0.0, 1.5, -2.0], k).tolist()):
-                    for zero in (0.0, -0.0):
-                        b = [zero] * lead + rest[lead:]
-                        y = forward_substitution(chol, b)
-                        assert [v.hex() for v in y] == [v.hex() for v in full(chol, b)]
 
 
 def lower_band(A, u):
@@ -735,7 +715,9 @@ class TestKernelBuild:
         monkeypatch.setattr(numkernel, "KERNEL_SOURCE", broken)
         monkeypatch.setattr(numkernel, "KERNEL_CACHE", tmp_path / "cache")
         assert numkernel._load_kernel() is None
-        assert list((tmp_path / "cache").iterdir()) == []
+        # Without cc no directory is made; with it, the failed build leaves none.
+        cache = tmp_path / "cache"
+        assert not cache.exists() or list(cache.iterdir()) == []
 
     def test_no_compiler_no_kernel(self, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda name: None)

@@ -6,13 +6,11 @@ and matvec must give the product of the same matrix as a scipy CSR
 matrix, for M(w) and for the state matrix K + M(w).  Both must also give the same
 bits as the edge form kept here as the reference, a gather and a
 bincount over the directed edges in row-major order, from the
-pattern's own beta and g: the offset form adds the same products in
+pattern's own `edge` (g and beta): the offset form adds the same products in
 the same order.  The three properties run on both paths of weighted_mass
 and matvec, the compiled kernels and the numpy forms, and the two paths
 must give the same bits.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import assert_matrix_close, csr, reference_mass
+from reference import assert_matrix_close, csr, invpot_path, reference_mass
 from tgss import numkernel
 from tgss.invpot import P1Pattern, make_mesh, weighted_mass
 
@@ -29,18 +27,10 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def numpy_forms():
-    """The patch that sends weighted_mass and matvec to their numpy forms."""
-    return mock.patch.multiple(numkernel, _weighted_mass=None, _matvec=None)
-
-
 @pytest.fixture(params=["compiled", "numpy"])
 def path(request):
-    if request.param == "compiled":
+    with invpot_path(request.param):
         yield request.param
-    else:
-        with numpy_forms():
-            yield request.param
 
 
 @st.composite
@@ -58,27 +48,27 @@ def edge_form(pattern):
     The strict-lower edges (p + d, p) in row-major order, then the same
     edges reversed.
     """
-    r, p = np.nonzero(pattern.beta)
+    r, p = np.nonzero(pattern.edge[1:])
     rows = p + pattern.offsets[r]
     order = np.lexsort((p, rows))
     r, p, rows = r[order], p[order], rows[order]
     return np.concatenate([rows, p]), np.concatenate([p, rows]), (r, p)
 
 
-def edge_mass_data(pattern, w):
+def edge_mass(pattern, w):
     heads, tails, lower_edges = edge_form(pattern)
-    weighted = np.tile(pattern.beta[lower_edges], 2) * w[tails]
-    diagonal = pattern.g * w + np.bincount(heads, weights=weighted, minlength=pattern.n)
-    lower = np.zeros_like(pattern.beta)
+    weighted = np.tile(pattern.edge[1:][lower_edges], 2) * w[tails]
+    M = np.zeros_like(pattern.edge)
+    M[0] = pattern.edge[0] * w + np.bincount(heads, weights=weighted, minlength=pattern.n)
     E = heads.size // 2
-    lower[lower_edges] = weighted[:E] + weighted[E:]
-    return diagonal, lower
+    M[1:][lower_edges] = weighted[:E] + weighted[E:]
+    return M
 
 
-def edge_matvec(pattern, diagonal, lower, x):
+def edge_matvec(pattern, A, x):
     heads, tails, lower_edges = edge_form(pattern)
-    off = np.tile(lower[lower_edges], 2) * x[tails]
-    return diagonal * x + np.bincount(heads, weights=off, minlength=pattern.n)
+    off = np.tile(A[1:][lower_edges], 2) * x[tails]
+    return A[0] * x + np.bincount(heads, weights=off, minlength=pattern.n)
 
 
 @SETTINGS
@@ -86,12 +76,9 @@ def edge_matvec(pattern, diagonal, lower, x):
 def test_same_bits_as_edge_form(path, problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = weighted_mass(pattern, w)
-    expected_diagonal, expected_lower = edge_mass_data(pattern, w)
-    assert np.array_equal(diagonal, expected_diagonal)
-    assert np.array_equal(lower, expected_lower)
-    assert np.array_equal(pattern.matvec(diagonal, lower, x),
-                          edge_matvec(pattern, diagonal, lower, x))
+    M = weighted_mass(pattern, w)
+    assert np.array_equal(M, edge_mass(pattern, w))
+    assert np.array_equal(pattern.matvec(M, x), edge_matvec(pattern, M, x))
 
 
 @SETTINGS
@@ -99,9 +86,9 @@ def test_same_bits_as_edge_form(path, problem):
 def test_mass_data_matches_reference(path, problem):
     mesh, w, _ = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = weighted_mass(pattern, w)
-    assert lower.shape == (pattern.offsets.size, mesh.n_nodes)
-    assert_matrix_close(csr(pattern, diagonal, lower), reference_mass(mesh, w))
+    M = weighted_mass(pattern, w)
+    assert M.shape == (pattern.offsets.size + 1, mesh.n_nodes) and M.flags.c_contiguous
+    assert_matrix_close(csr(pattern, M), reference_mass(mesh, w))
 
 
 @SETTINGS
@@ -109,23 +96,22 @@ def test_mass_data_matches_reference(path, problem):
 def test_matvec_matches_csr_product(path, problem):
     mesh, w, x = problem
     pattern = P1Pattern(mesh)
-    diagonal, lower = weighted_mass(pattern, w)
-    for pair in ((diagonal, lower),
-                 (pattern.K_diagonal + diagonal, pattern.K_lower + lower)):
-        A = csr(pattern, *pair)
+    M = weighted_mass(pattern, w)
+    for matrix in (M, pattern.K + M):
+        A = csr(pattern, matrix)
         out = np.full(mesh.n_nodes, np.nan)
-        assert pattern.matvec(*pair, x, out=out) is out
+        assert pattern.matvec(matrix, x, out=out) is out
         scale = (abs(A) @ np.abs(x)).max()
         assert np.abs(out - A @ x).max() <= 1e-14 * scale
 
 
 def bits_of_both_paths(pattern, w, x):
-    """The bytes of M(w)'s pair and of M(w) x, compiled and numpy."""
+    """The bytes of M(w) and of M(w) x, compiled and numpy."""
     def results():
-        diagonal, lower = weighted_mass(pattern, w)
-        return [a.tobytes() for a in (diagonal, lower, pattern.matvec(diagonal, lower, x))]
+        M = weighted_mass(pattern, w)
+        return [M.tobytes(), pattern.matvec(M, x).tobytes()]
     compiled = results()
-    with numpy_forms():
+    with invpot_path("numpy"):
         return compiled, results()
 
 

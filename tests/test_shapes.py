@@ -1,8 +1,10 @@
 """The one operand-shape rule, at every public entry that takes a vector.
 
 An operator's three applies, the band solve and run's x0, data and truth
-take vectors of the operator's size n: each rejects every other shape
-with a DimensionError that names its operand and (n,), before any work.
+take vectors of the operator's size n, and so do invpot.weighted_mass and
+P1Pattern.matvec, on the compiled kernels and on the numpy forms: each
+rejects every other shape with a DimensionError that names its operand
+and (n,), before any work.
 add_noise takes data y of any length n >= 1 and rejects what is not
 1-D, and an empty y, at every noise level.  numkernel.dot takes two 1-D
 operands of one length and names the one that breaks the rule.  The
@@ -15,7 +17,8 @@ import re
 import numpy as np
 import pytest
 
-from tgss.invpot import InversePotentialOperator, make_mesh
+from reference import invpot_path
+from tgss.invpot import InversePotentialOperator, P1Pattern, make_mesh, weighted_mass
 from tgss.numkernel import DimensionError, as_vector, dot, factorize_band_spd
 from tgss.operator import DiagonalOperator, NoisyData, add_noise
 from tgss.solvers import SolverConfig, run
@@ -101,6 +104,24 @@ def band_solve(shape):
     np.testing.assert_allclose(solve(np.ones(4)), [2.0, 3.0, 3.0, 2.0])
 
 
+# Operand name and a call with v in that operand's place.
+PATTERN_CALLS = {
+    "weighted_mass": ("weight", weighted_mass),
+    "matvec": ("x", lambda pattern, v: pattern.matvec(pattern.K, v)),
+    "matvec-out": ("x", lambda pattern, v: pattern.matvec(pattern.K, v, out=np.empty(pattern.n))),
+}
+
+
+def pattern_entry(path, call):
+    def check(shape):
+        pattern = P1Pattern(make_mesh(2, 4))
+        name, apply = PATTERN_CALLS[call]
+        v = np.ones(shape(pattern.n))
+        with invpot_path(path), rejects(name, pattern.n, v.shape):
+            apply(pattern, v)
+    return check
+
+
 def noise_entry(delta):
     def check(shape):
         y = np.ones(shape)
@@ -117,6 +138,8 @@ def cases():
     entries.update({f"run-{operand}": run_entry(operand)
                     for operand in ("x0", "data.y_delta", "truth")})
     entries["band-solve"] = band_solve
+    entries.update({f"pattern-{path}-{call}": pattern_entry(path, call)
+                    for path in ("compiled", "numpy") for call in PATTERN_CALLS})
     for entry, check in entries.items():
         for label, shape in WRONG.items():
             yield pytest.param(check, shape, id=f"{entry}-{label}")
@@ -128,6 +151,15 @@ def cases():
 @pytest.mark.parametrize("check, shape", cases())
 def test_wrong_shape_raises_dimension_error(check, shape):
     check(shape)
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_matvec_rejects_a_matrix_of_another_shape(path):
+    pattern = P1Pattern(make_mesh(2, 4))
+    for A in (pattern.K[1:], pattern.K[:, :-1], pattern.K.ravel()):
+        with invpot_path(path), pytest.raises(
+                DimensionError, match=re.escape(f"shape {pattern.K.shape}, got {A.shape}")):
+            pattern.matvec(A, np.ones(pattern.n))
 
 
 def test_as_vector_passes_a_float_vector_through():
